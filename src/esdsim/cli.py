@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import keyrate as kr
-from .discrimination import derive_rng, mc_trial
-from .discrimination import ParityModel, analytic_outcome_probabilities
+from .discrimination import derive_rng, outcome_of, outcome_probabilities, outcome_table, sample_outcomes
 from .errors import AmbiguousPattern
 from .fock import state_to_json
 from .optics import decompose_dft
@@ -23,6 +25,12 @@ from .protocols import NoiseConfig, TeleportTarget, mdi_qkd_run, teleport
 from .states import build_phi, build_psi
 
 DEFAULT_SEED = 42
+# Largest --d that `discriminate` accepts: building the generated click
+# table by polynomial expansion takes about 25 s at d = 5 and about 30 min
+# at d = 6.
+MAX_DISCRIMINATE_D = 5
+# Largest number of Q values in one `keyrate` table.
+MAX_KEYRATE_ROWS = 10**6
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -77,13 +85,10 @@ def _cmd_describe_tritter(args) -> int:
 
 def _cmd_discriminate(args) -> int:
     state = _named_state(args.state, args.d)
-    model = ParityModel(args.eta)
-    counts: dict[str, int] = {}
-    for trial in range(args.trials):
-        outcome = mc_trial(state, model, args.d, derive_rng(args.seed, trial))
-        key = str(outcome)
-        counts[key] = counts.get(key, 0) + 1
-    analytic = analytic_outcome_probabilities(state, args.d, args.eta)
+    table = outcome_table(state, args.d)
+    codes = sample_outcomes(table, args.eta, derive_rng(args.seed).random((args.trials, args.d + 2)))
+    values, freqs = np.unique(codes, return_counts=True)
+    counts = {str(outcome_of(code)): freq for code, freq in zip(values.tolist(), freqs.tolist())}
     report = {
         "state": args.state,
         "d": args.d,
@@ -92,7 +97,7 @@ def _cmd_discriminate(args) -> int:
         "trials": args.trials,
         "counts": counts,
         "empirical": {k: v / args.trials for k, v in counts.items()},
-        "analytic": analytic,
+        "analytic": outcome_probabilities(table, args.eta),
     }
     _write_text(args.out, _json_dumps(report))
     return 0
@@ -142,8 +147,9 @@ def _cmd_mdiqkd(args) -> int:
         "sift_rate": result.sift_rate,
         "qber": result.qber,
     }
-    if args.out is not None:
-        _write_text(None, _json_dumps(summary))
+    # With no --out the CSV owns stdout, so the summary goes to stderr.
+    summary_stream = sys.stdout if args.out is not None else sys.stderr
+    summary_stream.write(_json_dumps(summary))
     return 0
 
 
@@ -255,6 +261,15 @@ def _validate(args) -> None:
     d = getattr(args, "d", None)
     if isinstance(d, int) and d < 2:
         raise ValueError("--d must be >= 2")
+    if args.command == "discriminate" and d > MAX_DISCRIMINATE_D:
+        raise ValueError(f"--d {d} exceeds the limit of {MAX_DISCRIMINATE_D} for discriminate")
+    if args.command == "keyrate" and args.mode == "table":
+        if not (math.isfinite(args.q_step) and args.q_step > 0.0):
+            raise ValueError("--q-step must be a positive number")
+        if not (math.isfinite(args.q_max) and args.q_max >= 0.0):
+            raise ValueError("--q-max must be a non-negative number")
+        if round(min(args.q_max / args.q_step, MAX_KEYRATE_ROWS)) + 1 > MAX_KEYRATE_ROWS:
+            raise ValueError(f"--q-max / --q-step gives more than {MAX_KEYRATE_ROWS} Q values")
 
 
 def main() -> None:

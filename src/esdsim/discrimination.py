@@ -13,7 +13,7 @@ analytic decomposition that `analytic_outcome_probabilities` reports.
 
 from __future__ import annotations
 
-import bisect
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -68,6 +68,13 @@ class DiscriminationOutcome:
     @property
     def is_conclusive(self) -> bool:
         return self.tag == self.CONCLUSIVE
+
+    @property
+    def code(self) -> int:
+        """Integer form read by the vectorized sampler; see `outcome_of`."""
+        if self.is_conclusive:
+            return self.index
+        return INCONCLUSIVE_CODE if self.tag == self.INCONCLUSIVE else POSTSELECT_FAIL_CODE
 
     def __str__(self) -> str:
         return f"conclusive({self.index})" if self.is_conclusive else self.tag
@@ -214,63 +221,101 @@ def _as_rng(rng_seed: int | np.random.Generator) -> np.random.Generator:
     return derive_rng(int(rng_seed))
 
 
-class _MeasurementTable(NamedTuple):
+# Integer outcome codes used by the vectorized sampler: a conclusive outcome
+# is its index, the other two outcomes are negative.
+INCONCLUSIVE_CODE = -1
+POSTSELECT_FAIL_CODE = -2
+
+
+def outcome_of(code: int) -> DiscriminationOutcome:
+    """The outcome that an integer outcome code stands for."""
+    if code >= 0:
+        return DiscriminationOutcome.conclusive(code)
+    if code == INCONCLUSIVE_CODE:
+        return INCONCLUSIVE
+    if code == POSTSELECT_FAIL_CODE:
+        return POSTSELECT_FAIL
+    raise ValueError(f"unknown outcome code {code}")
+
+
+class OutcomeTable(NamedTuple):
+    """Everything the sampler needs about one input state in dimension d.
+
+    `cumulative` holds the running sum of click-pattern probabilities after
+    a passed parity projection, patterns in canonical order, and `codes` the
+    outcome code of each pattern.  An input that never passes has empty
+    arrays and pass_prob 0.
+    """
+
+    d: int
     pass_prob: float
-    # cumulative probability, pattern, outcome -- patterns in canonical order
-    cumulative: tuple[float, ...]
-    outcomes: tuple[DiscriminationOutcome, ...]
+    cumulative: np.ndarray
+    codes: np.ndarray
 
 
-_TABLE_CACHE: dict[tuple, _MeasurementTable] = {}
-
-
-def _measurement_table(state: PureState, d: int) -> _MeasurementTable:
-    key = (state.fingerprint(), d)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+def outcome_table(state: PureState, d: int) -> OutcomeTable:
+    """Build the outcome table of one input: one parity projection, one DFT
+    evolution and one classification per click pattern."""
     passed, pass_prob = parity_postselect(state, d)
     if pass_prob == 0.0:
-        table = _MeasurementTable(0.0, (), ())
+        return OutcomeTable(d, 0.0, np.zeros(0), np.zeros(0, dtype=np.int64))
+    evolved = apply_mode_unitary(passed, build_dft(d), tuple(range(d)))
+    ordered = sorted(detect_distribution(evolved).items(), key=lambda pair: pair[0].clicks)
+    cumulative = np.cumsum([prob for _, prob in ordered])
+    codes = np.array([classify(pattern, d).code for pattern, _ in ordered], dtype=np.int64)
+    return OutcomeTable(d, pass_prob, cumulative, codes)
+
+
+def sample_outcomes(table: OutcomeTable, eta: float, uniforms: np.ndarray) -> np.ndarray:
+    """Outcome codes of n trials of one input, from an (n, d + 2) block of
+    uniforms in [0, 1).
+
+    Columns 0..d-1 are the parity devices (a value >= eta discards the
+    trial), column d is the parity projection (a value >= pass_prob discards
+    it) and column d + 1 picks the click pattern by inverse CDF.  Row i's
+    outcome depends on row i alone.
+    """
+    d = table.d
+    if uniforms.ndim != 2 or uniforms.shape[1] != d + 2:
+        raise ValueError(f"expected an (n, {d + 2}) block of uniforms, got shape {uniforms.shape}")
+    passed = np.all(uniforms[:, :d] < eta, axis=1) & (uniforms[:, d] < table.pass_prob)
+    codes = np.full(len(uniforms), POSTSELECT_FAIL_CODE, dtype=np.int64)
+    cum = table.cumulative
+    if len(cum):
+        pick = np.searchsorted(cum, uniforms[passed, d + 1] * cum[-1], side="right")
+        codes[passed] = table.codes[np.minimum(pick, len(cum) - 1)]
+    return codes
+
+
+# Per-trial calls usually repeat one input many times, so the last few
+# tables are kept; the bound keeps arbitrary inputs from growing it.
+_RECENT_TABLES: OrderedDict[tuple, OutcomeTable] = OrderedDict()
+_RECENT_TABLES_MAX = 16
+
+
+def _recent_table(state: PureState, d: int) -> OutcomeTable:
+    key = (state.fingerprint(), d)
+    table = _RECENT_TABLES.get(key)
+    if table is None:
+        table = outcome_table(state, d)
+        _RECENT_TABLES[key] = table
+        if len(_RECENT_TABLES) > _RECENT_TABLES_MAX:
+            _RECENT_TABLES.popitem(last=False)
     else:
-        evolved = apply_mode_unitary(passed, build_dft(d), tuple(range(d)))
-        dist = detect_distribution(evolved)
-        ordered = sorted(dist.items(), key=lambda pair: pair[0].clicks)
-        cum: list[float] = []
-        outcomes: list[DiscriminationOutcome] = []
-        total = 0.0
-        for pattern, prob in ordered:
-            total += prob
-            cum.append(total)
-            outcomes.append(classify(pattern, d))
-        table = _MeasurementTable(pass_prob, tuple(cum), tuple(outcomes))
-    _TABLE_CACHE[key] = table
+        _RECENT_TABLES.move_to_end(key)
     return table
 
 
-def measure_esd(
-    state: PureState,
-    d: int,
-    rng_seed: int | np.random.Generator,
-    ports: Sequence[int] | None = None,
-) -> DiscriminationOutcome:
+def measure_esd(state: PureState, d: int, rng_seed: int | np.random.Generator) -> DiscriminationOutcome:
     """One sampled run of the full discrimination measurement.
 
     Composes parity post-selection, the DFT, an inverse-CDF draw over click
-    patterns in canonical order, and classification.  Deterministic for a
-    fixed seed.
+    patterns in canonical order, and classification.  Draws two uniforms
+    (projection, pattern); deterministic for a fixed seed.
     """
-    if ports is not None and tuple(ports) != tuple(range(d)):
-        raise ValueError("measure_esd expects the d standard input ports 0..d-1")
-    rng = _as_rng(rng_seed)
-    table = _measurement_table(state, d)
-    if rng.random() >= table.pass_prob:
-        return POSTSELECT_FAIL
-    if not table.outcomes:
-        return POSTSELECT_FAIL
-    u = rng.random() * table.cumulative[-1]
-    idx = min(bisect.bisect_right(table.cumulative, u), len(table.outcomes) - 1)
-    return table.outcomes[idx]
+    row = np.zeros((1, d + 2))
+    row[0, d:] = _as_rng(rng_seed).random(2)
+    return outcome_of(int(sample_outcomes(_recent_table(state, d), 1.0, row)[0]))
 
 
 def mc_trial(
@@ -283,31 +328,33 @@ def mc_trial(
 
     Any device failing (probability 1 - eta each) discards the trial as
     PostSelectFail; at eta = 1 the outcome distribution equals measure_esd's.
+    Draws one row of d + 2 uniforms, laid out as `sample_outcomes` reads it.
     """
-    rng = _as_rng(rng_seed)
-    device_draws = rng.random(d)
-    if np.any(device_draws >= model.eta):
-        return POSTSELECT_FAIL
-    return measure_esd(state, d, rng)
+    row = _as_rng(rng_seed).random((1, d + 2))
+    return outcome_of(int(sample_outcomes(_recent_table(state, d), model.eta, row)[0]))
 
 
-def analytic_outcome_probabilities(state: PureState, d: int, eta: float = 1.0) -> dict[str, float]:
-    """Closed-form outcome probabilities for `mc_trial` on this input.
+def outcome_probabilities(table: OutcomeTable, eta: float = 1.0) -> dict[str, float]:
+    """Closed-form outcome probabilities of `sample_outcomes` on this table.
 
     Also reports the split of PostSelectFail into device failure versus a
     genuinely even parity reading, which the sampled outcome cannot show.
     """
-    table = _measurement_table(state, d)
-    devices_ok = eta**d
+    devices_ok = eta**table.d
     probs: dict[str, float] = {}
     prev = 0.0
-    for cum, outcome in zip(table.cumulative, table.outcomes):
+    for cum, code in zip(table.cumulative.tolist(), table.codes.tolist()):
         weight = devices_ok * table.pass_prob * (cum - prev)
         prev = cum
-        key = str(outcome)
+        key = str(outcome_of(code))
         probs[key] = probs.get(key, 0.0) + weight
     fail = max(0.0, 1.0 - devices_ok * table.pass_prob)
     probs["postselect_fail"] = probs.get("postselect_fail", 0.0) + fail
     probs["postselect_fail_device"] = 1.0 - devices_ok
     probs["postselect_fail_parity"] = max(0.0, devices_ok * (1.0 - table.pass_prob))
     return probs
+
+
+def analytic_outcome_probabilities(state: PureState, d: int, eta: float = 1.0) -> dict[str, float]:
+    """Closed-form outcome probabilities for `mc_trial` on this input."""
+    return outcome_probabilities(_recent_table(state, d), eta)

@@ -149,9 +149,8 @@ def keyrate_table(
     rows = []
     for d in d_values:
         for q in q_list:
-            r = r_d(d, q)
-            total = max(0.0, r) / (2.0 * d)
+            total = rate_per_signal(d, q)
             if eta is not None:
                 total *= eta**d
-            rows.append(KeyRateRow(d, q, r, total, eta))
+            rows.append(KeyRateRow(d, q, r_d(d, q), total, eta))
     return rows

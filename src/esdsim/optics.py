@@ -58,9 +58,6 @@ class ModeUnitary:
     def dagger(self) -> "ModeUnitary":
         return ModeUnitary(self._matrix.conj().T)
 
-    def __matmul__(self, other: "ModeUnitary") -> "ModeUnitary":
-        return ModeUnitary(self._matrix @ other._matrix)
-
     def __repr__(self) -> str:
         return f"ModeUnitary(dim={self.dim})"
 

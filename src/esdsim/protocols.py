@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,12 +30,15 @@ from .discrimination import (
     POSTSELECT_FAIL,
     DetectionPattern,
     DiscriminationOutcome,
+    OutcomeTable,
     ParityModel,
     classify,
     derive_rng,
     detect_distribution,
-    mc_trial,
+    outcome_of,
+    outcome_table,
     parity_postselect,
+    sample_outcomes,
 )
 from .fock import (
     FockBasisState,
@@ -165,7 +168,7 @@ def build_teleport_system(target: TeleportTarget) -> PureState:
     return tensor(target.state(ESD_PORTS), shared)
 
 
-def _measured_branches(state: PureState, d: int, measured_ports: Sequence[int]):
+def _measured_branches(state: PureState, measured_ports: Sequence[int]):
     """Group a joint state's terms by the Fock configuration on the measured
     ports.  Each group is one fine-grained detection branch; the remainder
     amplitudes form the conditional state of the unmeasured photons."""
@@ -177,20 +180,56 @@ def _measured_branches(state: PureState, d: int, measured_ports: Sequence[int]):
     return sorted(groups.items(), key=lambda pair: pair[0].sort_key())
 
 
+class _BranchMap(NamedTuple):
+    outcome: DiscriminationOutcome
+    outsides: tuple[FockBasisState, ...]
+    matrix: np.ndarray  # outsides x target amplitudes
+
+
+@lru_cache(maxsize=1)
+def _teleport_branch_maps() -> tuple[_BranchMap, ...]:
+    """Per detection branch, the linear map from the target's amplitudes to
+    the receiver's unnormalized remainder amplitudes.
+
+    The parity projection, the DFT and the branch split are all linear in
+    the target, so evolving the three basis targets once gives every
+    branch of every target.
+    """
+    shared = build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS)
+    unitary = identity_padded(build_dft(3), extra=len(BOB_PORTS))
+    columns = []
+    for port in ESD_PORTS:
+        system = tensor(PureState.single_photon(ModeLabel(0, port)), shared)
+        passed, pass_prob = parity_postselect(system, 3, ports=ESD_PORTS)
+        evolved = apply_mode_unitary(passed.scaled(math.sqrt(pass_prob)), unitary, ESD_PORTS + BOB_PORTS)
+        columns.append(dict(_measured_branches(evolved, ESD_PORTS)))
+    insides = sorted({inside for column in columns for inside in column}, key=FockBasisState.sort_key)
+    maps = []
+    for inside in insides:
+        parts = [column.get(inside, {}) for column in columns]
+        outsides = tuple(sorted({out for part in parts for out in part}, key=FockBasisState.sort_key))
+        matrix = np.array([[part.get(out, 0j) for part in parts] for out in outsides])
+        maps.append(_BranchMap(classify(DetectionPattern(inside.clicks()), 3), outsides, matrix))
+    return tuple(maps)
+
+
 def teleport_analysis(target: TeleportTarget) -> TeleportAnalysis:
     """Deterministic enumeration of every detection branch of one run."""
-    system = build_teleport_system(target)
-    passed, pass_prob = parity_postselect(system, 3, ports=ESD_PORTS)
+    maps = _teleport_branch_maps()
+    alphas = np.array(target.alphas)
+    remainders = [branch.matrix @ alphas for branch in maps]
+    pass_prob = float(sum(np.vdot(r, r).real for r in remainders))
     if pass_prob == 0.0:
         return TeleportAnalysis(0.0, ())
-    unitary = identity_padded(build_dft(3), extra=len(BOB_PORTS))
-    evolved = apply_mode_unitary(passed, unitary, ESD_PORTS + BOB_PORTS)
+    scale = 1.0 / math.sqrt(pass_prob)
     target_b = target.state(BOB_PORTS)
     branches = []
-    for inside, remainder in _measured_branches(evolved, 3, ESD_PORTS):
-        outcome = classify(DetectionPattern(inside.clicks()), 3)
-        bob = PureState(remainder)
+    for branch, amps in zip(maps, remainders):
+        bob = PureState(zip(branch.outsides, (amps * scale).tolist()))
+        if bob.is_zero():
+            continue
         prob = bob.norm_sq()
+        outcome = branch.outcome
         if outcome.is_conclusive:
             corrected = apply_correction(bob.normalize(), correction_for(outcome.index), BOB_PORTS)
             fid = abs(inner_product(target_b, corrected)) ** 2
@@ -403,51 +442,96 @@ def _apply_phase_flips(state: PureState, flips: Sequence[bool]) -> PureState:
     return apply_phases(state, phase_of)
 
 
+_BASES = (COMPUTATIONAL, MUB)
+
+
+def _table_key(code: int) -> tuple[str, int, str, int, tuple[bool, ...]]:
+    """Decode an MDI-QKD input code into (Alice basis, x, Bob basis, y,
+    phase flips), with the flips reduced to those that change the outcome
+    distribution.
+
+    The code packs the four choices and three flip bits.  A flip on a port
+    Bob's photon does not occupy changes nothing, and flipping all of his
+    occupied ports only negates the joint state, which no outcome
+    probability sees; the key drops both, so inputs that differ only so
+    share one table.
+    """
+    alice_basis, x, bob_basis, y = (int(v) for v in np.unravel_index(code // 8, (2, 3, 2, 3)))
+    occupied = [port in bob_send(_BASES[bob_basis], y).ports() for port in ESD_PORTS]
+    flips = [bool(code >> k & 1) and occupied[k] for k in range(len(ESD_PORTS))]
+    if flips[occupied.index(True)]:
+        flips = [flip != occ for flip, occ in zip(flips, occupied)]
+    return _BASES[alice_basis], x, _BASES[bob_basis], y, tuple(flips)
+
+
 def mdi_qkd_run(
     n_trials: int,
     eta: float = 1.0,
     noise: NoiseConfig | None = None,
     seed: int = 0,
 ) -> QkdRunResult:
-    """Simulate the prepare-and-measure protocol trial by trial.
+    """Simulate the prepare-and-measure protocol.
 
     Each trial draws both parties' bases and values uniformly, feeds the
     joint three-photon state to the relay measurement with per-port device
     efficiency eta, sifts matched-basis conclusive trials, and decodes Bob's
-    symbol from (outcome index, Bob value).  Trials use per-index derived
-    generators, so batches are order-independent and reproducible.
+    symbol from (outcome index, Bob value).
+
+    All trials come from one block of uniforms, derive_rng(seed).random((n,
+    12)); row i is trial i, so a run's records are a prefix of any longer
+    run's.  Columns: 0-1 bases (< 0.5 is computational), 2-3 values
+    floor(3u), 4-6 phase flips (< p), 7-9 parity devices, 10 parity
+    projection, 11 click pattern.  One outcome table is built per distinct
+    joint input that occurs, up to a global sign.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     noise = noise or NoiseConfig()
     model = ParityModel(eta)
+    u = derive_rng(seed).random((n_trials, 12))
+    mub = (u[:, 0:2] >= 0.5).astype(np.int64)
+    values = (3 * u[:, 2:4]).astype(np.int64)
+    flip_bits = (u[:, 4:7] < noise.phase_flip_p) @ np.array([1, 2, 4])
+    input_codes = np.ravel_multi_index((mub[:, 0], values[:, 0], mub[:, 1], values[:, 1]), (2, 3, 2, 3))
+    codes_present, input_index = np.unique(input_codes * 8 + flip_bits, return_inverse=True)
+
+    tables: dict[tuple, OutcomeTable] = {}
+    outcome_codes = np.empty(n_trials, dtype=np.int64)
+    for i, code in enumerate(codes_present.tolist()):
+        key = _table_key(code)
+        if key not in tables:
+            alice_basis, x, bob_basis, y, flips = key
+            joint = tensor(alice_send(alice_basis, x), _apply_phase_flips(bob_send(bob_basis, y), flips))
+            tables[key] = outcome_table(joint, 3)
+        rows = input_index == i
+        outcome_codes[rows] = sample_outcomes(tables[key], model.eta, u[rows, 7:12])
+
     decode = _decode_table()
-    records: list[QkdTrialRecord] = []
-    n_sifted = 0
-    n_errors = 0
-    for trial in range(n_trials):
-        rng = derive_rng(seed, trial)
-        alice_basis = COMPUTATIONAL if rng.random() < 0.5 else MUB
-        bob_basis = COMPUTATIONAL if rng.random() < 0.5 else MUB
-        x = int(rng.integers(3))
-        y = int(rng.integers(3))
-        flips = tuple(bool(f) for f in rng.random(3) < noise.phase_flip_p)
-        bob_state = _apply_phase_flips(bob_send(bob_basis, y), flips)
-        joint = tensor(alice_send(alice_basis, x), bob_state)
-        outcome = mc_trial(joint, model, 3, rng)
-        sifted = alice_basis == bob_basis and outcome.is_conclusive
-        if sifted:
-            bob_symbol = decode[(alice_basis, outcome.index, y)]
-            n_sifted += 1
-            if bob_symbol != x:
-                n_errors += 1
-            records.append(
-                QkdTrialRecord(trial, alice_basis, x, bob_basis, y, outcome, True, x, bob_symbol)
-            )
-        else:
-            records.append(
-                QkdTrialRecord(trial, alice_basis, x, bob_basis, y, outcome, False)
-            )
+    decode_array = np.array(
+        [[[decode[(basis, i, y)] for y in range(3)] for i in range(3)] for basis in _BASES]
+    )
+    sifted = (mub[:, 0] == mub[:, 1]) & (outcome_codes >= 0)
+    bob_symbols = decode_array[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]
+    n_sifted = int(sifted.sum())
+    n_errors = int((sifted & (bob_symbols != values[:, 0])).sum())
+
+    outcomes = {code: outcome_of(code) for code in np.unique(outcome_codes).tolist()}
+    records = []
+    for trial, (a_b, b_b, x, y, code, sift, bob_symbol) in enumerate(
+        zip(
+            mub[:, 0].tolist(),
+            mub[:, 1].tolist(),
+            values[:, 0].tolist(),
+            values[:, 1].tolist(),
+            outcome_codes.tolist(),
+            sifted.tolist(),
+            bob_symbols.tolist(),
+        )
+    ):
+        symbols = (x, bob_symbol) if sift else (None, None)
+        records.append(
+            QkdTrialRecord(trial, _BASES[a_b], x, _BASES[b_b], y, outcomes[code], sift, *symbols)
+        )
     sift_rate = n_sifted / n_trials
     qber = n_errors / n_sifted if n_sifted else 0.0
     return QkdRunResult(tuple(records), sift_rate, qber)

@@ -1,5 +1,6 @@
 import json
 
+import esdsim.cli as cli
 from esdsim.cli import run
 
 
@@ -130,3 +131,47 @@ class TestErrorPaths:
 
     def test_bad_trials(self):
         assert run(["teleport", "--trials", "0"]) == 2
+
+    def test_zero_q_step(self, capsys):
+        assert run(["keyrate", "--d", "3", "--q-step", "0"]) == 2
+        assert "--q-step" in capsys.readouterr().err
+
+    def test_negative_q_step(self, capsys):
+        assert run(["keyrate", "--d", "3", "--q-step", "-0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--q-step" in captured.err
+
+    def test_negative_q_max(self, capsys):
+        assert run(["keyrate", "--d", "3", "--q-max", "-0.1"]) == 2
+        assert "--q-max" in capsys.readouterr().err
+
+    def test_oversized_q_grid(self, capsys):
+        assert run(["keyrate", "--d", "3", "--q-max", "0.5", "--q-step", "1e-7"]) == 2
+        assert "Q values" in capsys.readouterr().err
+        assert run(["keyrate", "--d", "3", "--q-max", "0.5", "--q-step", "1e-320"]) == 2
+
+    def test_discriminate_dimension_limit(self, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("nothing may be built past the dimension limit")
+
+        monkeypatch.setattr(cli, "_named_state", forbidden)
+        monkeypatch.setattr(cli, "outcome_table", forbidden)
+        assert run(["discriminate", "--d", str(cli.MAX_DISCRIMINATE_D + 1), "--state", "phi1"]) == 2
+        assert f"limit of {cli.MAX_DISCRIMINATE_D}" in capsys.readouterr().err
+
+
+class TestMdiqkdSummaryStream:
+    def test_summary_on_stderr_without_out(self, capsys):
+        assert run(["mdiqkd", "--trials", "30", "--seed", "4"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("trial,alice_basis") and len(lines) == 31
+        summary = json.loads(captured.err)
+        assert summary["trials"] == 30 and set(summary) >= {"sift_rate", "qber"}
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        out = tmp_path / "records.csv"
+        run(["mdiqkd", "--trials", "30", "--seed", "4", "--out", str(out)])
+        capsys.readouterr()
+        run(["mdiqkd", "--trials", "30", "--seed", "4"])
+        assert capsys.readouterr().out == read(out)

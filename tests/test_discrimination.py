@@ -1,12 +1,19 @@
+import bisect
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import esdsim.discrimination as discrimination
 from esdsim.discrimination import (
     POSTSELECT_FAIL,
+    POSTSELECT_FAIL_CODE,
     QUTRIT_CLICK_TABLE,
     DetectionPattern,
     DiscriminationOutcome,
+    OutcomeTable,
     ParityModel,
     analytic_outcome_probabilities,
     build_classifier,
@@ -15,7 +22,11 @@ from esdsim.discrimination import (
     detect_distribution,
     mc_trial,
     measure_esd,
+    outcome_of,
+    outcome_probabilities,
+    outcome_table,
     parity_postselect,
+    sample_outcomes,
 )
 from esdsim.fock import ModeLabel, PureState, states_equal_up_to_global_phase, superpose
 from esdsim.optics import apply_mode_unitary, build_dft
@@ -212,3 +223,74 @@ class TestOutcomeType:
     def test_string_forms(self):
         assert str(DiscriminationOutcome.conclusive(2)) == "conclusive(2)"
         assert str(POSTSELECT_FAIL) == "postselect_fail"
+
+
+# -- vectorized sampler ----------------------------------------------------------
+
+
+def scalar_sample(table, eta, row):
+    """Loop reference: devices, then the parity projection, then bisect_right
+    over the cumulative pattern probabilities."""
+    d = table.d
+    if any(u >= eta for u in row[:d]) or row[d] >= table.pass_prob or not len(table.codes):
+        return POSTSELECT_FAIL_CODE
+    cum = table.cumulative.tolist()
+    idx = min(bisect.bisect_right(cum, row[d + 1] * cum[-1]), len(cum) - 1)
+    return int(table.codes[idx])
+
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def tables_and_uniforms(draw):
+    d = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=12))
+    cumulative = np.cumsum(weights) if weights and sum(weights) > 0 else np.zeros(0)
+    codes = np.array([draw(st.integers(-1, d - 1)) for _ in cumulative], dtype=np.int64)
+    pass_prob = draw(st.floats(0.0, 1.0)) if len(cumulative) else 0.0
+    table = OutcomeTable(d, pass_prob, cumulative, codes)
+    uniforms = np.array(draw(st.lists(st.lists(unit, min_size=d + 2, max_size=d + 2), min_size=1, max_size=20)))
+    eta = draw(st.floats(0.0, 1.0))
+    return table, eta, uniforms
+
+
+class TestVectorizedSampler:
+    @settings(max_examples=300, deadline=None)
+    @given(tables_and_uniforms())
+    def test_matches_scalar_reference(self, case):
+        table, eta, uniforms = case
+        codes = sample_outcomes(table, eta, uniforms)
+        assert codes.tolist() == [scalar_sample(table, eta, row.tolist()) for row in uniforms]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+                    min_size=9, max_size=9).filter(lambda cs: sum(abs(c) ** 2 for c in cs) > 1e-3),
+           st.floats(0.0, 1.0))
+    def test_table_probabilities_sum_to_one(self, coeffs, eta):
+        norm = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
+        state = superpose([(c / norm, build_psi(i)) for i, c in enumerate(coeffs)])
+        table = outcome_table(state, 3)
+        if table.pass_prob > 0:
+            assert abs(table.cumulative[-1] - 1.0) < 1e-12
+        probs = outcome_probabilities(table, eta)
+        split = probs.pop("postselect_fail_device") + probs.pop("postselect_fail_parity")
+        assert abs(sum(probs.values()) - 1.0) < 1e-12
+        assert abs(split - probs["postselect_fail"]) < 1e-12
+
+    def test_per_trial_api_is_the_one_row_case(self):
+        mix = superpose([(0.6, build_psi(0)), (0.8, build_psi(2))])
+        table = outcome_table(mix, 3)
+        for t in range(200):
+            code = sample_outcomes(table, 0.8, derive_rng(17, t).random((1, 5)))[0]
+            assert mc_trial(mix, ParityModel(0.8), 3, derive_rng(17, t)) == outcome_of(int(code))
+
+    def test_uniform_block_shape_is_checked(self):
+        with pytest.raises(ValueError):
+            sample_outcomes(outcome_table(build_psi(0), 3), 1.0, np.zeros((4, 3)))
+
+    def test_per_trial_table_cache_is_bounded(self):
+        for k in range(40):
+            state = superpose([(math.cos(k / 7), build_psi(0)), (math.sin(k / 7), build_psi(1))])
+            analytic_outcome_probabilities(state, 3)
+        assert len(discrimination._RECENT_TABLES) <= discrimination._RECENT_TABLES_MAX

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from esdsim.fock import inner_product, states_equal_up_to_global_phase, tensor
+import esdsim.discrimination as discrimination
+import esdsim.protocols as protocols
+from esdsim.discrimination import (
+    DetectionPattern,
+    analytic_outcome_probabilities,
+    classify,
+    parity_postselect,
+)
+from esdsim.fock import PureState, inner_product, states_equal_up_to_global_phase, tensor
+from esdsim.optics import apply_mode_unitary, build_dft, identity_padded
 from esdsim.protocols import (
     BOB_PORTS,
     COMPUTATIONAL,
@@ -15,6 +24,7 @@ from esdsim.protocols import (
     alice_send,
     apply_correction,
     bob_send,
+    build_teleport_system,
     conditional_outcome_weights,
     correction_for,
     edp_outcome_weight,
@@ -193,3 +203,84 @@ class TestGeneralizedSetup:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_uniform_input_conclusive_probability(self, d):
         assert abs(generalized_conclusive_probability(d) - 1 / d) < 1e-12
+
+
+def direct_teleport_branches(target):
+    """Reference: evolve this target's own joint system and group the evolved
+    terms by the configuration on the measured ports."""
+    system = build_teleport_system(target)
+    passed, pass_prob = parity_postselect(system, 3, ports=ESD_PORTS)
+    unitary = identity_padded(build_dft(3), extra=len(BOB_PORTS))
+    evolved = apply_mode_unitary(passed, unitary, ESD_PORTS + BOB_PORTS)
+    groups = {}
+    for basis, amp in evolved.items():
+        inside, outside = basis.split_by_ports(frozenset(ESD_PORTS))
+        groups.setdefault(inside, {})[outside] = amp
+    branches = []
+    for inside in sorted(groups, key=lambda b: b.sort_key()):
+        outcome = classify(DetectionPattern(inside.clicks()), 3)
+        bob = PureState(groups[inside])
+        if outcome.is_conclusive:
+            bob = apply_correction(bob.normalize(), correction_for(outcome.index), BOB_PORTS)
+        branches.append((outcome, PureState(groups[inside]).norm_sq(), bob))
+    return pass_prob, branches
+
+
+def amplitude_distance(x, y):
+    return max(abs(x.amplitude(b) - y.amplitude(b)) for b in set(x.basis_states()) | set(y.basis_states()))
+
+
+class TestTeleportBranchMaps:
+    def test_maps_match_direct_evolution(self):
+        rng = np.random.default_rng(77)
+        targets = [TeleportTarget.haar_random(rng) for _ in range(20)]
+        targets += [TeleportTarget((1.0, 0.0, 0.0)), TeleportTarget((0.0, 0.6, 0.8j))]
+        for target in targets:
+            pass_prob, reference = direct_teleport_branches(target)
+            analysis = teleport_analysis(target)
+            assert abs(analysis.pass_prob - pass_prob) < 1e-12
+            assert len(analysis.branches) == len(reference)
+            for branch, (outcome, prob, bob) in zip(analysis.branches, reference):
+                assert branch.outcome == outcome
+                assert abs(branch.probability - prob) < 1e-12
+                assert amplitude_distance(branch.bob_state, bob) < 1e-12
+
+    def test_analysis_evolves_nothing_per_target(self, monkeypatch):
+        teleport_analysis(TeleportTarget((1.0, 0.0, 0.0)))  # the maps are built on first use
+
+        def forbidden(*args):
+            raise AssertionError("teleport_analysis must not evolve per target")
+
+        monkeypatch.setattr(protocols, "apply_mode_unitary", forbidden)
+        analysis = teleport_analysis(TeleportTarget.haar_random(np.random.default_rng(4)))
+        assert abs(analysis.conclusive_probability() - 1 / 3) < 1e-12
+
+
+class TestMdiQkdSampling:
+    def test_prefix_stable(self):
+        noise = NoiseConfig(0.2)
+        long = mdi_qkd_run(50, eta=0.85, noise=noise, seed=6)
+        short = mdi_qkd_run(20, eta=0.85, noise=noise, seed=6)
+        assert long.records[:20] == short.records
+
+    def test_outcomes_lie_in_the_analytic_support(self):
+        run = mdi_qkd_run(3000, eta=0.9, seed=12)
+        analytic = {}
+        for rec in run.records:
+            inputs = (rec.alice_basis, rec.alice_value, rec.bob_basis, rec.bob_value)
+            if inputs not in analytic:
+                joint = tensor(alice_send(*inputs[:2]), bob_send(*inputs[2:]))
+                analytic[inputs] = analytic_outcome_probabilities(joint, 3, 0.9)
+            assert analytic[inputs].get(str(rec.outcome), 0.0) > 0.0, rec
+
+    def test_at_most_90_evolutions_per_run(self, monkeypatch):
+        calls = []
+        evolve = discrimination.apply_mode_unitary
+
+        def counted(*args):
+            calls.append(1)
+            return evolve(*args)
+
+        monkeypatch.setattr(discrimination, "apply_mode_unitary", counted)
+        mdi_qkd_run(20000, noise=NoiseConfig(0.1))
+        assert 0 < len(calls) <= 90
