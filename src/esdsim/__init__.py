@@ -9,6 +9,7 @@ from .discrimination import (
     ParityModel,
     build_classifier,
     classify,
+    click_distribution,
     derive_rng,
     detect_distribution,
     mc_trial,
@@ -59,6 +60,7 @@ from .optics import (
     apply_mode_unitary,
     build_dft,
     decompose_dft,
+    evolve_dense,
     recompose,
     unitaries_equal_up_to_global_phase,
 )

@@ -25,12 +25,15 @@ from .protocols import NoiseConfig, TeleportTarget, mdi_qkd_run, teleport
 from .states import build_phi, build_psi
 
 DEFAULT_SEED = 42
-# Largest --d that `discriminate` accepts: building the generated click
-# table by polynomial expansion takes about 25 s at d = 5 and about 30 min
-# at d = 6.
-MAX_DISCRIMINATE_D = 5
-# Largest number of Q values in one `keyrate` table.
+# Largest --d that `discriminate` accepts: the dense evolution holds d^d
+# amplitudes per state and the click table d * d! patterns, so d = 6 runs
+# in well under a second and d = 7 takes several seconds and over 100 MB.
+MAX_DISCRIMINATE_D = 6
+# Largest number of rows in one `keyrate` table (Q values, or dimensions
+# in thresholds mode).
 MAX_KEYRATE_ROWS = 10**6
+# Largest --trials of any subcommand; memory grows linearly with it.
+MAX_TRIALS = 10**6
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -250,8 +253,8 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def _validate(args) -> None:
-    if getattr(args, "trials", 1) < 1:
-        raise ValueError("--trials must be >= 1")
+    if not 1 <= getattr(args, "trials", 1) <= MAX_TRIALS:
+        raise ValueError(f"--trials must lie in [1, {MAX_TRIALS}]")
     eta = getattr(args, "eta", None)
     if eta is not None and not 0.0 <= eta <= 1.0:
         raise ValueError("--eta must lie in [0, 1]")
@@ -270,6 +273,8 @@ def _validate(args) -> None:
             raise ValueError("--q-max must be a non-negative number")
         if round(min(args.q_max / args.q_step, MAX_KEYRATE_ROWS)) + 1 > MAX_KEYRATE_ROWS:
             raise ValueError(f"--q-max / --q-step gives more than {MAX_KEYRATE_ROWS} Q values")
+    if args.command == "keyrate" and args.mode == "thresholds" and args.d_max - 1 > MAX_KEYRATE_ROWS:
+        raise ValueError(f"--d-max {args.d_max} gives more than {MAX_KEYRATE_ROWS} rows")
 
 
 def main() -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AmbiguousPattern
 from .fock import PureState
-from .optics import apply_mode_unitary, build_dft
+from .optics import build_dft, evolve_dense
 from .states import build_phi, build_psi
 
 
@@ -134,27 +134,29 @@ def detect_distribution(state: PureState) -> dict[DetectionPattern, float]:
     return dist
 
 
-def _permutations3() -> list[tuple[int, int, int]]:
-    return [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+def click_distribution(
+    state: PureState, d: int, postselect: bool = True
+) -> tuple[float, dict[DetectionPattern, float]]:
+    """The measurement on an input with one photon in each occupied time-bin:
+    parity post-selection (skipped when `postselect` is false, with pass
+    probability 1), the d-port DFT by `evolve_dense`, and on-off detection.
 
-
-def _pattern_from_ports(ports_abc: tuple[int, int, int]) -> DetectionPattern:
-    return DetectionPattern.from_pairs((port, timebin) for timebin, port in enumerate(ports_abc))
-
-
-# Published click table for d = 3, with output ports relabeled 0..2.
-# Entries are the ports hit by the time-bin (a, b, c) photons.
-_QUTRIT_GROUPS: dict[int, tuple[tuple[int, int, int], ...]] = {
-    0: tuple(_permutations3()),
-    1: ((0, 0, 1), (0, 1, 0), (1, 1, 2), (1, 2, 1), (2, 0, 2), (2, 2, 0)),
-    2: ((0, 0, 2), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 1, 2), (2, 2, 1)),
-}
-
-QUTRIT_CLICK_TABLE: dict[DetectionPattern, int] = {
-    _pattern_from_ports(ports): index
-    for index, group in _QUTRIT_GROUPS.items()
-    for ports in group
-}
+    Returns the pass probability and the click-pattern distribution of the
+    passed state.  Amplitudes at or below the state's tolerance are dropped,
+    as `PureState` drops them, so the support equals that of
+    `detect_distribution` after `apply_mode_unitary`.
+    """
+    pass_prob = 1.0
+    if postselect:
+        state, pass_prob = parity_postselect(state, d)
+        if pass_prob == 0.0:
+            return 0.0, {}
+    timebins, amps = evolve_dense(state, build_dft(d))
+    magnitudes = np.abs(amps)
+    return pass_prob, {
+        DetectionPattern(tuple(sorted(zip(ports, timebins)))): float(magnitudes[tuple(ports)]) ** 2
+        for ports in np.argwhere(magnitudes > state.tolerance).tolist()
+    }
 
 
 @lru_cache(maxsize=None)
@@ -168,11 +170,9 @@ def _classifier(d: int) -> dict[DetectionPattern, int]:
     downstream corrections can key off the outcome index.
     """
     table: dict[DetectionPattern, int] = {}
-    dft = build_dft(d)
     for index in range(d):
         source = build_psi(index) if d == 3 else build_phi(index, d)
-        evolved = apply_mode_unitary(source, dft, tuple(range(d)))
-        for pattern, prob in detect_distribution(evolved).items():
+        for pattern, prob in click_distribution(source, d, postselect=False)[1].items():
             if prob <= 1e-12:
                 continue
             owner = table.get(pattern)
@@ -195,13 +195,9 @@ def build_classifier(d: int) -> dict[DetectionPattern, int]:
 
 
 def classify(pattern: DetectionPattern, d: int) -> DiscriminationOutcome:
-    """Map a click pattern to an outcome.
-
-    d = 3 consults the hand-coded published table; other dimensions use the
-    generated table, which tests compare against the d = 3 one.
-    """
-    table = QUTRIT_CLICK_TABLE if d == 3 else _classifier(d)
-    index = table.get(pattern)
+    """Map a click pattern to an outcome through the generated table; the
+    tests compare the d = 3 table against the published one."""
+    index = _classifier(d).get(pattern)
     return INCONCLUSIVE if index is None else DiscriminationOutcome.conclusive(index)
 
 
@@ -256,11 +252,10 @@ class OutcomeTable(NamedTuple):
 def outcome_table(state: PureState, d: int) -> OutcomeTable:
     """Build the outcome table of one input: one parity projection, one DFT
     evolution and one classification per click pattern."""
-    passed, pass_prob = parity_postselect(state, d)
+    pass_prob, dist = click_distribution(state, d)
     if pass_prob == 0.0:
         return OutcomeTable(d, 0.0, np.zeros(0), np.zeros(0, dtype=np.int64))
-    evolved = apply_mode_unitary(passed, build_dft(d), tuple(range(d)))
-    ordered = sorted(detect_distribution(evolved).items(), key=lambda pair: pair[0].clicks)
+    ordered = sorted(dist.items(), key=lambda pair: pair[0].clicks)
     cumulative = np.cumsum([prob for _, prob in ordered])
     codes = np.array([classify(pattern, d).code for pattern, _ in ordered], dtype=np.int64)
     return OutcomeTable(d, pass_prob, cumulative, codes)

@@ -10,7 +10,8 @@ class IndexOutOfRange(ValueError):
 
 
 class OverlappingModes(ValueError):
-    """Tensor operands occupy a common optical mode."""
+    """Photons could meet in one optical mode: tensor operands share a mode,
+    or a dense evolution finds two or more photons in one time-bin."""
 
 
 class PortMismatch(ValueError):

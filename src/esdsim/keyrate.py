@@ -32,10 +32,11 @@ def shannon_entropy(x: float) -> float:
 
 
 def r3(q: float) -> float:
-    """Qutrit rate per sifted signal: log2(3) - 2Q - 2H(Q), for Q in [0, 1/2]."""
+    """Qutrit rate per sifted signal log2(3) - 2Q - 2H(Q), i.e. r_d(3, Q) on
+    Q in [0, 1/2]."""
     if not 0.0 <= q <= 0.5:
         raise DomainError(f"qutrit rate defined for Q in [0, 1/2], got {q}")
-    return math.log2(3.0) - 2.0 * q - 2.0 * shannon_entropy(q)
+    return r_d(3, q)
 
 
 def r_d(d: int, q: float) -> float:

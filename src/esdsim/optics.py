@@ -4,6 +4,7 @@ The headline object is the d-port discrete Fourier transform, entry
 (j, k) = chi^(j*k)/sqrt(d) with chi = exp(2*pi*i/d).  A unitary acts on a
 Fock state through the substitution a+_(x, in_k) -> sum_j U[j, k] a+_(x, out_j);
 output ports reuse the input labels, and time-bin labels are never touched.
+`evolve_dense` is the exact shortcut for inputs with one photon per time-bin.
 
 `decompose_dft` factors the DFT into two-port beam-splitter elements plus
 phase shifters (triangular Givens scheme); `recompose` is its verification
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDimension, PortMismatch
+from .errors import InvalidDimension, OverlappingModes, PortMismatch
 from .fock import VACUUM, FockBasisState, ModeLabel, PureState
 
 _UNITARITY_TOL = 1e-10
@@ -124,6 +125,40 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary, port_map: Sequence[int]
         for mono, coeff in poly.items():
             out[mono] += coeff * mono.sqrt_factorial()
     return PureState(out, state.tolerance)
+
+
+def evolve_dense(state: PureState, u: ModeUnitary) -> tuple[tuple[int, ...], np.ndarray]:
+    """Evolve a state holding one photon in each occupied time-bin, densely.
+
+    Returns (time-bins, amplitudes): axis k of the array is time-bins[k] and
+    is indexed by that photon's port, read as a matrix index of `u`.  The
+    unitary never mixes time-bins, so every permanent is a product of
+    matrix entries and the evolution is one tensordot per axis.
+
+    Raises PortMismatch for a port outside 0..dim-1 and OverlappingModes for
+    a time-bin holding two or more photons; `apply_mode_unitary` is the
+    general evolution for such inputs.
+    """
+    timebins: tuple[int, ...] = ()
+    entries = []
+    for basis, amp in state.items():
+        photons = sorted((mode.timebin, mode.port) for mode, count in basis.items() for _ in range(count))
+        bins = tuple(timebin for timebin, _ in photons)
+        if len(set(bins)) != len(bins):
+            raise OverlappingModes(f"{basis} puts two or more photons in one time-bin")
+        if entries and bins != timebins:
+            raise ValueError(f"{basis} occupies time-bins {bins}, other terms {timebins}")
+        timebins = bins
+        ports = tuple(port for _, port in photons)
+        if ports and max(ports) >= u.dim:
+            raise PortMismatch(f"photon occupies port {max(ports)}, outside the {u.dim} ports of the unitary")
+        entries.append((ports, amp))
+    amps = np.zeros((u.dim,) * len(timebins), dtype=complex)
+    for ports, amp in entries:
+        amps[ports] = amp
+    for axis in range(amps.ndim):
+        amps = np.moveaxis(np.tensordot(u.matrix, amps, axes=([1], [axis])), 0, axis)
+    return timebins, amps
 
 
 # -- element networks --------------------------------------------------------

@@ -33,8 +33,8 @@ from .discrimination import (
     OutcomeTable,
     ParityModel,
     classify,
+    click_distribution,
     derive_rng,
-    detect_distribution,
     outcome_of,
     outcome_table,
     parity_postselect,
@@ -542,17 +542,13 @@ def generalized_conclusive_probability(d: int) -> float:
     d*d encoding combinations of the generalized setup (one (d-1)-photon
     block state from Alice, one time-bin-0 photon from Bob), evaluated
     through the full measurement pipeline.  Equals 1/d."""
-    dft = build_dft(d)
     total = 0.0
     for i in range(d):
         block = build_minor(i, d)
         for j in range(d):
             joint = tensor(block, PureState.single_photon(ModeLabel(0, j)))
-            passed, pass_prob = parity_postselect(joint, d)
-            if pass_prob == 0.0:
-                continue
-            evolved = apply_mode_unitary(passed, dft, tuple(range(d)))
-            for pattern, prob in detect_distribution(evolved).items():
+            pass_prob, dist = click_distribution(joint, d)
+            for pattern, prob in dist.items():
                 if classify(pattern, d).is_conclusive:
                     total += pass_prob * prob
     return total / (d * d)

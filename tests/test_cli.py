@@ -52,6 +52,14 @@ class TestDiscriminateCommand:
         report = json.loads(read(out))
         assert report["counts"] == {"conclusive(1)": 50}
 
+    def test_largest_dimension(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.MAX_DISCRIMINATE_D == 6
+        assert run(["discriminate", "--d", "6", "--state", "phi5", "--trials", "200",
+                    "--seed", "3", "--out", str(out)]) == 0
+        report = json.loads(read(out))
+        assert report["counts"] == {"conclusive(5)": 200}
+
     def test_unknown_state_is_config_error(self, capsys):
         assert run(["discriminate", "--state", "nope", "--trials", "10"]) == 2
 
@@ -158,6 +166,22 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "outcome_table", forbidden)
         assert run(["discriminate", "--d", str(cli.MAX_DISCRIMINATE_D + 1), "--state", "phi1"]) == 2
         assert f"limit of {cli.MAX_DISCRIMINATE_D}" in capsys.readouterr().err
+
+    def test_trials_upper_bound(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may run past the trial limit")
+
+        for name in ("_named_state", "teleport", "mdi_qkd_run"):
+            monkeypatch.setattr(cli, name, forbidden)
+        too_many = str(cli.MAX_TRIALS + 1)
+        for command in ("discriminate", "teleport", "mdiqkd"):
+            assert run([command, "--trials", too_many]) == 2
+            assert f"[1, {cli.MAX_TRIALS}]" in capsys.readouterr().err
+
+    def test_d_max_upper_bound(self, capsys):
+        assert run(["keyrate", "thresholds", "--d-max", str(cli.MAX_KEYRATE_ROWS + 2)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--d-max" in captured.err
 
 
 class TestMdiqkdSummaryStream:

@@ -10,7 +10,6 @@ import esdsim.discrimination as discrimination
 from esdsim.discrimination import (
     POSTSELECT_FAIL,
     POSTSELECT_FAIL_CODE,
-    QUTRIT_CLICK_TABLE,
     DetectionPattern,
     DiscriminationOutcome,
     OutcomeTable,
@@ -18,6 +17,7 @@ from esdsim.discrimination import (
     analytic_outcome_probabilities,
     build_classifier,
     classify,
+    click_distribution,
     derive_rng,
     detect_distribution,
     mc_trial,
@@ -28,9 +28,10 @@ from esdsim.discrimination import (
     parity_postselect,
     sample_outcomes,
 )
-from esdsim.fock import ModeLabel, PureState, states_equal_up_to_global_phase, superpose
+from esdsim.errors import OverlappingModes, PortMismatch
+from esdsim.fock import FockBasisState, ModeLabel, PureState, states_equal_up_to_global_phase, superpose, tensor
 from esdsim.optics import apply_mode_unitary, build_dft
-from esdsim.states import build_phi, build_psi
+from esdsim.states import build_minor, build_phi, build_psi
 
 
 def pattern(*pairs):
@@ -41,7 +42,8 @@ def evolved_psi(index):
     return apply_mode_unitary(build_psi(index), build_dft(3), (0, 1, 2))
 
 
-# ports hit by the (a, b, c) photons for each published click group
+# Published click table for d = 3, output ports relabeled 0..2: the ports
+# hit by the (a, b, c) photons for each click group.
 GROUPS = {
     0: [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)],
     1: [(0, 0, 1), (0, 1, 0), (1, 1, 2), (1, 2, 1), (2, 0, 2), (2, 2, 0)],
@@ -51,6 +53,9 @@ GROUPS = {
 
 def group_patterns(g):
     return {pattern(*((port, tb) for tb, port in enumerate(ports))) for ports in GROUPS[g]}
+
+
+QUTRIT_CLICK_TABLE = {p: g for g in GROUPS for p in group_patterns(g)}
 
 
 class TestParityPostselect:
@@ -127,6 +132,9 @@ class TestBuildClassifier:
             dist = detect_distribution(apply_mode_unitary(source, u, tuple(range(d))))
             assert abs(sum(dist.values()) - 1) < 1e-12
             assert all(table[p] == i for p in dist)
+
+    def test_d6_pattern_count(self):
+        assert len(build_classifier(6)) == 6 * math.factorial(6)
 
     def test_d4_pattern_structure(self):
         # outcome i != 0 leaves exactly one port dark, and the time-bin-0
@@ -294,3 +302,70 @@ class TestVectorizedSampler:
             state = superpose([(math.cos(k / 7), build_psi(0)), (math.sin(k / 7), build_psi(1))])
             analytic_outcome_probabilities(state, 3)
         assert len(discrimination._RECENT_TABLES) <= discrimination._RECENT_TABLES_MAX
+
+
+# -- dense measurement path ------------------------------------------------------
+
+
+def sparse_click_distribution(state, d):
+    """Reference: parity projection, the general polynomial evolution and
+    on-off detection."""
+    passed, pass_prob = parity_postselect(state, d)
+    if pass_prob == 0.0:
+        return 0.0, {}
+    return pass_prob, detect_distribution(apply_mode_unitary(passed, build_dft(d), tuple(range(d))))
+
+
+def measurement_inputs(d):
+    """The one-photon-per-time-bin inputs the measurement sees."""
+    inputs = [build_phi(i, d) for i in range(d)]
+    inputs += [tensor(build_minor(i, d), PureState.single_photon(ModeLabel(0, j)))
+               for i in range(d) for j in range(d)]
+    if d == 3:
+        inputs += [build_psi(i) for i in range(9)]
+    return inputs
+
+
+coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def measurement_superpositions(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    members = measurement_inputs(d)
+    chosen = draw(st.lists(st.sampled_from(range(len(members))), min_size=1, max_size=4, unique=True))
+    coeffs = draw(st.lists(coefficient, min_size=len(chosen), max_size=len(chosen)))
+    state = superpose([(c, members[k]) for c, k in zip(coeffs, chosen)])
+    if state.norm_sq() < 1e-6:
+        state = members[chosen[0]]
+    return d, state.normalize()
+
+
+class TestClickDistribution:
+    @settings(max_examples=150, deadline=None)
+    @given(measurement_superpositions())
+    def test_matches_sparse_reference(self, case):
+        d, state = case
+        pass_prob, dist = click_distribution(state, d)
+        ref_prob, ref = sparse_click_distribution(state, d)
+        assert abs(pass_prob - ref_prob) < 1e-12
+        assert set(dist) == set(ref)
+        assert all(abs(dist[p] - ref[p]) < 1e-12 for p in ref)
+        if pass_prob > 0.0:
+            assert abs(sum(dist.values()) - 1.0) < 1e-12
+
+    def test_without_postselection_keeps_failing_terms(self):
+        pass_prob, dist = click_distribution(build_psi(4), 3, postselect=False)
+        assert pass_prob == 1.0
+        assert set(dist) == group_patterns(1)
+        assert click_distribution(build_psi(4), 3) == (0.0, {})
+
+    def test_hom_input_raises_overlapping_modes(self):
+        hom = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(0, 1): 1}): 1.0})
+        with pytest.raises(OverlappingModes):
+            click_distribution(hom, 2)
+
+    def test_photon_on_port_d_raises_port_mismatch(self):
+        state = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(1, 2): 1}): 1.0})
+        with pytest.raises(PortMismatch):
+            click_distribution(state, 2, postselect=False)

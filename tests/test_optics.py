@@ -21,6 +21,7 @@ from esdsim.optics import (
     apply_mode_unitary,
     build_dft,
     decompose_dft,
+    evolve_dense,
     identity_padded,
     recompose,
     unitaries_equal_up_to_global_phase,
@@ -148,6 +149,28 @@ class TestApplyModeUnitary:
         u = identity_padded(build_dft(3), extra=1)
         out = apply_mode_unitary(joint, u, (0, 1, 2, 3))
         assert abs(out.amplitude(FockBasisState({ModeLabel(0, 3): 1})) - 0.8) < 1e-12
+
+
+class TestEvolveDense:
+    def test_matches_polynomial_expansion(self):
+        rng = np.random.default_rng(45)
+        for d in (2, 3, 4):
+            u = build_dft(d)
+            terms = {}
+            for _ in range(6):
+                ports = rng.integers(d, size=d)
+                basis = FockBasisState({ModeLabel(t, int(p)): 1 for t, p in enumerate(ports)})
+                terms[basis] = complex(rng.normal(), rng.normal())
+            state = PureState(terms).normalize()
+            timebins, amps = evolve_dense(state, u)
+            assert timebins == tuple(range(d))
+            assert abs(np.sum(np.abs(amps) ** 2) - 1) < 1e-12
+            reference = apply_mode_unitary(state, u, tuple(range(d)))
+            for basis, amp in reference.items():
+                ports = tuple(m.port for m in sorted(basis.modes(), key=lambda m: m.timebin))
+                assert abs(amps[ports] - amp) < 1e-12
+            assert np.count_nonzero(np.abs(amps) > 1e-12) == reference.num_terms()
+
 
 
 class TestElementNetwork:

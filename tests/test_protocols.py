@@ -275,12 +275,12 @@ class TestMdiQkdSampling:
 
     def test_at_most_90_evolutions_per_run(self, monkeypatch):
         calls = []
-        evolve = discrimination.apply_mode_unitary
+        evolve = discrimination.evolve_dense
 
         def counted(*args):
             calls.append(1)
             return evolve(*args)
 
-        monkeypatch.setattr(discrimination, "apply_mode_unitary", counted)
+        monkeypatch.setattr(discrimination, "evolve_dense", counted)
         mdi_qkd_run(20000, noise=NoiseConfig(0.1))
         assert 0 < len(calls) <= 90
