@@ -134,23 +134,19 @@ def detect_distribution(state: PureState) -> dict[DetectionPattern, float]:
     return dist
 
 
-def click_distribution(
-    state: PureState, d: int, postselect: bool = True
-) -> tuple[float, dict[DetectionPattern, float]]:
+def click_distribution(state: PureState, d: int) -> tuple[float, dict[DetectionPattern, float]]:
     """The measurement on an input with one photon in each occupied time-bin:
-    parity post-selection (skipped when `postselect` is false, with pass
-    probability 1), the d-port DFT by `evolve_dense`, and on-off detection.
+    parity post-selection, the d-port DFT by `evolve_dense`, and on-off
+    detection.
 
     Returns the pass probability and the click-pattern distribution of the
     passed state.  Amplitudes at or below the state's tolerance are dropped,
     as `PureState` drops them, so the support equals that of
     `detect_distribution` after `apply_mode_unitary`.
     """
-    pass_prob = 1.0
-    if postselect:
-        state, pass_prob = parity_postselect(state, d)
-        if pass_prob == 0.0:
-            return 0.0, {}
+    state, pass_prob = parity_postselect(state, d)
+    if pass_prob == 0.0:
+        return 0.0, {}
     timebins, amps = evolve_dense(state, build_dft(d))
     magnitudes = np.abs(amps)
     return pass_prob, {
@@ -172,7 +168,7 @@ def _classifier(d: int) -> dict[DetectionPattern, int]:
     table: dict[DetectionPattern, int] = {}
     for index in range(d):
         source = build_psi(index) if d == 3 else build_phi(index, d)
-        for pattern, prob in click_distribution(source, d, postselect=False)[1].items():
+        for pattern, prob in click_distribution(source, d)[1].items():
             if prob <= 1e-12:
                 continue
             owner = table.get(pattern)

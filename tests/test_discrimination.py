@@ -354,18 +354,12 @@ class TestClickDistribution:
         if pass_prob > 0.0:
             assert abs(sum(dist.values()) - 1.0) < 1e-12
 
-    def test_without_postselection_keeps_failing_terms(self):
-        pass_prob, dist = click_distribution(build_psi(4), 3, postselect=False)
-        assert pass_prob == 1.0
-        assert set(dist) == group_patterns(1)
-        assert click_distribution(build_psi(4), 3) == (0.0, {})
-
     def test_hom_input_raises_overlapping_modes(self):
         hom = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(0, 1): 1}): 1.0})
         with pytest.raises(OverlappingModes):
             click_distribution(hom, 2)
 
     def test_photon_on_port_d_raises_port_mismatch(self):
-        state = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(1, 2): 1}): 1.0})
+        state = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(1, 1): 1, ModeLabel(2, 2): 1}): 1.0})
         with pytest.raises(PortMismatch):
-            click_distribution(state, 2, postselect=False)
+            click_distribution(state, 2)
