@@ -77,6 +77,7 @@ from .protocols import (
     mdi_qkd_run,
     teleport,
     teleport_analysis,
+    teleport_run,
 )
 from .states import build_alice_pair, build_minor, build_phi, build_psi, mub_state
 

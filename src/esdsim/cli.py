@@ -21,7 +21,7 @@ from .discrimination import derive_rng, outcome_of, outcome_probabilities, outco
 from .errors import AmbiguousPattern
 from .fock import state_to_json
 from .optics import decompose_dft
-from .protocols import NoiseConfig, TeleportTarget, mdi_qkd_run, teleport
+from .protocols import NoiseConfig, mdi_qkd_run, teleport_run
 from .states import build_phi, build_psi
 
 DEFAULT_SEED = 42
@@ -29,8 +29,11 @@ DEFAULT_SEED = 42
 # amplitudes per state and the click table d * d! patterns, so d = 6 runs
 # in well under a second and d = 7 takes several seconds and over 100 MB.
 MAX_DISCRIMINATE_D = 6
-# Largest number of rows in one `keyrate` table (Q values, or dimensions
-# in thresholds mode).
+# Largest --d of `list-states` (d = 7: 2.5 s and 75 MB, d = 8 runs past
+# 20 s) and `describe-tritter` (d = 64: 0.7 s; d = 128: 11 s).
+MAX_D = {"discriminate": MAX_DISCRIMINATE_D, "list-states": 7, "describe-tritter": 64}
+# Largest number of rows in one `keyrate` table (Q values times dimensions,
+# or dimensions in thresholds mode).
 MAX_KEYRATE_ROWS = 10**6
 # Largest --trials of any subcommand; memory grows linearly with it.
 MAX_TRIALS = 10**6
@@ -63,6 +66,11 @@ def _named_state(name: str, d: int):
     raise ValueError(f"unknown state name {name!r} (use psi0..psi8 or phi0..phi{d - 1})")
 
 
+def _outcome_counts(codes: np.ndarray) -> dict[str, int]:
+    values, freqs = np.unique(codes, return_counts=True)
+    return {str(outcome_of(code)): freq for code, freq in zip(values.tolist(), freqs.tolist())}
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 
@@ -90,8 +98,7 @@ def _cmd_discriminate(args) -> int:
     state = _named_state(args.state, args.d)
     table = outcome_table(state, args.d)
     codes = sample_outcomes(table, args.eta, derive_rng(args.seed).random((args.trials, args.d + 2)))
-    values, freqs = np.unique(codes, return_counts=True)
-    counts = {str(outcome_of(code)): freq for code, freq in zip(values.tolist(), freqs.tolist())}
+    counts = _outcome_counts(codes)
     report = {
         "state": args.state,
         "d": args.d,
@@ -107,24 +114,15 @@ def _cmd_discriminate(args) -> int:
 
 
 def _cmd_teleport(args) -> int:
-    counts: dict[str, int] = {}
-    fidelity_sum = 0.0
-    n_conclusive = 0
-    for trial in range(args.trials):
-        rng = derive_rng(args.seed, trial)
-        target = TeleportTarget.haar_random(rng)
-        result = teleport(target, rng)
-        key = str(result.outcome)
-        counts[key] = counts.get(key, 0) + 1
-        if result.outcome.is_conclusive:
-            n_conclusive += 1
-            fidelity_sum += result.fidelity
+    codes, fidelities = teleport_run(args.trials, args.seed)
+    conclusive = codes >= 0
+    n_conclusive = int(conclusive.sum())
     report = {
         "trials": args.trials,
         "seed": args.seed,
-        "counts": counts,
+        "counts": _outcome_counts(codes),
         "conclusive_fraction": n_conclusive / args.trials,
-        "mean_conclusive_fidelity": (fidelity_sum / n_conclusive) if n_conclusive else None,
+        "mean_conclusive_fidelity": float(fidelities[conclusive].mean()) if n_conclusive else None,
     }
     _write_text(args.out, _json_dumps(report))
     return 0
@@ -264,15 +262,18 @@ def _validate(args) -> None:
     d = getattr(args, "d", None)
     if isinstance(d, int) and d < 2:
         raise ValueError("--d must be >= 2")
-    if args.command == "discriminate" and d > MAX_DISCRIMINATE_D:
-        raise ValueError(f"--d {d} exceeds the limit of {MAX_DISCRIMINATE_D} for discriminate")
+    if args.command in MAX_D and d > MAX_D[args.command]:
+        raise ValueError(f"--d {d} exceeds the limit of {MAX_D[args.command]} for {args.command}")
     if args.command == "keyrate" and args.mode == "table":
         if not (math.isfinite(args.q_step) and args.q_step > 0.0):
             raise ValueError("--q-step must be a positive number")
         if not (math.isfinite(args.q_max) and args.q_max >= 0.0):
             raise ValueError("--q-max must be a non-negative number")
-        if round(min(args.q_max / args.q_step, MAX_KEYRATE_ROWS)) + 1 > MAX_KEYRATE_ROWS:
+        n_q = round(min(args.q_max / args.q_step, MAX_KEYRATE_ROWS)) + 1
+        if n_q > MAX_KEYRATE_ROWS:
             raise ValueError(f"--q-max / --q-step gives more than {MAX_KEYRATE_ROWS} Q values")
+        if n_q * len(_parse_d_list(args.d)) > MAX_KEYRATE_ROWS:
+            raise ValueError(f"--d and --q-max / --q-step give more than {MAX_KEYRATE_ROWS} rows")
     if args.command == "keyrate" and args.mode == "thresholds" and args.d_max - 1 > MAX_KEYRATE_ROWS:
         raise ValueError(f"--d-max {args.d_max} gives more than {MAX_KEYRATE_ROWS} rows")
 

@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .discrimination import (
-    POSTSELECT_FAIL,
+    POSTSELECT_FAIL_CODE,
     DetectionPattern,
     DiscriminationOutcome,
     OutcomeTable,
@@ -41,6 +41,7 @@ from .discrimination import (
     sample_outcomes,
 )
 from .fock import (
+    DEFAULT_TOLERANCE,
     FockBasisState,
     ModeLabel,
     PureState,
@@ -50,7 +51,7 @@ from .fock import (
     superpose,
     tensor,
 )
-from .optics import apply_mode_unitary, build_dft, identity_padded
+from .optics import build_dft, evolve_dense
 from .states import OMEGA, build_alice_pair, build_minor, build_psi, mub_state
 
 ESD_PORTS = (0, 1, 2)
@@ -75,18 +76,15 @@ class TeleportTarget:
 
     @classmethod
     def haar_random(cls, rng: np.random.Generator) -> "TeleportTarget":
-        vec = rng.normal(size=3) + 1j * rng.normal(size=3)
-        vec /= np.linalg.norm(vec)
-        return cls(tuple(complex(a) for a in vec))
+        return cls(tuple(complex(a) for a in haar_amplitudes(rng.random((1, 6)))[0]))
 
     def state(self, ports: Sequence[int]) -> PureState:
-        return PureState(
-            {
-                FockBasisState({ModeLabel(0, ports[j]): 1}): self.alphas[j]
-                for j in range(3)
-                if self.alphas[j] != 0
-            }
-        )
+        return _path_state(self.alphas, ports)
+
+
+def _path_state(amps: Sequence[complex], ports: Sequence[int]) -> PureState:
+    """sum_j amps[j] |time-bin a on ports[j]>, unnormalized."""
+    return PureState(zip((FockBasisState({ModeLabel(0, port): 1}) for port in ports), amps))
 
 
 class CorrectionOp(Enum):
@@ -168,98 +166,109 @@ def build_teleport_system(target: TeleportTarget) -> PureState:
     return tensor(target.state(ESD_PORTS), shared)
 
 
-def _measured_branches(state: PureState, measured_ports: Sequence[int]):
-    """Group a joint state's terms by the Fock configuration on the measured
-    ports.  Each group is one fine-grained detection branch; the remainder
-    amplitudes form the conditional state of the unmeasured photons."""
-    measured = frozenset(measured_ports)
-    groups: dict[FockBasisState, dict[FockBasisState, complex]] = {}
-    for basis, amp in state.items():
-        inside, outside = basis.split_by_ports(measured)
-        groups.setdefault(inside, {})[outside] = amp
-    return sorted(groups.items(), key=lambda pair: pair[0].sort_key())
+# Rows that `teleport_run` samples per pass; bounds its working memory.
+_TELEPORT_CHUNK = 1 << 14
 
 
-class _BranchMap(NamedTuple):
-    outcome: DiscriminationOutcome
-    outsides: tuple[FockBasisState, ...]
-    matrix: np.ndarray  # outsides x target amplitudes
+def haar_amplitudes(uniforms: np.ndarray) -> np.ndarray:
+    """Haar-random qutrit amplitudes, one row per row of an (n, 6) block of
+    uniforms: columns 2m and 2m + 1 give amplitude m as a complex normal by
+    Box-Muller, and each row is then normalized."""
+    radius = np.sqrt(-2.0 * np.log1p(-uniforms[:, 0::2]))
+    vecs = radius * np.exp(2j * np.pi * uniforms[:, 1::2])
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
 @lru_cache(maxsize=1)
-def _teleport_branch_maps() -> tuple[_BranchMap, ...]:
-    """Per detection branch, the linear map from the target's amplitudes to
-    the receiver's unnormalized remainder amplitudes.
-
-    The parity projection, the DFT and the branch split are all linear in
-    the target, so evolving the three basis targets once gives every
-    branch of every target.
+def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
+    """Outcome codes and maps (branch x receiver port x target port) of the
+    detection branches: the output ports of the three measured photons, in
+    canonical click order.  A map takes the target's amplitudes to the
+    receiver's unnormalized amplitudes, the branch's correction applied.
+    The receiver's photon never enters the DFT, so it is projected out
+    first, leaving one photon per time-bin for the dense evolution.
     """
     shared = build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS)
-    unitary = identity_padded(build_dft(3), extra=len(BOB_PORTS))
-    columns = []
-    for port in ESD_PORTS:
-        system = tensor(PureState.single_photon(ModeLabel(0, port)), shared)
-        passed, pass_prob = parity_postselect(system, 3, ports=ESD_PORTS)
-        evolved = apply_mode_unitary(passed.scaled(math.sqrt(pass_prob)), unitary, ESD_PORTS + BOB_PORTS)
-        columns.append(dict(_measured_branches(evolved, ESD_PORTS)))
-    insides = sorted({inside for column in columns for inside in column}, key=FockBasisState.sort_key)
-    maps = []
-    for inside in insides:
-        parts = [column.get(inside, {}) for column in columns]
-        outsides = tuple(sorted({out for part in parts for out in part}, key=FockBasisState.sort_key))
-        matrix = np.array([[part.get(out, 0j) for part in parts] for out in outsides])
-        maps.append(_BranchMap(classify(DetectionPattern(inside.clicks()), 3), outsides, matrix))
-    return tuple(maps)
+    amps = np.zeros((3, 3, 3, 3, 3), dtype=complex)  # receiver port, target port, output ports
+    for k, bob_port in enumerate(BOB_PORTS):
+        held = partial_project(shared, PureState.single_photon(ModeLabel(0, bob_port)), BOB_PORTS)
+        for j, port in enumerate(ESD_PORTS):
+            joint = tensor(PureState.single_photon(ModeLabel(0, port)), held)
+            passed, pass_prob = parity_postselect(joint, 3)
+            if pass_prob > 0.0:  # only for j == k: otherwise port j holds two photons
+                timebins, amps[k, j] = evolve_dense(passed.scaled(math.sqrt(pass_prob)), build_dft(3))
+    support = np.argwhere(np.abs(amps).max(axis=(0, 1)) > DEFAULT_TOLERANCE).tolist()
+    branches = sorted((tuple(sorted(zip(ports, timebins))), tuple(ports)) for ports in support)
+    codes = [classify(DetectionPattern(clicks), 3).code for clicks, _ in branches]
+    phases = [correction_for(code).phases if code >= 0 else (1, 1, 1) for code in codes]
+    matrices = np.array(phases)[:, :, None] * np.stack([amps[(..., *ports)] for _, ports in branches])
+    return np.array(codes), matrices
+
+
+def _fidelity(alphas: np.ndarray, receiver: np.ndarray) -> np.ndarray:
+    """|<target|receiver>|^2 / <receiver|receiver> along the last axis."""
+    overlap = np.sum(alphas.conj() * receiver, axis=-1)
+    return np.abs(overlap) ** 2 / np.sum(np.abs(receiver) ** 2, axis=-1)
 
 
 def teleport_analysis(target: TeleportTarget) -> TeleportAnalysis:
     """Deterministic enumeration of every detection branch of one run."""
-    maps = _teleport_branch_maps()
+    codes, matrices = _teleport_branch_maps()
     alphas = np.array(target.alphas)
-    remainders = [branch.matrix @ alphas for branch in maps]
-    pass_prob = float(sum(np.vdot(r, r).real for r in remainders))
-    if pass_prob == 0.0:
-        return TeleportAnalysis(0.0, ())
+    receiver = matrices @ alphas
+    pass_prob = float(np.sum(np.abs(receiver) ** 2))
     scale = 1.0 / math.sqrt(pass_prob)
-    target_b = target.state(BOB_PORTS)
     branches = []
-    for branch, amps in zip(maps, remainders):
-        bob = PureState(zip(branch.outsides, (amps * scale).tolist()))
-        if bob.is_zero():
-            continue
-        prob = bob.norm_sq()
-        outcome = branch.outcome
-        if outcome.is_conclusive:
-            corrected = apply_correction(bob.normalize(), correction_for(outcome.index), BOB_PORTS)
-            fid = abs(inner_product(target_b, corrected)) ** 2
-        else:
-            corrected = bob
-            fid = 0.0
-        branches.append(TeleportBranch(prob, outcome, corrected, fid))
+    for code, amps in zip(codes.tolist(), receiver):
+        bob = _path_state((amps * scale).tolist(), BOB_PORTS)
+        if not bob.is_zero():
+            corrected, fid = (bob.normalize(), float(_fidelity(alphas, amps))) if code >= 0 else (bob, 0.0)
+            branches.append(TeleportBranch(bob.norm_sq(), outcome_of(code), corrected, fid))
     return TeleportAnalysis(pass_prob, tuple(branches))
 
 
-def teleport(target: TeleportTarget, rng_seed: int | np.random.Generator) -> TeleportResult:
-    """One sampled teleportation run.
-
-    Samples the parity post-selection, then one detection branch by
-    inverse-CDF in canonical branch order; on a conclusive outcome returns
-    the corrected receiver state and its overlap with the input.
+def _sample_teleport(alphas: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One run per row of target amplitudes and of an (n, 2) block of
+    uniforms (parity projection, branch by inverse CDF in canonical order).
+    Returns outcome codes, the chosen branch's corrected receiver amplitudes
+    and, on conclusive rows, their fidelity with the target (NaN elsewhere).
     """
+    branch_codes, matrices = _teleport_branch_maps()
+    n_branches = len(branch_codes)
+    receiver = (alphas @ matrices.reshape(-1, 3).T).reshape(len(alphas), n_branches, 3)
+    cumulative = np.cumsum(np.sum(np.abs(receiver) ** 2, axis=2), axis=1)
+    pick = np.minimum(np.sum(cumulative <= uniforms[:, 1:] * cumulative[:, -1:], axis=1), n_branches - 1)
+    codes = np.where(uniforms[:, 0] < cumulative[:, -1], branch_codes[pick], POSTSELECT_FAIL_CODE)
+    chosen = receiver[np.arange(len(alphas)), pick]
+    return codes, chosen, np.where(codes >= 0, _fidelity(alphas, chosen), np.nan)
+
+
+def teleport(target: TeleportTarget, rng_seed: int | np.random.Generator) -> TeleportResult:
+    """One sampled run of a given target, drawing columns 6-7 of a
+    `teleport_run` row from the generator; on a conclusive outcome returns
+    the corrected receiver state and its overlap with the input."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else derive_rng(int(rng_seed))
-    analysis = teleport_analysis(target)
-    if rng.random() >= analysis.pass_prob:
-        return TeleportResult(POSTSELECT_FAIL, None, None)
-    u = rng.random() * sum(b.probability for b in analysis.branches)
-    acc = 0.0
-    chosen = analysis.branches[-1]
-    for branch in analysis.branches:
-        acc += branch.probability
-        if u < acc:
-            chosen = branch
-            break
-    return TeleportResult(chosen.outcome, chosen.bob_state, chosen.fidelity)
+    codes, chosen, fidelities = _sample_teleport(np.array([target.alphas]), rng.random((1, 2)))
+    outcome = outcome_of(int(codes[0]))
+    if not outcome.is_conclusive:
+        return TeleportResult(outcome, None, None)
+    bob = _path_state(chosen[0].tolist(), BOB_PORTS).normalize()
+    return TeleportResult(outcome, bob, float(fidelities[0]))
+
+
+def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome codes and fidelities (see `_sample_teleport`) of n teleported
+    Haar-random targets, from one block of uniforms derive_rng(seed).random((n,
+    8)) drawn in fixed-size chunks; row i is trial i, so a run is a prefix of
+    any longer run.  Columns: 0-5 the target (`haar_amplitudes`), 6 the
+    parity projection, 7 the detection branch."""
+    rng = derive_rng(seed)
+    codes, fidelities = np.empty(n_trials, dtype=np.int64), np.empty(n_trials)
+    for start in range(0, n_trials, _TELEPORT_CHUNK):
+        u = rng.random((min(_TELEPORT_CHUNK, n_trials - start), 8))
+        rows = slice(start, start + len(u))
+        codes[rows], _, fidelities[rows] = _sample_teleport(haar_amplitudes(u[:, :6]), u[:, 6:])
+    return codes, fidelities
 
 
 def conditional_outcome_weights(target: TeleportTarget) -> list[float]:

@@ -1,4 +1,8 @@
 import json
+import shlex
+from pathlib import Path
+
+import pytest
 
 import esdsim.cli as cli
 from esdsim.cli import run
@@ -129,6 +133,11 @@ class TestDeterminism:
                  "--out", str(path)])
         assert read(c) == read(d)
 
+        e, f = tmp_path / "e.json", tmp_path / "f.json"
+        for path in (e, f):
+            run(["teleport", "--trials", "300", "--seed", "5", "--out", str(path)])
+        assert read(e) == read(f)
+
 
 class TestErrorPaths:
     def test_usage_error_exit_code(self):
@@ -167,11 +176,32 @@ class TestErrorPaths:
         assert run(["discriminate", "--d", str(cli.MAX_DISCRIMINATE_D + 1), "--state", "phi1"]) == 2
         assert f"limit of {cli.MAX_DISCRIMINATE_D}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["list-states", "describe-tritter"])
+    def test_dimension_limit(self, command, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("nothing may be built past the dimension limit")
+
+        for name in ("build_phi", "build_psi", "decompose_dft"):
+            monkeypatch.setattr(cli, name, forbidden)
+        assert run([command, "--d", str(cli.MAX_D[command] + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"limit of {cli.MAX_D[command]} for {command}" in captured.err
+
+    def test_oversized_keyrate_table(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may be built past the row limit")
+
+        monkeypatch.setattr(cli.kr, "keyrate_table", forbidden)
+        dims = ",".join(str(d) for d in range(2, 102))
+        assert run(["keyrate", "--d", dims, "--q-max", "0.5", "--q-step", "1e-6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"more than {cli.MAX_KEYRATE_ROWS} rows" in captured.err
+
     def test_trials_upper_bound(self, monkeypatch, capsys):
         def forbidden(*args, **kwargs):
             raise AssertionError("nothing may run past the trial limit")
 
-        for name in ("_named_state", "teleport", "mdi_qkd_run"):
+        for name in ("_named_state", "teleport_run", "mdi_qkd_run"):
             monkeypatch.setattr(cli, name, forbidden)
         too_many = str(cli.MAX_TRIALS + 1)
         for command in ("discriminate", "teleport", "mdiqkd"):
@@ -199,3 +229,24 @@ class TestMdiqkdSummaryStream:
         capsys.readouterr()
         run(["mdiqkd", "--trials", "30", "--seed", "4"])
         assert capsys.readouterr().out == read(out)
+
+
+def readme_commands():
+    """The `esdsim` lines of the README's CLI block, as argument lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("esdsim ")]
+
+
+class TestReadmeCommands:
+    def test_documented_commands_exit_zero(self, tmp_path, capsys):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {
+            "list-states", "describe-tritter", "discriminate", "teleport", "mdiqkd", "keyrate"
+        }
+        for argv in commands:
+            argv = [
+                str(tmp_path / arg) if flag in ("--out", "--dump-state") else arg
+                for flag, arg in zip([None] + argv, argv)
+            ]
+            assert run(argv) == 0, argv

@@ -6,6 +6,7 @@ import pytest
 import esdsim.discrimination as discrimination
 import esdsim.protocols as protocols
 from esdsim.discrimination import (
+    POSTSELECT_FAIL_CODE,
     DetectionPattern,
     analytic_outcome_probabilities,
     classify,
@@ -30,10 +31,12 @@ from esdsim.protocols import (
     edp_outcome_weight,
     edp_shared_state,
     generalized_conclusive_probability,
+    haar_amplitudes,
     maximally_entangled_pair,
     mdi_qkd_run,
     teleport,
     teleport_analysis,
+    teleport_run,
 )
 from esdsim.protocols import _decode_table
 from esdsim.discrimination import derive_rng
@@ -251,9 +254,63 @@ class TestTeleportBranchMaps:
         def forbidden(*args):
             raise AssertionError("teleport_analysis must not evolve per target")
 
-        monkeypatch.setattr(protocols, "apply_mode_unitary", forbidden)
+        monkeypatch.setattr(protocols, "evolve_dense", forbidden)
         analysis = teleport_analysis(TeleportTarget.haar_random(np.random.default_rng(4)))
         assert abs(analysis.conclusive_probability() - 1 / 3) < 1e-12
+
+
+class TestTeleportRun:
+    def test_one_row_calls_match_the_block(self):
+        codes, fidelities = teleport_run(40, seed=8)
+        rng = derive_rng(8)
+        for code, fidelity in zip(codes.tolist(), fidelities.tolist()):
+            target = TeleportTarget.haar_random(rng)
+            result = teleport(target, rng)
+            assert result.outcome.code == code
+            if result.outcome.is_conclusive:
+                assert result.fidelity == fidelity
+                overlap = inner_product(target.state(BOB_PORTS), result.bob_state)
+                assert abs(abs(overlap) ** 2 - fidelity) < 1e-12
+            else:
+                assert math.isnan(fidelity)
+        assert (codes >= 0).any() and (codes < 0).any()
+
+    def test_prefix_stable_across_chunks(self, monkeypatch):
+        long = teleport_run(50, seed=6)
+        monkeypatch.setattr(protocols, "_TELEPORT_CHUNK", 7)
+        short = teleport_run(20, seed=6)
+        for whole, prefix in zip(long, short):
+            np.testing.assert_array_equal(whole[:20], prefix)
+
+    def test_conclusive_rows(self):
+        n = 3000
+        codes, fidelities = teleport_run(n, seed=13)
+        conclusive = codes >= 0
+        assert set(codes.tolist()) == {POSTSELECT_FAIL_CODE, 0, 1, 2}
+        assert np.all(np.abs(fidelities[conclusive] - 1) < 1e-12)
+        assert np.all(np.isnan(fidelities[~conclusive]))
+        sigma = math.sqrt((1 / 3) * (2 / 3) / n)
+        assert abs(conclusive.mean() - 1 / 3) < 3 * sigma
+
+    def test_fidelity_follows_the_receiver_state(self, monkeypatch):
+        # without the announced rotations, outcomes 1 and 2 leave the target rotated
+        monkeypatch.setattr(protocols, "correction_for", lambda index: CorrectionOp.IDENTITY)
+        protocols._teleport_branch_maps.cache_clear()
+        try:
+            codes, fidelities = teleport_run(300, seed=2)
+        finally:
+            protocols._teleport_branch_maps.cache_clear()
+        assert np.all(np.abs(fidelities[codes == 0] - 1) < 1e-12)
+        assert (codes > 0).any() and np.all(fidelities[codes > 0] < 1 - 1e-6)
+
+    def test_haar_amplitudes(self):
+        # for a Haar-random qutrit P(|a_m|^2 > x) = (1 - x)^2
+        n = 3000
+        alphas = haar_amplitudes(derive_rng(3).random((n, 6)))
+        assert np.allclose(np.sum(np.abs(alphas) ** 2, axis=1), 1.0)
+        sigma = math.sqrt((1 / 4) * (3 / 4) / n)
+        for tail in np.mean(np.abs(alphas) ** 2 > 1 / 2, axis=0):
+            assert abs(tail - 1 / 4) < 4 * sigma
 
 
 class TestMdiQkdSampling:
