@@ -12,8 +12,6 @@ from .discrimination import (
     click_distribution,
     derive_rng,
     detect_distribution,
-    mc_trial,
-    measure_esd,
     parity_postselect,
 )
 from .errors import (
@@ -68,14 +66,10 @@ from .protocols import (
     CorrectionOp,
     NoiseConfig,
     QkdRunResult,
-    QkdTrialRecord,
-    TeleportResult,
     TeleportTarget,
     apply_correction,
-    conditional_outcome_weights,
     edp_shared_state,
     mdi_qkd_run,
-    teleport,
     teleport_analysis,
     teleport_run,
 )

@@ -21,7 +21,7 @@ from .discrimination import derive_rng, outcome_of, outcome_probabilities, outco
 from .errors import AmbiguousPattern
 from .fock import state_to_json
 from .optics import decompose_dft
-from .protocols import NoiseConfig, mdi_qkd_run, teleport_run
+from .protocols import BASES, NoiseConfig, mdi_qkd_run, teleport_run
 from .states import build_phi, build_psi
 
 DEFAULT_SEED = 42
@@ -131,14 +131,12 @@ def _cmd_teleport(args) -> int:
 def _cmd_mdiqkd(args) -> int:
     result = mdi_qkd_run(args.trials, eta=args.eta, noise=NoiseConfig(args.noise), seed=args.seed)
     header = "trial,alice_basis,alice_value,bob_basis,bob_value,outcome,sifted,alice_symbol,bob_symbol"
+    names = {code: str(outcome_of(code)) for code in np.unique(result.outcomes).tolist()}
+    columns = (*result.bases.T, *result.values.T, result.outcomes, result.sifted, result.bob_symbols)
     lines = [header]
-    for rec in result.records:
-        a_sym = "" if rec.alice_symbol is None else str(rec.alice_symbol)
-        b_sym = "" if rec.bob_symbol is None else str(rec.bob_symbol)
-        lines.append(
-            f"{rec.trial},{rec.alice_basis},{rec.alice_value},{rec.bob_basis},"
-            f"{rec.bob_value},{rec.outcome},{int(rec.sifted)},{a_sym},{b_sym}"
-        )
+    for trial, (a_b, b_b, x, y, code, sift, b_sym) in enumerate(zip(*(c.tolist() for c in columns))):
+        symbols = f"{x},{b_sym}" if sift else ","
+        lines.append(f"{trial},{BASES[a_b]},{x},{BASES[b_b]},{y},{names[code]},{int(sift)},{symbols}")
     _write_text(args.out, "\n".join(lines) + "\n")
     summary = {
         "trials": args.trials,
@@ -272,10 +270,16 @@ def _validate(args) -> None:
         n_q = round(min(args.q_max / args.q_step, MAX_KEYRATE_ROWS)) + 1
         if n_q > MAX_KEYRATE_ROWS:
             raise ValueError(f"--q-max / --q-step gives more than {MAX_KEYRATE_ROWS} Q values")
-        if n_q * len(_parse_d_list(args.d)) > MAX_KEYRATE_ROWS:
+        n_d = len(_parse_d_list(args.d))
+        if n_d == 0:
+            raise ValueError("--d must list at least one dimension")
+        if n_q * n_d > MAX_KEYRATE_ROWS:
             raise ValueError(f"--d and --q-max / --q-step give more than {MAX_KEYRATE_ROWS} rows")
-    if args.command == "keyrate" and args.mode == "thresholds" and args.d_max - 1 > MAX_KEYRATE_ROWS:
-        raise ValueError(f"--d-max {args.d_max} gives more than {MAX_KEYRATE_ROWS} rows")
+    if args.command == "keyrate" and args.mode == "thresholds":
+        if args.d_max < 2:
+            raise ValueError("--d-max must be >= 2")
+        if args.d_max - 1 > MAX_KEYRATE_ROWS:
+            raise ValueError(f"--d-max {args.d_max} gives more than {MAX_KEYRATE_ROWS} rows")
 
 
 def main() -> None:

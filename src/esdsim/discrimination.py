@@ -13,7 +13,6 @@ analytic decomposition that `analytic_outcome_probabilities` reports.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -71,7 +70,7 @@ class DiscriminationOutcome:
 
     @property
     def code(self) -> int:
-        """Integer form read by the vectorized sampler; see `outcome_of`."""
+        """Integer form read by the sampler; see `outcome_of`."""
         if self.is_conclusive:
             return self.index
         return INCONCLUSIVE_CODE if self.tag == self.INCONCLUSIVE else POSTSELECT_FAIL_CODE
@@ -105,7 +104,7 @@ def parity_postselect(state: PureState, d: int, ports: Sequence[int] | None = No
 
     Returns the renormalized projected state and the projection probability
     (an empty state with probability 0 when nothing survives).  Device
-    efficiency is NOT applied here; see `mc_trial`.
+    efficiency is NOT applied here; see `sample_outcomes`.
     """
     ports = tuple(range(d)) if ports is None else tuple(ports)
     kept = {
@@ -200,20 +199,15 @@ def classify(pattern: DetectionPattern, d: int) -> DiscriminationOutcome:
 # -- sampling ----------------------------------------------------------------
 
 
-def derive_rng(seed: int, trial: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, trial index); trials drawn from
-    distinct keys are independent regardless of scheduling order."""
-    key = np.array([seed % 2**64, trial % 2**64], dtype=np.uint64)
+def derive_rng(seed: int) -> np.random.Generator:
+    """Counter-based Philox generator keyed by the seed.  A run draws one
+    block of uniforms from it, row i for trial i, so a trial's outcome
+    depends only on (seed, i)."""
+    key = np.array([seed % 2**64, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _as_rng(rng_seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return derive_rng(int(rng_seed))
-
-
-# Integer outcome codes used by the vectorized sampler: a conclusive outcome
+# Integer outcome codes used by the sampler: a conclusive outcome
 # is its index, the other two outcomes are negative.
 INCONCLUSIVE_CODE = -1
 POSTSELECT_FAIL_CODE = -2
@@ -278,53 +272,6 @@ def sample_outcomes(table: OutcomeTable, eta: float, uniforms: np.ndarray) -> np
     return codes
 
 
-# Per-trial calls usually repeat one input many times, so the last few
-# tables are kept; the bound keeps arbitrary inputs from growing it.
-_RECENT_TABLES: OrderedDict[tuple, OutcomeTable] = OrderedDict()
-_RECENT_TABLES_MAX = 16
-
-
-def _recent_table(state: PureState, d: int) -> OutcomeTable:
-    key = (state.fingerprint(), d)
-    table = _RECENT_TABLES.get(key)
-    if table is None:
-        table = outcome_table(state, d)
-        _RECENT_TABLES[key] = table
-        if len(_RECENT_TABLES) > _RECENT_TABLES_MAX:
-            _RECENT_TABLES.popitem(last=False)
-    else:
-        _RECENT_TABLES.move_to_end(key)
-    return table
-
-
-def measure_esd(state: PureState, d: int, rng_seed: int | np.random.Generator) -> DiscriminationOutcome:
-    """One sampled run of the full discrimination measurement.
-
-    Composes parity post-selection, the DFT, an inverse-CDF draw over click
-    patterns in canonical order, and classification.  Draws two uniforms
-    (projection, pattern); deterministic for a fixed seed.
-    """
-    row = np.zeros((1, d + 2))
-    row[0, d:] = _as_rng(rng_seed).random(2)
-    return outcome_of(int(sample_outcomes(_recent_table(state, d), 1.0, row)[0]))
-
-
-def mc_trial(
-    state: PureState,
-    model: ParityModel,
-    d: int,
-    rng_seed: int | np.random.Generator,
-) -> DiscriminationOutcome:
-    """`measure_esd` preceded by d independent parity-device draws.
-
-    Any device failing (probability 1 - eta each) discards the trial as
-    PostSelectFail; at eta = 1 the outcome distribution equals measure_esd's.
-    Draws one row of d + 2 uniforms, laid out as `sample_outcomes` reads it.
-    """
-    row = _as_rng(rng_seed).random((1, d + 2))
-    return outcome_of(int(sample_outcomes(_recent_table(state, d), model.eta, row)[0]))
-
-
 def outcome_probabilities(table: OutcomeTable, eta: float = 1.0) -> dict[str, float]:
     """Closed-form outcome probabilities of `sample_outcomes` on this table.
 
@@ -347,5 +294,5 @@ def outcome_probabilities(table: OutcomeTable, eta: float = 1.0) -> dict[str, fl
 
 
 def analytic_outcome_probabilities(state: PureState, d: int, eta: float = 1.0) -> dict[str, float]:
-    """Closed-form outcome probabilities for `mc_trial` on this input."""
-    return outcome_probabilities(_recent_table(state, d), eta)
+    """Closed-form outcome probabilities for `sample_outcomes` on this input."""
+    return outcome_probabilities(outcome_table(state, d), eta)

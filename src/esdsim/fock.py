@@ -265,10 +265,6 @@ class PureState:
     def scaled(self, factor: complex) -> "PureState":
         return PureState({b: a * factor for b, a in self._amps.items()}, self.tolerance)
 
-    def fingerprint(self) -> tuple:
-        """Hashable canonical content key, usable for memoization."""
-        return tuple((b.sort_key(), a.real, a.imag) for b, a in self._amps.items())
-
     def __repr__(self) -> str:
         return f"PureState({len(self._amps)} terms, n={self.photon_count})"
 

@@ -56,9 +56,6 @@ class ModeUnitary:
     def matrix(self) -> np.ndarray:
         return self._matrix
 
-    def dagger(self) -> "ModeUnitary":
-        return ModeUnitary(self._matrix.conj().T)
-
     def __repr__(self) -> str:
         return f"ModeUnitary(dim={self.dim})"
 
@@ -72,14 +69,6 @@ def build_dft(d: int) -> ModeUnitary:
     for j in range(d):
         for k in range(d):
             mat[j, k] = scale * cmath.exp(2j * cmath.pi * ((j * k) % d) / d)
-    return ModeUnitary(mat)
-
-
-def identity_padded(u: ModeUnitary, extra: int) -> ModeUnitary:
-    """Block-embed `u` with an identity on `extra` additional ports."""
-    n = u.dim
-    mat = np.eye(n + extra, dtype=complex)
-    mat[:n, :n] = u.matrix
     return ModeUnitary(mat)
 
 

@@ -152,20 +152,6 @@ class TeleportAnalysis:
         return out
 
 
-@dataclass(frozen=True)
-class TeleportResult:
-    outcome: DiscriminationOutcome
-    bob_state: PureState | None
-    fidelity: float | None
-
-
-def build_teleport_system(target: TeleportTarget) -> PureState:
-    """Target qutrit on the sender's measurement ports, tensored with the
-    shared triple whose time-bin-a photon lives on the receiver's ports."""
-    shared = build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS)
-    return tensor(target.state(ESD_PORTS), shared)
-
-
 # Rows that `teleport_run` samples per pass; bounds its working memory.
 _TELEPORT_CHUNK = 1 << 14
 
@@ -227,11 +213,12 @@ def teleport_analysis(target: TeleportTarget) -> TeleportAnalysis:
     return TeleportAnalysis(pass_prob, tuple(branches))
 
 
-def _sample_teleport(alphas: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sample_teleport(alphas: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One run per row of target amplitudes and of an (n, 2) block of
     uniforms (parity projection, branch by inverse CDF in canonical order).
-    Returns outcome codes, the chosen branch's corrected receiver amplitudes
-    and, on conclusive rows, their fidelity with the target (NaN elsewhere).
+    Returns outcome codes and, on conclusive rows, the fidelity of the
+    chosen branch's corrected receiver amplitudes with the target (NaN
+    elsewhere).
     """
     branch_codes, matrices = _teleport_branch_maps()
     n_branches = len(branch_codes)
@@ -240,20 +227,7 @@ def _sample_teleport(alphas: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarr
     pick = np.minimum(np.sum(cumulative <= uniforms[:, 1:] * cumulative[:, -1:], axis=1), n_branches - 1)
     codes = np.where(uniforms[:, 0] < cumulative[:, -1], branch_codes[pick], POSTSELECT_FAIL_CODE)
     chosen = receiver[np.arange(len(alphas)), pick]
-    return codes, chosen, np.where(codes >= 0, _fidelity(alphas, chosen), np.nan)
-
-
-def teleport(target: TeleportTarget, rng_seed: int | np.random.Generator) -> TeleportResult:
-    """One sampled run of a given target, drawing columns 6-7 of a
-    `teleport_run` row from the generator; on a conclusive outcome returns
-    the corrected receiver state and its overlap with the input."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else derive_rng(int(rng_seed))
-    codes, chosen, fidelities = _sample_teleport(np.array([target.alphas]), rng.random((1, 2)))
-    outcome = outcome_of(int(codes[0]))
-    if not outcome.is_conclusive:
-        return TeleportResult(outcome, None, None)
-    bob = _path_state(chosen[0].tolist(), BOB_PORTS).normalize()
-    return TeleportResult(outcome, bob, float(fidelities[0]))
+    return codes, np.where(codes >= 0, _fidelity(alphas, chosen), np.nan)
 
 
 def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -267,20 +241,8 @@ def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, n_trials, _TELEPORT_CHUNK):
         u = rng.random((min(_TELEPORT_CHUNK, n_trials - start), 8))
         rows = slice(start, start + len(u))
-        codes[rows], _, fidelities[rows] = _sample_teleport(haar_amplitudes(u[:, :6]), u[:, 6:])
+        codes[rows], fidelities[rows] = _sample_teleport(haar_amplitudes(u[:, :6]), u[:, 6:])
     return codes, fidelities
-
-
-def conditional_outcome_weights(target: TeleportTarget) -> list[float]:
-    """Weights of the nine triple-state components of the joint system.
-
-    Each weight is 1/9 for every normalized target: the measurement result
-    carries no information about the input.
-    """
-    system = build_teleport_system(target)
-    return [
-        partial_project(system, build_psi(i, ESD_PORTS), ESD_PORTS).norm_sq() for i in range(9)
-    ]
 
 
 # -- EDP security picture ------------------------------------------------------
@@ -335,13 +297,6 @@ def edp_shared_state(charlie_outcome: int) -> PureState:
     return apply_correction(projected.normalize(), correction_for(charlie_outcome), EDP_BOB_PORTS)
 
 
-def edp_outcome_weight(charlie_outcome: int) -> float:
-    system = _edp_system()
-    return partial_project(
-        system, build_psi(charlie_outcome, EDP_CHARLIE_PORTS), EDP_CHARLIE_PORTS
-    ).norm_sq()
-
-
 # -- MDI-QKD -------------------------------------------------------------------
 
 
@@ -360,22 +315,24 @@ class NoiseConfig:
             raise ValueError(f"phase_flip_p must lie in [0, 1], got {self.phase_flip_p}")
 
 
-@dataclass(frozen=True)
-class QkdTrialRecord:
-    trial: int
-    alice_basis: str
-    alice_value: int
-    bob_basis: str
-    bob_value: int
-    outcome: DiscriminationOutcome
-    sifted: bool
-    alice_symbol: int | None = None
-    bob_symbol: int | None = None
+BASES = (COMPUTATIONAL, MUB)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QkdRunResult:
-    records: tuple[QkdTrialRecord, ...]
+    """One run as columns, row i for trial i.
+
+    `bases` and `values` have one column per party, Alice's first; a basis
+    is an index into BASES.  `outcomes` holds the relay's outcome codes,
+    `sifted` marks the matched-basis conclusive rows, on which Alice's
+    symbol is her value and Bob's is `bob_symbols`.
+    """
+
+    bases: np.ndarray
+    values: np.ndarray
+    outcomes: np.ndarray
+    sifted: np.ndarray
+    bob_symbols: np.ndarray
     sift_rate: float
     qber: float
 
@@ -451,9 +408,6 @@ def _apply_phase_flips(state: PureState, flips: Sequence[bool]) -> PureState:
     return apply_phases(state, phase_of)
 
 
-_BASES = (COMPUTATIONAL, MUB)
-
-
 def _table_key(code: int) -> tuple[str, int, str, int, tuple[bool, ...]]:
     """Decode an MDI-QKD input code into (Alice basis, x, Bob basis, y,
     phase flips), with the flips reduced to those that change the outcome
@@ -466,11 +420,11 @@ def _table_key(code: int) -> tuple[str, int, str, int, tuple[bool, ...]]:
     share one table.
     """
     alice_basis, x, bob_basis, y = (int(v) for v in np.unravel_index(code // 8, (2, 3, 2, 3)))
-    occupied = [port in bob_send(_BASES[bob_basis], y).ports() for port in ESD_PORTS]
+    occupied = [port in bob_send(BASES[bob_basis], y).ports() for port in ESD_PORTS]
     flips = [bool(code >> k & 1) and occupied[k] for k in range(len(ESD_PORTS))]
     if flips[occupied.index(True)]:
         flips = [flip != occ for flip, occ in zip(flips, occupied)]
-    return _BASES[alice_basis], x, _BASES[bob_basis], y, tuple(flips)
+    return BASES[alice_basis], x, BASES[bob_basis], y, tuple(flips)
 
 
 def mdi_qkd_run(
@@ -487,7 +441,7 @@ def mdi_qkd_run(
     symbol from (outcome index, Bob value).
 
     All trials come from one block of uniforms, derive_rng(seed).random((n,
-    12)); row i is trial i, so a run's records are a prefix of any longer
+    12)); row i is trial i, so a run's columns are a prefix of any longer
     run's.  Columns: 0-1 bases (< 0.5 is computational), 2-3 values
     floor(3u), 4-6 phase flips (< p), 7-9 parity devices, 10 parity
     projection, 11 click pattern.  One outcome table is built per distinct
@@ -517,33 +471,14 @@ def mdi_qkd_run(
 
     decode = _decode_table()
     decode_array = np.array(
-        [[[decode[(basis, i, y)] for y in range(3)] for i in range(3)] for basis in _BASES]
+        [[[decode[(basis, i, y)] for y in range(3)] for i in range(3)] for basis in BASES]
     )
     sifted = (mub[:, 0] == mub[:, 1]) & (outcome_codes >= 0)
     bob_symbols = decode_array[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]
     n_sifted = int(sifted.sum())
     n_errors = int((sifted & (bob_symbols != values[:, 0])).sum())
-
-    outcomes = {code: outcome_of(code) for code in np.unique(outcome_codes).tolist()}
-    records = []
-    for trial, (a_b, b_b, x, y, code, sift, bob_symbol) in enumerate(
-        zip(
-            mub[:, 0].tolist(),
-            mub[:, 1].tolist(),
-            values[:, 0].tolist(),
-            values[:, 1].tolist(),
-            outcome_codes.tolist(),
-            sifted.tolist(),
-            bob_symbols.tolist(),
-        )
-    ):
-        symbols = (x, bob_symbol) if sift else (None, None)
-        records.append(
-            QkdTrialRecord(trial, _BASES[a_b], x, _BASES[b_b], y, outcomes[code], sift, *symbols)
-        )
-    sift_rate = n_sifted / n_trials
     qber = n_errors / n_sifted if n_sifted else 0.0
-    return QkdRunResult(tuple(records), sift_rate, qber)
+    return QkdRunResult(mub, values, outcome_codes, sifted, bob_symbols, n_sifted / n_trials, qber)
 
 
 def generalized_conclusive_probability(d: int) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -139,6 +140,29 @@ class TestDeterminism:
         assert read(e) == read(f)
 
 
+class TestGoldenOutputs:
+    """sha256 digests of discrete outputs, pinned so that rewrites of the
+    samplers or the CSV writer stay byte-exact."""
+
+    def test_digests(self, tmp_path, capsys):
+        csv = tmp_path / "records.csv"
+        run(["mdiqkd", "--trials", "2000", "--eta", "0.9", "--noise", "0.1", "--seed", "3", "--out", str(csv)])
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "5b291d69454ca2b090d6bad57409d96dc4cbdbf7ab70a2e28ee4770675132166"
+        )
+        digests = {}
+        for argv in (["discriminate", "--state", "psi1", "--trials", "2000", "--eta", "0.9"],
+                     ["teleport", "--trials", "2000"]):
+            report = tmp_path / "report.json"
+            assert run([*argv, "--seed", "3", "--out", str(report)]) == 0
+            counts = json.dumps(json.loads(read(report))["counts"], sort_keys=True)
+            digests[argv[0]] = hashlib.sha256(counts.encode()).hexdigest()
+        assert digests == {
+            "discriminate": "b8f1aa3d11be535d79ff44af2ef80e2b3b623469614d3357807d72cecbbccb17",
+            "teleport": "581777da018d3270e0917133580bf6ad423c4aeefbeb175d8c5f91b7071e00fc",
+        }
+
+
 class TestErrorPaths:
     def test_usage_error_exit_code(self):
         assert run(["no-such-command"]) == 2
@@ -212,6 +236,18 @@ class TestErrorPaths:
         assert run(["keyrate", "thresholds", "--d-max", str(cli.MAX_KEYRATE_ROWS + 2)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--d-max" in captured.err
+
+    @pytest.mark.parametrize("d_list", ["--d=", "--d=,"])
+    def test_empty_d_list(self, d_list, capsys):
+        assert run(["keyrate", d_list]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--d must list at least one dimension" in captured.err
+
+    @pytest.mark.parametrize("d_max", ["1", "-5"])
+    def test_d_max_below_two(self, d_max, capsys):
+        assert run(["keyrate", "thresholds", "--d-max", d_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--d-max must be >= 2" in captured.err
 
 
 class TestMdiqkdSummaryStream:

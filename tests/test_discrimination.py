@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import esdsim.discrimination as discrimination
 from esdsim.discrimination import (
     POSTSELECT_FAIL,
     POSTSELECT_FAIL_CODE,
@@ -20,9 +19,6 @@ from esdsim.discrimination import (
     click_distribution,
     derive_rng,
     detect_distribution,
-    mc_trial,
-    measure_esd,
-    outcome_of,
     outcome_probabilities,
     outcome_table,
     parity_postselect,
@@ -150,52 +146,48 @@ class TestBuildClassifier:
                 assert (dark - a_port) % 4 == index
 
 
+def sampled_codes(state, eta, n, seed):
+    """Outcome codes of n trials of one d = 3 input, from one uniform block."""
+    return sample_outcomes(outcome_table(state, 3), eta, derive_rng(seed).random((n, 5)))
+
+
 class TestSampling:
     def test_conclusive_inputs_classified_exactly(self):
         for seed in (0, 1, 99):
-            assert measure_esd(build_psi(2), 3, seed) == DiscriminationOutcome.conclusive(2)
+            codes = sampled_codes(build_psi(2), 1.0, 1000, seed)
+            assert set(codes.tolist()) == {DiscriminationOutcome.conclusive(2).code}
 
     def test_bunched_inputs_always_fail(self):
         for seed in (0, 1, 99):
-            assert measure_esd(build_psi(7), 3, seed) == POSTSELECT_FAIL
+            assert set(sampled_codes(build_psi(7), 1.0, 1000, seed).tolist()) == {POSTSELECT_FAIL_CODE}
 
     def test_uniform_mixture_frequencies(self):
         mix = superpose([(1 / math.sqrt(3), build_psi(i)) for i in range(3)])
         n = 30000
-        counts = [0, 0, 0]
-        for t in range(n):
-            out = measure_esd(mix, 3, derive_rng(42, t))
-            counts[out.index] += 1
+        codes = sampled_codes(mix, 1.0, n, 42)
+        assert set(codes.tolist()) == {0, 1, 2}
         sigma = math.sqrt((1 / 3) * (2 / 3) / n)
-        for c in counts:
+        for c in np.bincount(codes, minlength=3):
             assert abs(c / n - 1 / 3) < 3 * sigma
 
     def test_deterministic_given_seed(self):
         mix = superpose([(1 / math.sqrt(3), build_psi(i)) for i in range(3)])
-        seq1 = [measure_esd(mix, 3, derive_rng(7, t)) for t in range(50)]
-        seq2 = [measure_esd(mix, 3, derive_rng(7, t)) for t in range(50)]
-        assert seq1 == seq2
+        np.testing.assert_array_equal(sampled_codes(mix, 0.9, 50, 7), sampled_codes(mix, 0.9, 50, 7))
 
 
 class TestMcTrial:
-    def test_eta_zero_always_fails(self):
-        assert mc_trial(build_psi(0), ParityModel(0.0), 3, 5) == POSTSELECT_FAIL
+    """Monte Carlo trials through lossy parity devices, one uniform block each."""
 
-    def test_eta_one_matches_measure_esd_distribution(self):
-        n = 4000
-        conclusive = sum(
-            mc_trial(build_psi(0), ParityModel(1.0), 3, derive_rng(3, t)).is_conclusive
-            for t in range(n)
-        )
-        assert conclusive == n  # conclusive with certainty at eta = 1
+    def test_eta_zero_always_fails(self):
+        assert set(sampled_codes(build_psi(0), 0.0, 1000, 5).tolist()) == {POSTSELECT_FAIL_CODE}
+
+    def test_eta_one_always_conclusive(self):
+        assert set(sampled_codes(build_psi(0), 1.0, 4000, 3).tolist()) == {0}
 
     def test_device_attrition_rate(self):
         n = 30000
         eta = 0.66
-        conclusive = sum(
-            mc_trial(build_psi(0), ParityModel(eta), 3, derive_rng(1, t)).is_conclusive
-            for t in range(n)
-        )
+        conclusive = np.count_nonzero(sampled_codes(build_psi(0), eta, n, 1) >= 0)
         expected = eta**3
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(conclusive / n - expected) < 3 * sigma
@@ -286,22 +278,9 @@ class TestVectorizedSampler:
         assert abs(sum(probs.values()) - 1.0) < 1e-12
         assert abs(split - probs["postselect_fail"]) < 1e-12
 
-    def test_per_trial_api_is_the_one_row_case(self):
-        mix = superpose([(0.6, build_psi(0)), (0.8, build_psi(2))])
-        table = outcome_table(mix, 3)
-        for t in range(200):
-            code = sample_outcomes(table, 0.8, derive_rng(17, t).random((1, 5)))[0]
-            assert mc_trial(mix, ParityModel(0.8), 3, derive_rng(17, t)) == outcome_of(int(code))
-
     def test_uniform_block_shape_is_checked(self):
         with pytest.raises(ValueError):
             sample_outcomes(outcome_table(build_psi(0), 3), 1.0, np.zeros((4, 3)))
-
-    def test_per_trial_table_cache_is_bounded(self):
-        for k in range(40):
-            state = superpose([(math.cos(k / 7), build_psi(0)), (math.sin(k / 7), build_psi(1))])
-            analytic_outcome_probabilities(state, 3)
-        assert len(discrimination._RECENT_TABLES) <= discrimination._RECENT_TABLES_MAX
 
 
 # -- dense measurement path ------------------------------------------------------
