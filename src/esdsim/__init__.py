@@ -69,6 +69,7 @@ from .protocols import (
     TeleportTarget,
     apply_correction,
     edp_shared_state,
+    mdi_qkd_expectation,
     mdi_qkd_run,
     teleport_analysis,
     teleport_run,

@@ -9,19 +9,27 @@ assertion (e.g. a non-disjoint generated click table).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import keyrate as kr
-from .discrimination import derive_rng, outcome_of, outcome_probabilities, outcome_table, sample_outcomes
+from .discrimination import (
+    POSTSELECT_FAIL_CODE,
+    derive_rng,
+    outcome_of,
+    outcome_probabilities,
+    outcome_table,
+    sample_outcomes,
+)
 from .errors import AmbiguousPattern
 from .fock import state_to_json
 from .optics import decompose_dft
-from .protocols import BASES, NoiseConfig, mdi_qkd_run, teleport_run
+from .protocols import BASES, CHUNK_ROWS, NoiseConfig, mdi_qkd_run, teleport_run
 from .states import build_phi, build_psi
 
 DEFAULT_SEED = 42
@@ -40,11 +48,15 @@ MAX_TRIALS = 10**6
 
 
 def _write_text(path: str | None, text: str) -> None:
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _json_dumps(obj) -> str:
@@ -128,16 +140,29 @@ def _cmd_teleport(args) -> int:
     return 0
 
 
+def _qkd_csv_rows(result) -> Iterator[str]:
+    """The CSV rows after the header, CHUNK_ROWS rows per string.  Every
+    column after `trial` is a function of (bases, values, outcome, sifted,
+    Bob's symbol), so each distinct tuple is formatted once."""
+    shape = (2, 2, 3, 3, 3 - POSTSELECT_FAIL_CODE, 2, 3)
+    codes = result.outcomes - POSTSELECT_FAIL_CODE
+    columns = (*result.bases.T, *result.values.T, codes, result.sifted.astype(np.int64), result.bob_symbols)
+    keys = np.ravel_multi_index(columns, shape)
+    suffixes = [""] * math.prod(shape)
+    for key in np.flatnonzero(np.bincount(keys, minlength=len(suffixes))).tolist():
+        a_b, b_b, x, y, code, sift, b_sym = (int(v) for v in np.unravel_index(key, shape))
+        symbols = f"{x},{b_sym}" if sift else ","
+        outcome = outcome_of(code + POSTSELECT_FAIL_CODE)
+        suffixes[key] = f"{BASES[a_b]},{x},{BASES[b_b]},{y},{outcome},{sift},{symbols}\n"
+    for start in range(0, len(keys), CHUNK_ROWS):
+        chunk = keys[start : start + CHUNK_ROWS].tolist()
+        yield "".join([f"{i},{suffixes[key]}" for i, key in enumerate(chunk, start)])
+
+
 def _cmd_mdiqkd(args) -> int:
     result = mdi_qkd_run(args.trials, eta=args.eta, noise=NoiseConfig(args.noise), seed=args.seed)
-    header = "trial,alice_basis,alice_value,bob_basis,bob_value,outcome,sifted,alice_symbol,bob_symbol"
-    names = {code: str(outcome_of(code)) for code in np.unique(result.outcomes).tolist()}
-    columns = (*result.bases.T, *result.values.T, result.outcomes, result.sifted, result.bob_symbols)
-    lines = [header]
-    for trial, (a_b, b_b, x, y, code, sift, b_sym) in enumerate(zip(*(c.tolist() for c in columns))):
-        symbols = f"{x},{b_sym}" if sift else ","
-        lines.append(f"{trial},{BASES[a_b]},{x},{BASES[b_b]},{y},{names[code]},{int(sift)},{symbols}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    header = "trial,alice_basis,alice_value,bob_basis,bob_value,outcome,sifted,alice_symbol,bob_symbol\n"
+    _write_chunks(args.out, itertools.chain((header,), _qkd_csv_rows(result)))
     summary = {
         "trials": args.trials,
         "eta": args.eta,

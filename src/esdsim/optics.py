@@ -119,10 +119,19 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary, port_map: Sequence[int]
 def evolve_dense(state: PureState, u: ModeUnitary) -> tuple[tuple[int, ...], np.ndarray]:
     """Evolve a state holding one photon in each occupied time-bin, densely.
 
+    Returns (time-bins, amplitudes) as `dense_amplitudes` does, after
+    `evolve_axes`.  The unitary never mixes time-bins, so every permanent is
+    a product of matrix entries and the evolution is one tensordot per axis.
+    """
+    timebins, amps = dense_amplitudes(state, u.dim)
+    return timebins, evolve_axes(u, amps)
+
+
+def dense_amplitudes(state: PureState, dim: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """A state holding one photon in each occupied time-bin as a dense array.
+
     Returns (time-bins, amplitudes): axis k of the array is time-bins[k] and
-    is indexed by that photon's port, read as a matrix index of `u`.  The
-    unitary never mixes time-bins, so every permanent is a product of
-    matrix entries and the evolution is one tensordot per axis.
+    is indexed by that photon's port, 0..dim-1.
 
     Raises PortMismatch for a port outside 0..dim-1 and OverlappingModes for
     a time-bin holding two or more photons; `apply_mode_unitary` is the
@@ -139,15 +148,22 @@ def evolve_dense(state: PureState, u: ModeUnitary) -> tuple[tuple[int, ...], np.
             raise ValueError(f"{basis} occupies time-bins {bins}, other terms {timebins}")
         timebins = bins
         ports = tuple(port for _, port in photons)
-        if ports and max(ports) >= u.dim:
-            raise PortMismatch(f"photon occupies port {max(ports)}, outside the {u.dim} ports of the unitary")
+        if ports and max(ports) >= dim:
+            raise PortMismatch(f"photon occupies port {max(ports)}, outside ports 0..{dim - 1}")
         entries.append((ports, amp))
-    amps = np.zeros((u.dim,) * len(timebins), dtype=complex)
+    amps = np.zeros((dim,) * len(timebins), dtype=complex)
     for ports, amp in entries:
         amps[ports] = amp
-    for axis in range(amps.ndim):
-        amps = np.moveaxis(np.tensordot(u.matrix, amps, axes=([1], [axis])), 0, axis)
     return timebins, amps
+
+
+def evolve_axes(u: ModeUnitary, amps: np.ndarray, batch_axes: int = 0) -> np.ndarray:
+    """Apply `u` to every axis of a dense amplitude array (one photon per
+    axis, indexed by its port) after the first `batch_axes`, which index
+    independent states."""
+    for axis in range(batch_axes, amps.ndim):
+        amps = np.moveaxis(np.tensordot(u.matrix, amps, axes=([1], [axis])), 0, axis)
+    return amps
 
 
 # -- element networks --------------------------------------------------------

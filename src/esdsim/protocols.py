@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,15 +30,12 @@ from .discrimination import (
     POSTSELECT_FAIL_CODE,
     DetectionPattern,
     DiscriminationOutcome,
-    OutcomeTable,
     ParityModel,
     classify,
     click_distribution,
     derive_rng,
     outcome_of,
-    outcome_table,
     parity_postselect,
-    sample_outcomes,
 )
 from .fock import (
     DEFAULT_TOLERANCE,
@@ -46,12 +43,11 @@ from .fock import (
     ModeLabel,
     PureState,
     apply_phases,
-    inner_product,
     partial_project,
     superpose,
     tensor,
 )
-from .optics import build_dft, evolve_dense
+from .optics import build_dft, dense_amplitudes, evolve_axes, evolve_dense
 from .states import OMEGA, build_alice_pair, build_minor, build_psi, mub_state
 
 ESD_PORTS = (0, 1, 2)
@@ -152,8 +148,9 @@ class TeleportAnalysis:
         return out
 
 
-# Rows that `teleport_run` samples per pass; bounds its working memory.
-_TELEPORT_CHUNK = 1 << 14
+# Rows that `teleport_run` and `mdi_qkd_run` sample, and the CLI formats,
+# per pass; bounds their working memory.
+CHUNK_ROWS = 1 << 14
 
 
 def haar_amplitudes(uniforms: np.ndarray) -> np.ndarray:
@@ -238,8 +235,8 @@ def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     parity projection, 7 the detection branch."""
     rng = derive_rng(seed)
     codes, fidelities = np.empty(n_trials, dtype=np.int64), np.empty(n_trials)
-    for start in range(0, n_trials, _TELEPORT_CHUNK):
-        u = rng.random((min(_TELEPORT_CHUNK, n_trials - start), 8))
+    for start in range(0, n_trials, CHUNK_ROWS):
+        u = rng.random((min(CHUNK_ROWS, n_trials - start), 8))
         rows = slice(start, start + len(u))
         codes[rows], fidelities[rows] = _sample_teleport(haar_amplitudes(u[:, :6]), u[:, 6:])
     return codes, fidelities
@@ -373,58 +370,93 @@ def bob_send(basis: str, value: int) -> PureState:
     raise ValueError(f"unknown basis {basis!r}")
 
 
+# Flip bits -> flipped ESD ports: bit k of a row's flip bits negates Bob's
+# photon on ESD_PORTS[k].
+_FLIPS = (np.arange(8)[:, None] >> np.arange(3)) & 1
+
+
+class MdiOutcomes(NamedTuple):
+    """The relay's outcome distribution for every joint MDI-QKD input.
+
+    Row input_code * 8 + flip_bits holds the input whose code packs (Alice
+    basis, x, Bob basis, y) as np.ravel_multi_index over (2, 3, 2, 3), with
+    Bob's photon flipped as `_FLIPS[flip_bits]` says.  `cumulative` holds
+    the running sum of the click-pattern probabilities after a passed
+    parity projection, over all 27 output port tuples in canonical click
+    order (patterns with no amplitude add exactly 0), `codes` the outcome
+    code of each pattern, `last` each row's last pattern with nonzero
+    probability (0 for a row that never passes) and `conclusive` each row's
+    probability of conclusive index 0, 1, 2 when every parity device works.
+    """
+
+    pass_prob: np.ndarray
+    cumulative: np.ndarray
+    codes: np.ndarray
+    last: np.ndarray
+    conclusive: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _mdi_outcomes() -> MdiOutcomes:
+    """Evolve all 288 joint inputs at once: one dense array with an axis
+    per time-bin (Bob's photon is time-bin 0, Alice's 1 and 2), the parity
+    projection as a mask on the port permutations, and the DFT on each
+    time-bin axis.  Amplitudes at or below the tolerance are dropped, as
+    `outcome_table` drops them."""
+    alice = np.array([[dense_amplitudes(alice_send(b, x), 3)[1] for x in range(3)] for b in BASES])
+    bob = np.array([[dense_amplitudes(bob_send(b, y), 3)[1] for y in range(3)] for b in BASES])
+    bob = bob[:, :, None, :] * (1 - 2 * _FLIPS)  # basis, y, flip bits, port
+    amps = (alice[:, :, None, None, None, None] * bob[..., None, None]).reshape(-1, 3, 3, 3)
+    # three photons leave every port odd only as one photon per port
+    odd = np.array([len(set(ports)) == 3 for ports in np.ndindex(3, 3, 3)])
+    amps = np.where(odd.reshape(3, 3, 3), amps, 0)
+    pass_prob = np.sum(np.abs(amps) ** 2, axis=(1, 2, 3))
+    scale = np.divide(1.0, np.sqrt(pass_prob), out=np.zeros_like(pass_prob), where=pass_prob > 0)
+    magnitudes = np.abs(evolve_axes(build_dft(3), amps * scale[:, None, None, None], batch_axes=1))
+    patterns = sorted((tuple(sorted(zip(ports, range(3)))), k) for k, ports in enumerate(np.ndindex(3, 3, 3)))
+    magnitudes = magnitudes.reshape(len(amps), -1)[:, [k for _, k in patterns]]
+    probs = np.where(magnitudes > DEFAULT_TOLERANCE, magnitudes, 0.0) ** 2
+    codes = np.array([classify(DetectionPattern(clicks), 3).code for clicks, _ in patterns])
+    support = probs > 0
+    last = np.where(support.any(axis=1), probs.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1), 0)
+    conclusive = pass_prob[:, None] * (probs @ (codes[:, None] == np.arange(3)))
+    return MdiOutcomes(pass_prob, np.cumsum(probs, axis=1), codes, last, conclusive)
+
+
 @lru_cache(maxsize=1)
 def _decode_table() -> dict[tuple[str, int, int], int]:
     """Analytic decode rule: for each (basis, conclusive index, Bob value)
-    exactly one Alice value has nonzero conclusive amplitude in the noiseless
-    protocol; the relay announcement plus Bob's own value identify it."""
+    exactly one Alice value gives that outcome nonzero probability in the
+    noiseless protocol; the relay announcement plus Bob's own value
+    identify it."""
+    noiseless = _mdi_outcomes().conclusive[::8].reshape(2, 3, 2, 3, 3)  # a basis, x, b basis, y, index
     table: dict[tuple[str, int, int], int] = {}
-    for basis in (COMPUTATIONAL, MUB):
+    for b, basis in enumerate(BASES):
         for i in range(3):
             for y in range(3):
-                candidates = []
-                for x in range(3):
-                    joint = tensor(alice_send(basis, x), bob_send(basis, y))
-                    amp = inner_product(build_psi(i, ESD_PORTS), joint)
-                    if abs(amp) > 1e-9:
-                        candidates.append(x)
+                candidates = np.flatnonzero(noiseless[b, :, b, y, i] > 0).tolist()
                 if len(candidates) != 1:
-                    raise AssertionError(
-                        f"decode rule not unique for {(basis, i, y)}: {candidates}"
-                    )
+                    raise AssertionError(f"decode rule not unique for {(basis, i, y)}: {candidates}")
                 table[(basis, i, y)] = candidates[0]
     return table
 
 
-def _apply_phase_flips(state: PureState, flips: Sequence[bool]) -> PureState:
-    if not any(flips):
-        return state
-
-    def phase_of(mode: ModeLabel) -> complex:
-        if mode.port in ESD_PORTS and flips[ESD_PORTS.index(mode.port)]:
-            return -1 + 0j
-        return 1 + 0j
-
-    return apply_phases(state, phase_of)
+def _decode_array() -> np.ndarray:
+    """`_decode_table` indexed [basis, conclusive index, Bob value]."""
+    decode = _decode_table()
+    return np.array([[[decode[(basis, i, y)] for y in range(3)] for i in range(3)] for basis in BASES])
 
 
-def _table_key(code: int) -> tuple[str, int, str, int, tuple[bool, ...]]:
-    """Decode an MDI-QKD input code into (Alice basis, x, Bob basis, y,
-    phase flips), with the flips reduced to those that change the outcome
-    distribution.
-
-    The code packs the four choices and three flip bits.  A flip on a port
-    Bob's photon does not occupy changes nothing, and flipping all of his
-    occupied ports only negates the joint state, which no outcome
-    probability sees; the key drops both, so inputs that differ only so
-    share one table.
-    """
-    alice_basis, x, bob_basis, y = (int(v) for v in np.unravel_index(code // 8, (2, 3, 2, 3)))
-    occupied = [port in bob_send(BASES[bob_basis], y).ports() for port in ESD_PORTS]
-    flips = [bool(code >> k & 1) and occupied[k] for k in range(len(ESD_PORTS))]
-    if flips[occupied.index(True)]:
-        flips = [flip != occ for flip, occ in zip(flips, occupied)]
-    return BASES[alice_basis], x, BASES[bob_basis], y, tuple(flips)
+def _sample_mdi(rows: np.ndarray, eta: float, uniforms: np.ndarray) -> np.ndarray:
+    """Outcome codes for rows of `_mdi_outcomes`, one per row of an (n, 5)
+    block of uniforms laid out as `sample_outcomes` lays out d = 3: the
+    same draw gives the same code as that sampler on the input's pruned
+    outcome table."""
+    table = _mdi_outcomes()
+    cumulative = table.cumulative[rows]
+    passed = np.all(uniforms[:, :3] < eta, axis=1) & (uniforms[:, 3] < table.pass_prob[rows])
+    pick = np.sum(cumulative <= uniforms[:, 4:] * cumulative[:, -1:], axis=1)
+    return np.where(passed, table.codes[np.minimum(pick, table.last[rows])], POSTSELECT_FAIL_CODE)
 
 
 def mdi_qkd_run(
@@ -441,44 +473,58 @@ def mdi_qkd_run(
     symbol from (outcome index, Bob value).
 
     All trials come from one block of uniforms, derive_rng(seed).random((n,
-    12)); row i is trial i, so a run's columns are a prefix of any longer
-    run's.  Columns: 0-1 bases (< 0.5 is computational), 2-3 values
-    floor(3u), 4-6 phase flips (< p), 7-9 parity devices, 10 parity
-    projection, 11 click pattern.  One outcome table is built per distinct
-    joint input that occurs, up to a global sign.
+    12)), drawn in chunks of CHUNK_ROWS rows; row i is trial i, so a run's
+    columns are a prefix of any longer run's.  Columns: 0-1 bases (< 0.5 is
+    computational), 2-3 values floor(3u), 4-6 phase flips (< p), 7-9 parity
+    devices, 10 parity projection, 11 click pattern.  Every trial is a
+    lookup in `_mdi_outcomes`, built once per process for all 288 inputs.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     noise = noise or NoiseConfig()
     model = ParityModel(eta)
-    u = derive_rng(seed).random((n_trials, 12))
-    mub = (u[:, 0:2] >= 0.5).astype(np.int64)
-    values = (3 * u[:, 2:4]).astype(np.int64)
-    flip_bits = (u[:, 4:7] < noise.phase_flip_p) @ np.array([1, 2, 4])
-    input_codes = np.ravel_multi_index((mub[:, 0], values[:, 0], mub[:, 1], values[:, 1]), (2, 3, 2, 3))
-    codes_present, input_index = np.unique(input_codes * 8 + flip_bits, return_inverse=True)
-
-    tables: dict[tuple, OutcomeTable] = {}
+    rng = derive_rng(seed)
+    mub = np.empty((n_trials, 2), dtype=np.int64)
+    values = np.empty((n_trials, 2), dtype=np.int64)
     outcome_codes = np.empty(n_trials, dtype=np.int64)
-    for i, code in enumerate(codes_present.tolist()):
-        key = _table_key(code)
-        if key not in tables:
-            alice_basis, x, bob_basis, y, flips = key
-            joint = tensor(alice_send(alice_basis, x), _apply_phase_flips(bob_send(bob_basis, y), flips))
-            tables[key] = outcome_table(joint, 3)
-        rows = input_index == i
-        outcome_codes[rows] = sample_outcomes(tables[key], model.eta, u[rows, 7:12])
+    for start in range(0, n_trials, CHUNK_ROWS):
+        u = rng.random((min(CHUNK_ROWS, n_trials - start), 12))
+        rows = slice(start, start + len(u))
+        mub[rows] = u[:, 0:2] >= 0.5
+        values[rows] = (3 * u[:, 2:4]).astype(np.int64)
+        flip_bits = (u[:, 4:7] < noise.phase_flip_p) @ np.array([1, 2, 4])
+        choices = (mub[rows, 0], values[rows, 0], mub[rows, 1], values[rows, 1])
+        inputs = np.ravel_multi_index(choices, (2, 3, 2, 3))
+        outcome_codes[rows] = _sample_mdi(inputs * 8 + flip_bits, model.eta, u[:, 7:12])
 
-    decode = _decode_table()
-    decode_array = np.array(
-        [[[decode[(basis, i, y)] for y in range(3)] for i in range(3)] for basis in BASES]
-    )
     sifted = (mub[:, 0] == mub[:, 1]) & (outcome_codes >= 0)
-    bob_symbols = decode_array[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]
+    bob_symbols = _decode_array()[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]
     n_sifted = int(sifted.sum())
     n_errors = int((sifted & (bob_symbols != values[:, 0])).sum())
     qber = n_errors / n_sifted if n_sifted else 0.0
     return QkdRunResult(mub, values, outcome_codes, sifted, bob_symbols, n_sifted / n_trials, qber)
+
+
+class QkdExpectation(NamedTuple):
+    """Exact counterparts of a run's `sift_rate` and `qber`."""
+
+    sift_rate: float
+    qber: float
+
+
+def mdi_qkd_expectation(eta: float = 1.0, noise: NoiseConfig | None = None) -> QkdExpectation:
+    """The exact sift rate and QBER that `mdi_qkd_run` samples: a sum over
+    the 288 rows of `_mdi_outcomes`, each weighted by its input's
+    probability (1/36) p^k (1 - p)^(3 - k), k the number of phase flips."""
+    p = (noise or NoiseConfig()).phase_flip_p
+    eta = ParityModel(eta).eta
+    weights = np.prod(np.where(_FLIPS == 1, p, 1 - p), axis=1)  # per flip bits
+    a_basis, x, b_basis, y, _ = np.unravel_index(np.arange(288), (2, 3, 2, 3, 8))
+    matched = (a_basis == b_basis)[:, None]
+    errors = _decode_array()[a_basis[:, None], np.arange(3), y[:, None]] != x[:, None]
+    conclusive = eta**3 * np.tile(weights, 36)[:, None] / 36 * _mdi_outcomes().conclusive * matched
+    sift_rate = float(conclusive.sum())
+    return QkdExpectation(sift_rate, float((conclusive * errors).sum()) / sift_rate if sift_rate else 0.0)
 
 
 def generalized_conclusive_probability(d: int) -> float:

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import esdsim
 import esdsim.cli as cli
+import esdsim.protocols as protocols
 from esdsim.cli import run
 
 
@@ -94,6 +98,38 @@ class TestMdiqkdCommand:
             cols = line.split(",")
             assert cols[7] == cols[8]  # symbols agree without noise
 
+    def test_csv_independent_of_chunk_size(self, tmp_path, monkeypatch):
+        def csv(n, name):
+            out = tmp_path / name
+            assert run(["mdiqkd", "--trials", str(n), "--eta", "0.9", "--noise", "0.2", "--seed", "8",
+                        "--out", str(out)]) == 0
+            return read(out)
+
+        whole = csv(100, "whole.csv")
+        monkeypatch.setattr(protocols, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+        assert csv(100, "chunked.csv") == whole
+        head = csv(30, "head.csv")
+        assert whole.startswith(head) and head.count("\n") == 31
+
+    def test_leaves_numpy_ma_unloaded(self, tmp_path):
+        # a plain np.unique imports numpy.ma lazily, which costs more than a
+        # small run itself
+        def loads_numpy_ma(code):
+            env = {"PYTHONPATH": str(Path(esdsim.__file__).parents[1])}
+            done = subprocess.run([sys.executable, "-c", f"{code}; import sys; print('numpy.ma' in sys.modules)"],
+                                  env=env, capture_output=True, text=True, check=True)
+            return done.stdout.split()[-1] == "True"
+
+        if loads_numpy_ma("import numpy"):
+            pytest.skip("importing numpy alone loads numpy.ma")
+        out = tmp_path / "records.csv"
+        assert not loads_numpy_ma(
+            f"from esdsim.cli import run; assert run(['mdiqkd', '--trials', '2000', '--noise', '0.1', "
+            f"'--out', {str(out)!r}]) == 0"
+        )
+        assert read(out).count("\n") == 2001
+
 
 class TestListStatesCommand:
     def test_prints_families_and_dumps_json(self, tmp_path, capsys):
@@ -161,6 +197,23 @@ class TestGoldenOutputs:
             "discriminate": "b8f1aa3d11be535d79ff44af2ef80e2b3b623469614d3357807d72cecbbccb17",
             "teleport": "581777da018d3270e0917133580bf6ad423c4aeefbeb175d8c5f91b7071e00fc",
         }
+
+    def test_mdiqkd_noise_edges(self, tmp_path, capsys):
+        # high noise with the summary on stdout, and the noise-free defaults
+        # with the CSV on stdout and the summary on stderr
+        def sha(text):
+            return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+
+        csv = tmp_path / "records.csv"
+        assert run(["mdiqkd", "--trials", "3000", "--eta", "0.7", "--noise", "0.3", "--seed", "1",
+                    "--out", str(csv)]) == 0
+        summary = capsys.readouterr().out
+        assert sha(csv.read_bytes()) == "f4f0e7a37486489de697edf4c87f55622cc7ca6a28a6ecbca9b7d3b573ff496e"
+        assert sha(summary) == "968f77c46949b3ebd64a68f27933cfb1464d9676fbec60ad938f8bd334cca2d9"
+        assert run(["mdiqkd", "--trials", "1000", "--seed", "2"]) == 0
+        captured = capsys.readouterr()
+        assert sha(captured.out) == "432432206d74243aa42b879463695180040f240fd3407edb04296f584d5a1529"
+        assert sha(captured.err) == "76183aa5dfb7c4c81a020f0fb2ff8b9225156e84f29db079a25eb6cabdfd90ea"
 
 
 class TestErrorPaths:

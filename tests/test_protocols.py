@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
-import esdsim.discrimination as discrimination
+import esdsim.fock as fock
+import esdsim.optics as optics
 import esdsim.protocols as protocols
 from esdsim.discrimination import (
     POSTSELECT_FAIL_CODE,
     DetectionPattern,
     analytic_outcome_probabilities,
     classify,
+    outcome_table,
     parity_postselect,
+    sample_outcomes,
 )
-from esdsim.fock import PureState, inner_product, partial_project, states_equal_up_to_global_phase, tensor
+from esdsim.fock import (
+    PureState,
+    apply_phases,
+    inner_product,
+    partial_project,
+    states_equal_up_to_global_phase,
+    tensor,
+)
 from esdsim.optics import ModeUnitary, apply_mode_unitary, build_dft
 from esdsim.protocols import (
     BASES,
@@ -32,6 +42,7 @@ from esdsim.protocols import (
     generalized_conclusive_probability,
     haar_amplitudes,
     maximally_entangled_pair,
+    mdi_qkd_expectation,
     mdi_qkd_run,
     teleport_analysis,
     teleport_run,
@@ -287,7 +298,7 @@ class TestTeleportRun:
 
     def test_prefix_stable_across_chunks(self, monkeypatch):
         long = teleport_run(50, seed=6)
-        monkeypatch.setattr(protocols, "_TELEPORT_CHUNK", 7)
+        monkeypatch.setattr(protocols, "CHUNK_ROWS", 7)
         short = teleport_run(20, seed=6)
         for whole, prefix in zip(long, short):
             np.testing.assert_array_equal(whole[:20], prefix)
@@ -343,14 +354,84 @@ class TestMdiQkdSampling:
                 analytic[inputs] = analytic_outcome_probabilities(joint, 3, 0.9)
             assert analytic[inputs].get(str(outcome_of(code)), 0.0) > 0.0, (trial, inputs, code)
 
-    def test_at_most_90_evolutions_per_run(self, monkeypatch):
-        calls = []
-        evolve = discrimination.evolve_dense
+    def test_prefix_stable_across_chunks(self, monkeypatch):
+        noise = NoiseConfig(0.3)
+        long = mdi_qkd_run(120, eta=0.9, noise=noise, seed=4)
+        monkeypatch.setattr(protocols, "CHUNK_ROWS", 7)
+        for n in (50, 120):
+            short = mdi_qkd_run(n, eta=0.9, noise=noise, seed=4)
+            for whole, prefix in zip(qkd_columns(long), qkd_columns(short)):
+                np.testing.assert_array_equal(whole[:n], prefix)
 
-        def counted(*args):
-            calls.append(1)
-            return evolve(*args)
+    def test_second_run_evolves_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called after the outcome array was built")
 
-        monkeypatch.setattr(discrimination, "evolve_dense", counted)
-        mdi_qkd_run(20000, noise=NoiseConfig(0.1))
-        assert 0 < len(calls) <= 90
+        protocols._mdi_outcomes.cache_clear()
+        protocols._decode_table.cache_clear()
+        monkeypatch.setattr(fock, "tensor", forbidden)
+        monkeypatch.setattr(protocols, "tensor", forbidden)
+        mdi_qkd_run(100, noise=NoiseConfig(0.1))  # the build itself needs no tensor product
+        monkeypatch.setattr(optics, "evolve_axes", forbidden)
+        monkeypatch.setattr(protocols, "evolve_axes", forbidden)
+        run = mdi_qkd_run(20000, noise=NoiseConfig(0.1))
+        assert run.sifted.any()
+
+
+def flipped_bob_send(basis, value, flip_bits):
+    """Bob's photon with a pi phase on each ESD port whose flip bit is set."""
+    flipped = [port for k, port in enumerate(ESD_PORTS) if flip_bits >> k & 1]
+    return apply_phases(bob_send(basis, value), lambda mode: -1 if mode.port in flipped else 1)
+
+
+def reference_table(row):
+    """The sparse outcome table of row input_code * 8 + flip_bits."""
+    a_basis, x, b_basis, y, flip_bits = np.unravel_index(row, (2, 3, 2, 3, 8))
+    joint = tensor(alice_send(BASES[a_basis], x), flipped_bob_send(BASES[b_basis], y, flip_bits))
+    return outcome_table(joint, 3)
+
+
+class TestMdiOutcomeArray:
+    def test_rows_match_sparse_tables(self):
+        table = protocols._mdi_outcomes()
+        assert table.cumulative.shape == (288, 27)
+        for row in range(288):
+            reference = reference_table(row)
+            assert abs(table.pass_prob[row] - reference.pass_prob) < 1e-12
+            support = np.diff(table.cumulative[row], prepend=0.0) > 0
+            np.testing.assert_array_equal(table.codes[support], reference.codes)
+            assert np.all(np.abs(table.cumulative[row, support] - reference.cumulative) < 1e-12)
+            if support.any():
+                assert table.last[row] == np.flatnonzero(support)[-1]
+            else:
+                assert reference.pass_prob == 0.0 and table.pass_prob[row] == 0.0
+        assert (table.pass_prob == 0).any() and (table.pass_prob > 0).any()
+
+    def test_sampling_matches_sample_outcomes(self):
+        uniforms = derive_rng(21).random((500, 5))
+        uniforms[:50, 4] = 1.0  # the top edge, where the pick is clamped to the last pattern
+        for row in range(288):
+            codes = protocols._sample_mdi(np.full(len(uniforms), row), 0.85, uniforms)
+            np.testing.assert_array_equal(codes, sample_outcomes(reference_table(row), 0.85, uniforms))
+
+
+class TestMdiQkdExpectation:
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.7, 0.3])
+    def test_closed_forms(self, eta):
+        for p in (0.0, 0.05, 0.1, 0.1389, 0.3, 0.5, 0.8, 1.0):
+            exact = mdi_qkd_expectation(eta, NoiseConfig(p))
+            assert abs(exact.sift_rate - eta**3 / 6) < 1e-12
+            assert abs(exact.qber - 4 * p * (1 - p) / 3) < 1e-12
+
+    @pytest.mark.parametrize("eta, p", [(1.0, 0.0), (0.9, 0.1), (0.7, 0.3), (0.8, 0.5)])
+    def test_sampled_runs_agree(self, eta, p):
+        n = 200_000
+        exact = mdi_qkd_expectation(eta, NoiseConfig(p))
+        run = mdi_qkd_run(n, eta=eta, noise=NoiseConfig(p), seed=31)
+        z_sift = (run.sift_rate - exact.sift_rate) / math.sqrt(exact.sift_rate * (1 - exact.sift_rate) / n)
+        assert abs(z_sift) <= 5
+        n_sifted = int(run.sifted.sum())
+        if exact.qber == 0.0:
+            assert run.qber == 0.0
+        else:
+            assert abs(run.qber - exact.qber) / math.sqrt(exact.qber * (1 - exact.qber) / n_sifted) <= 5
