@@ -8,8 +8,6 @@ from .discrimination import (
     DiscriminationOutcome,
     ParityModel,
     build_classifier,
-    classify,
-    click_distribution,
     derive_rng,
     detect_distribution,
     parity_postselect,
@@ -58,7 +56,6 @@ from .optics import (
     apply_mode_unitary,
     build_dft,
     decompose_dft,
-    evolve_dense,
     recompose,
     unitaries_equal_up_to_global_phase,
 )

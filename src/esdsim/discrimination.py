@@ -2,7 +2,11 @@
 
 Pipeline: nondestructive odd-parity post-selection on every input port, the
 d-port DFT, time-bin-resolved on-off detection, and table lookup from the
-click pattern to the state index.
+click pattern to the state index.  `measure` runs the pipeline on a batch
+of dense inputs with one photon in each time-bin 0..d-1; `click_order` fixes
+the order of the d^d click patterns, and `click_codes` is the generated
+click table over that order.  `parity_postselect`, `detect_distribution` and
+`DetectionPattern` are the sparse reference that the tests check it against.
 
 Device efficiency enters only as the per-port success probability eta of the
 parity readout; a failed device discards the trial (it never produces a wrong
@@ -13,6 +17,7 @@ analytic decomposition that `analytic_outcome_probabilities` reports.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -20,8 +25,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AmbiguousPattern
-from .fock import PureState
-from .optics import build_dft, evolve_dense
+from .fock import DEFAULT_TOLERANCE, PureState
+from .optics import build_dft, dense_amplitudes, evolve_axes
 from .states import build_phi, build_psi
 
 
@@ -133,67 +138,89 @@ def detect_distribution(state: PureState) -> dict[DetectionPattern, float]:
     return dist
 
 
-def click_distribution(state: PureState, d: int) -> tuple[float, dict[DetectionPattern, float]]:
-    """The measurement on an input with one photon in each occupied time-bin:
-    parity post-selection, the d-port DFT by `evolve_dense`, and on-off
-    detection.
+@lru_cache(maxsize=None)
+def click_order(d: int) -> np.ndarray:
+    """The d^d output port tuples in canonical click order, one row each.
 
-    Returns the pass probability and the click-pattern distribution of the
-    passed state.  Amplitudes at or below the state's tolerance are dropped,
-    as `PureState` drops them, so the support equals that of
-    `detect_distribution` after `apply_mode_unitary`.
+    Entry t of a row is the port of the time-bin-t photon.  Rows are sorted
+    by their sorted (port, time-bin) click pairs, the order of
+    `DetectionPattern.clicks`; every array over click patterns follows it.
     """
-    state, pass_prob = parity_postselect(state, d)
-    if pass_prob == 0.0:
-        return 0.0, {}
-    timebins, amps = evolve_dense(state, build_dft(d))
-    magnitudes = np.abs(amps)
-    return pass_prob, {
-        DetectionPattern(tuple(sorted(zip(ports, timebins)))): float(magnitudes[tuple(ports)]) ** 2
-        for ports in np.argwhere(magnitudes > state.tolerance).tolist()
-    }
+    ports = np.indices((d,) * d).reshape(d, -1).T
+    clicks = np.sort(ports * d + np.arange(d), axis=1)  # pair (port, t) as port * d + t
+    order = ports[np.lexsort(clicks.T[::-1])]
+    order.setflags(write=False)
+    return order
+
+
+class Measurement(NamedTuple):
+    """The measurement on n inputs, click patterns in `click_order`.
+
+    `pass_prob` (n,) holds the parity projection probabilities,
+    `amplitudes` (n, d^d) the evolved amplitudes of the projected inputs
+    before renormalization, and `probs` (n, d^d) the click probabilities
+    of the renormalized passed inputs: zero at or below the tolerance, as
+    `PureState` drops such amplitudes, and on inputs that never pass.
+    """
+
+    pass_prob: np.ndarray
+    amplitudes: np.ndarray
+    probs: np.ndarray
+
+
+def measure(inputs: np.ndarray, d: int) -> Measurement:
+    """Parity post-selection, the d-port DFT and on-off detection on a batch
+    of dense inputs, shape (n, d, ..., d): axis t + 1 is indexed by the port
+    of the time-bin-t photon, t = 0..d-1.
+
+    d photons leave every one of the d ports odd only as one photon per
+    port, so the parity projection is a mask on the port permutations.
+    The DFT never mixes time-bins, so the evolution is one tensordot per
+    time-bin axis.
+    """
+    odd = np.zeros((d,) * d, dtype=bool)
+    odd[tuple(np.array(list(itertools.permutations(range(d)))).T)] = True
+    projected = np.where(odd, inputs, 0)
+    pass_prob = np.sum(np.abs(projected.reshape(len(inputs), -1)) ** 2, axis=1)
+    evolved = evolve_axes(build_dft(d), projected, batch_axes=1).reshape(len(inputs), -1)
+    amplitudes = evolved[:, np.ravel_multi_index(click_order(d).T, (d,) * d)]
+    scale = np.divide(1.0, np.sqrt(pass_prob), out=np.zeros_like(pass_prob), where=pass_prob > 0)
+    magnitudes = np.abs(amplitudes) * scale[:, None]
+    return Measurement(pass_prob, amplitudes, np.where(magnitudes > DEFAULT_TOLERANCE, magnitudes, 0.0) ** 2)
 
 
 @lru_cache(maxsize=None)
-def _classifier(d: int) -> dict[DetectionPattern, int]:
-    """Generated pattern table: evolve each discriminable state through the
-    DFT and record its click support, insisting the supports never overlap.
+def click_codes(d: int) -> np.ndarray:
+    """The generated click table: the outcome code of each pattern in
+    `click_order`, from one `measure` call over the d discriminable states.
 
-    At d = 3 the published nine-state convention orders the conclusive trio
-    as the qutrit triple states, whose indices 1 and 2 are swapped relative
-    to the determinant family; the generator follows the published order so
-    downstream corrections can key off the outcome index.
+    A pattern in the support (probability above 1e-12) of state i gets code
+    i, any other INCONCLUSIVE_CODE.  At d = 3 the states are the published
+    qutrit triple, whose indices 1 and 2 are swapped relative to the
+    determinant family, so downstream corrections key off the published
+    index.  Raises AmbiguousPattern if two supports share a pattern: that
+    would falsify the discrimination claim, so the build aborts.
     """
-    table: dict[DetectionPattern, int] = {}
-    for index in range(d):
-        source = build_psi(index) if d == 3 else build_phi(index, d)
-        for pattern, prob in click_distribution(source, d)[1].items():
-            if prob <= 1e-12:
-                continue
-            owner = table.get(pattern)
-            if owner is not None and owner != index:
-                raise AmbiguousPattern(
-                    f"pattern {pattern} appears in supports of both {owner} and {index} (d={d})"
-                )
-            table[pattern] = index
-    return table
+    sources = [build_psi(index) if d == 3 else build_phi(index, d) for index in range(d)]
+    support = measure(np.stack([dense_amplitudes(source, d)[1] for source in sources]), d).probs > 1e-12
+    shared = np.flatnonzero(support.sum(axis=0) > 1)
+    if len(shared):
+        pattern = DetectionPattern.from_pairs(zip(click_order(d)[shared[0]].tolist(), range(d)))
+        i, j = np.flatnonzero(support[:, shared[0]])[:2].tolist()
+        raise AmbiguousPattern(f"pattern {pattern} appears in supports of both {i} and {j} (d={d})")
+    codes = np.where(support.any(axis=0), np.argmax(support, axis=0), INCONCLUSIVE_CODE)
+    codes.setflags(write=False)
+    return codes
 
 
 def build_classifier(d: int) -> dict[DetectionPattern, int]:
-    """Pattern -> state-index lookup for the generalized d-port setup.
-
-    Raises AmbiguousPattern if any pattern shows up in two supports with
-    probability above 1e-12 (that would falsify the discrimination claim,
-    so the build aborts rather than guessing).
-    """
-    return dict(_classifier(d))
-
-
-def classify(pattern: DetectionPattern, d: int) -> DiscriminationOutcome:
-    """Map a click pattern to an outcome through the generated table; the
-    tests compare the d = 3 table against the published one."""
-    index = _classifier(d).get(pattern)
-    return INCONCLUSIVE if index is None else DiscriminationOutcome.conclusive(index)
+    """Pattern -> state-index lookup of `click_codes`, conclusive patterns
+    only; the tests compare the d = 3 table against the published one."""
+    return {
+        DetectionPattern.from_pairs(zip(ports, range(d))): code
+        for ports, code in zip(click_order(d).tolist(), click_codes(d).tolist())
+        if code >= 0
+    }
 
 
 # -- sampling ----------------------------------------------------------------
@@ -207,8 +234,8 @@ def derive_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Integer outcome codes used by the sampler: a conclusive outcome
-# is its index, the other two outcomes are negative.
+# Integer outcome codes of `click_codes` and the samplers: a conclusive
+# outcome is its index, the other two outcomes are negative.
 INCONCLUSIVE_CODE = -1
 POSTSELECT_FAIL_CODE = -2
 
@@ -240,15 +267,19 @@ class OutcomeTable(NamedTuple):
 
 
 def outcome_table(state: PureState, d: int) -> OutcomeTable:
-    """Build the outcome table of one input: one parity projection, one DFT
-    evolution and one classification per click pattern."""
-    pass_prob, dist = click_distribution(state, d)
-    if pass_prob == 0.0:
-        return OutcomeTable(d, 0.0, np.zeros(0), np.zeros(0, dtype=np.int64))
-    ordered = sorted(dist.items(), key=lambda pair: pair[0].clicks)
-    cumulative = np.cumsum([prob for _, prob in ordered])
-    codes = np.array([classify(pattern, d).code for pattern, _ in ordered], dtype=np.int64)
-    return OutcomeTable(d, pass_prob, cumulative, codes)
+    """Build the outcome table of one input holding one photon in each of
+    time-bins 0..d-1: one `measure` row, pruned to its click support.
+
+    Raises PortMismatch or OverlappingModes as `dense_amplitudes` does, and
+    ValueError for an input in any other time-bins.
+    """
+    timebins, amps = dense_amplitudes(state, d)
+    if timebins != tuple(range(d)):
+        raise ValueError(f"the measurement needs one photon in each of time-bins 0..{d - 1}, got {timebins}")
+    result = measure(amps[None], d)
+    probs = result.probs[0]
+    support = probs > 0
+    return OutcomeTable(d, float(result.pass_prob[0]), np.cumsum(probs[support]), click_codes(d)[support])
 
 
 def sample_outcomes(table: OutcomeTable, eta: float, uniforms: np.ndarray) -> np.ndarray:

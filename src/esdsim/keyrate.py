@@ -40,13 +40,13 @@ def r3(q: float) -> float:
 
 
 def r_d(d: int, q: float) -> float:
-    """d-dimensional rate per sifted signal (raw, may be negative)."""
+    """d-dimensional rate per sifted signal (raw, may be negative), written
+    as log2(d) - 2 H(Q) - 2 Q log2(d-1)."""
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
     if not 0.0 <= q < 1.0:
         raise DomainError(f"error rate must lie in [0, 1), got {q}")
-    tail = 0.0 if q == 0.0 else 2.0 * q * math.log2(q / (d - 1))
-    return math.log2(d) + 2.0 * (1.0 - q) * math.log2(1.0 - q) + tail
+    return math.log2(d) - 2.0 * shannon_entropy(q) - 2.0 * q * math.log2(d - 1)
 
 
 def rate_per_signal(d: int, q: float, clamp: bool = True) -> float:

@@ -4,7 +4,8 @@ The headline object is the d-port discrete Fourier transform, entry
 (j, k) = chi^(j*k)/sqrt(d) with chi = exp(2*pi*i/d).  A unitary acts on a
 Fock state through the substitution a+_(x, in_k) -> sum_j U[j, k] a+_(x, out_j);
 output ports reuse the input labels, and time-bin labels are never touched.
-`evolve_dense` is the exact shortcut for inputs with one photon per time-bin.
+For inputs with one photon per time-bin, `dense_amplitudes` and `evolve_axes`
+are the exact shortcut: one array axis per photon, one tensordot per axis.
 
 `decompose_dft` factors the DFT into two-port beam-splitter elements plus
 phase shifters (triangular Givens scheme); `recompose` is its verification
@@ -114,17 +115,6 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary, port_map: Sequence[int]
         for mono, coeff in poly.items():
             out[mono] += coeff * mono.sqrt_factorial()
     return PureState(out, state.tolerance)
-
-
-def evolve_dense(state: PureState, u: ModeUnitary) -> tuple[tuple[int, ...], np.ndarray]:
-    """Evolve a state holding one photon in each occupied time-bin, densely.
-
-    Returns (time-bins, amplitudes) as `dense_amplitudes` does, after
-    `evolve_axes`.  The unitary never mixes time-bins, so every permanent is
-    a product of matrix entries and the evolution is one tensordot per axis.
-    """
-    timebins, amps = dense_amplitudes(state, u.dim)
-    return timebins, evolve_axes(u, amps)
 
 
 def dense_amplitudes(state: PureState, dim: int) -> tuple[tuple[int, ...], np.ndarray]:

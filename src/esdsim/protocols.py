@@ -28,14 +28,12 @@ import numpy as np
 
 from .discrimination import (
     POSTSELECT_FAIL_CODE,
-    DetectionPattern,
     DiscriminationOutcome,
     ParityModel,
-    classify,
-    click_distribution,
+    click_codes,
     derive_rng,
+    measure,
     outcome_of,
-    parity_postselect,
 )
 from .fock import (
     DEFAULT_TOLERANCE,
@@ -47,7 +45,7 @@ from .fock import (
     superpose,
     tensor,
 )
-from .optics import build_dft, dense_amplitudes, evolve_axes, evolve_dense
+from .optics import dense_amplitudes
 from .states import OMEGA, build_alice_pair, build_minor, build_psi, mub_state
 
 ESD_PORTS = (0, 1, 2)
@@ -168,24 +166,18 @@ def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
     detection branches: the output ports of the three measured photons, in
     canonical click order.  A map takes the target's amplitudes to the
     receiver's unnormalized amplitudes, the branch's correction applied.
-    The receiver's photon never enters the DFT, so it is projected out
-    first, leaving one photon per time-bin for the dense evolution.
+    The receiver's photon never enters the DFT, so `measure` gets one row
+    per (receiver port, target port) holding the photons that remain.
     """
-    shared = build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS)
-    amps = np.zeros((3, 3, 3, 3, 3), dtype=complex)  # receiver port, target port, output ports
-    for k, bob_port in enumerate(BOB_PORTS):
-        held = partial_project(shared, PureState.single_photon(ModeLabel(0, bob_port)), BOB_PORTS)
-        for j, port in enumerate(ESD_PORTS):
-            joint = tensor(PureState.single_photon(ModeLabel(0, port)), held)
-            passed, pass_prob = parity_postselect(joint, 3)
-            if pass_prob > 0.0:  # only for j == k: otherwise port j holds two photons
-                timebins, amps[k, j] = evolve_dense(passed.scaled(math.sqrt(pass_prob)), build_dft(3))
-    support = np.argwhere(np.abs(amps).max(axis=(0, 1)) > DEFAULT_TOLERANCE).tolist()
-    branches = sorted((tuple(sorted(zip(ports, timebins))), tuple(ports)) for ports in support)
-    codes = [classify(DetectionPattern(clicks), 3).code for clicks, _ in branches]
-    phases = [correction_for(code).phases if code >= 0 else (1, 1, 1) for code in codes]
-    matrices = np.array(phases)[:, :, None] * np.stack([amps[(..., *ports)] for _, ports in branches])
-    return np.array(codes), matrices
+    _, shared = dense_amplitudes(build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS), 6)
+    held = shared[np.ix_(BOB_PORTS, ESD_PORTS, ESD_PORTS)]  # receiver port, b port, c port
+    inputs = np.eye(3)[None, :, :, None, None] * held[:, None, None]  # receiver port, target port, a, b, c
+    amps = measure(inputs.reshape(9, 3, 3, 3), 3).amplitudes
+    support = np.abs(amps).max(axis=0) > DEFAULT_TOLERANCE
+    codes = click_codes(3)[support]
+    phases = [correction_for(code).phases if code >= 0 else (1, 1, 1) for code in codes.tolist()]
+    matrices = np.array(phases)[:, :, None] * amps[:, support].T.reshape(-1, 3, 3)
+    return codes, matrices
 
 
 def _fidelity(alphas: np.ndarray, receiver: np.ndarray) -> np.ndarray:
@@ -398,29 +390,18 @@ class MdiOutcomes(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _mdi_outcomes() -> MdiOutcomes:
-    """Evolve all 288 joint inputs at once: one dense array with an axis
-    per time-bin (Bob's photon is time-bin 0, Alice's 1 and 2), the parity
-    projection as a mask on the port permutations, and the DFT on each
-    time-bin axis.  Amplitudes at or below the tolerance are dropped, as
-    `outcome_table` drops them."""
+    """Measure all 288 joint inputs at once: one dense input per row with
+    an axis per time-bin (Bob's photon is time-bin 0, Alice's 1 and 2)."""
     alice = np.array([[dense_amplitudes(alice_send(b, x), 3)[1] for x in range(3)] for b in BASES])
     bob = np.array([[dense_amplitudes(bob_send(b, y), 3)[1] for y in range(3)] for b in BASES])
     bob = bob[:, :, None, :] * (1 - 2 * _FLIPS)  # basis, y, flip bits, port
     amps = (alice[:, :, None, None, None, None] * bob[..., None, None]).reshape(-1, 3, 3, 3)
-    # three photons leave every port odd only as one photon per port
-    odd = np.array([len(set(ports)) == 3 for ports in np.ndindex(3, 3, 3)])
-    amps = np.where(odd.reshape(3, 3, 3), amps, 0)
-    pass_prob = np.sum(np.abs(amps) ** 2, axis=(1, 2, 3))
-    scale = np.divide(1.0, np.sqrt(pass_prob), out=np.zeros_like(pass_prob), where=pass_prob > 0)
-    magnitudes = np.abs(evolve_axes(build_dft(3), amps * scale[:, None, None, None], batch_axes=1))
-    patterns = sorted((tuple(sorted(zip(ports, range(3)))), k) for k, ports in enumerate(np.ndindex(3, 3, 3)))
-    magnitudes = magnitudes.reshape(len(amps), -1)[:, [k for _, k in patterns]]
-    probs = np.where(magnitudes > DEFAULT_TOLERANCE, magnitudes, 0.0) ** 2
-    codes = np.array([classify(DetectionPattern(clicks), 3).code for clicks, _ in patterns])
-    support = probs > 0
-    last = np.where(support.any(axis=1), probs.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1), 0)
-    conclusive = pass_prob[:, None] * (probs @ (codes[:, None] == np.arange(3)))
-    return MdiOutcomes(pass_prob, np.cumsum(probs, axis=1), codes, last, conclusive)
+    result = measure(amps, 3)
+    codes = click_codes(3)
+    support = result.probs > 0
+    last = np.where(support.any(axis=1), support.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1), 0)
+    conclusive = result.pass_prob[:, None] * (result.probs @ (codes[:, None] == np.arange(3)))
+    return MdiOutcomes(result.pass_prob, np.cumsum(result.probs, axis=1), codes, last, conclusive)
 
 
 @lru_cache(maxsize=1)
@@ -532,13 +513,8 @@ def generalized_conclusive_probability(d: int) -> float:
     d*d encoding combinations of the generalized setup (one (d-1)-photon
     block state from Alice, one time-bin-0 photon from Bob), evaluated
     through the full measurement pipeline.  Equals 1/d."""
-    total = 0.0
-    for i in range(d):
-        block = build_minor(i, d)
-        for j in range(d):
-            joint = tensor(block, PureState.single_photon(ModeLabel(0, j)))
-            pass_prob, dist = click_distribution(joint, d)
-            for pattern, prob in dist.items():
-                if classify(pattern, d).is_conclusive:
-                    total += pass_prob * prob
-    return total / (d * d)
+    blocks = np.stack([dense_amplitudes(build_minor(i, d), d)[1] for i in range(d)])  # time-bins 1..d-1
+    inputs = np.eye(d)[None, :, :, None] * blocks.reshape(d, 1, 1, -1)  # block, Bob's port, time-bins 0..d-1
+    result = measure(inputs.reshape((d * d,) + (d,) * d), d)
+    conclusive = result.pass_prob[:, None] * result.probs[:, click_codes(d) >= 0]
+    return float(np.sum(conclusive)) / (d * d)

@@ -9,6 +9,9 @@ import pytest
 
 import esdsim
 import esdsim.cli as cli
+import esdsim.discrimination as discrimination
+import esdsim.fock as fock
+import esdsim.optics as optics
 import esdsim.protocols as protocols
 from esdsim.cli import run
 
@@ -339,3 +342,35 @@ class TestReadmeCommands:
                 for flag, arg in zip([None] + argv, argv)
             ]
             assert run(argv) == 0, argv
+
+
+class TestRuntimePaths:
+    def test_no_sparse_measurement(self, monkeypatch, capsys):
+        # the sparse reference serves the tests only: no CLI path may build a
+        # click pattern object, project parity sparsely, run the polynomial
+        # evolution or take a sparse tensor product
+        banned = {
+            id(discrimination.DetectionPattern): "DetectionPattern",
+            id(discrimination.parity_postselect): "parity_postselect",
+            id(optics.apply_mode_unitary): "apply_mode_unitary",
+            id(fock.tensor): "tensor",
+        }
+
+        def stub(name):
+            def forbidden(*args, **kwargs):
+                raise AssertionError(f"{name} called on a runtime path")
+
+            return forbidden
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "esdsim":
+                continue
+            for attr, value in list(vars(module).items()):
+                if id(value) in banned:
+                    monkeypatch.setattr(module, attr, stub(banned[id(value)]))
+                elif hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        for d in range(2, 7):
+            assert run(["discriminate", "--d", str(d), "--state", "phi1", "--trials", "100"]) == 0
+        assert run(["teleport", "--trials", "100"]) == 0
+        assert run(["mdiqkd", "--trials", "100"]) == 0

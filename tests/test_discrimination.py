@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import esdsim.discrimination as discrimination
+from esdsim import cli
 from esdsim.discrimination import (
+    INCONCLUSIVE,
     POSTSELECT_FAIL,
     POSTSELECT_FAIL_CODE,
     DetectionPattern,
@@ -15,23 +18,29 @@ from esdsim.discrimination import (
     ParityModel,
     analytic_outcome_probabilities,
     build_classifier,
-    classify,
-    click_distribution,
+    click_order,
     derive_rng,
     detect_distribution,
+    measure,
     outcome_probabilities,
     outcome_table,
     parity_postselect,
     sample_outcomes,
 )
-from esdsim.errors import OverlappingModes, PortMismatch
+from esdsim.errors import AmbiguousPattern, OverlappingModes, PortMismatch
 from esdsim.fock import FockBasisState, ModeLabel, PureState, states_equal_up_to_global_phase, superpose, tensor
-from esdsim.optics import apply_mode_unitary, build_dft
+from esdsim.optics import apply_mode_unitary, build_dft, dense_amplitudes
 from esdsim.states import build_minor, build_phi, build_psi
 
 
 def pattern(*pairs):
     return DetectionPattern.from_pairs(pairs)
+
+
+def classify(pattern, d):
+    """The outcome of a click pattern under the generated classifier."""
+    index = build_classifier(d).get(pattern)
+    return INCONCLUSIVE if index is None else DiscriminationOutcome.conclusive(index)
 
 
 def evolved_psi(index):
@@ -295,6 +304,15 @@ def sparse_click_distribution(state, d):
     return pass_prob, detect_distribution(apply_mode_unitary(passed, build_dft(d), tuple(range(d))))
 
 
+def click_distribution(state, d):
+    """The dense measurement of one input: its pass probability and its
+    click probabilities keyed by pattern."""
+    _, amps = dense_amplitudes(state, d)
+    result = measure(amps[None], d)
+    patterns = (DetectionPattern.from_pairs(zip(ports, range(d))) for ports in click_order(d).tolist())
+    return float(result.pass_prob[0]), {p: prob for p, prob in zip(patterns, result.probs[0].tolist()) if prob > 0}
+
+
 def measurement_inputs(d):
     """The one-photon-per-time-bin inputs the measurement sees."""
     inputs = [build_phi(i, d) for i in range(d)]
@@ -342,3 +360,62 @@ class TestClickDistribution:
         state = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(1, 1): 1, ModeLabel(2, 2): 1}): 1.0})
         with pytest.raises(PortMismatch):
             click_distribution(state, 2)
+
+
+class TestClickOrder:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_patterns_strictly_increase(self, d):
+        order = click_order(d)
+        assert order.shape == (d**d, d)
+        clicks = [DetectionPattern.from_pairs(zip(ports, range(d))).clicks for ports in order.tolist()]
+        assert all(a < b for a, b in zip(clicks, clicks[1:]))
+
+
+class TestTimeBinDomain:
+    def test_shifted_time_bins_raise(self):
+        # psi0 with its photons in time-bins 1..3 instead of 0..2
+        shifted = PureState(
+            {FockBasisState({ModeLabel(m.timebin + 1, m.port): 1 for m in basis.modes()}): amp
+             for basis, amp in build_psi(0).items()}
+        )
+        with pytest.raises(ValueError, match="time-bins 0..2"):
+            outcome_table(shifted, 3)
+        with pytest.raises(ValueError, match="time-bins 0..2"):
+            analytic_outcome_probabilities(shifted, 3)
+
+    def test_missing_photon_raises(self):
+        with pytest.raises(ValueError, match="time-bins 0..3"):
+            outcome_table(build_minor(0, 4), 4)  # time-bins 1..3 only
+
+    def test_dense_errors_come_first(self):
+        hom = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(0, 1): 1}): 1.0})
+        with pytest.raises(OverlappingModes):
+            outcome_table(hom, 2)
+        state = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(1, 1): 1, ModeLabel(2, 2): 1}): 1.0})
+        with pytest.raises(PortMismatch):
+            outcome_table(state, 2)
+
+
+class TestAmbiguousPattern:
+    """Two sources that share a state share their click support."""
+
+    @pytest.fixture
+    def shared_source(self, monkeypatch):
+        monkeypatch.setattr(discrimination, "build_phi", lambda index, d: build_phi(max(index - 1, 0), d))
+        discrimination.click_codes.cache_clear()
+        yield
+        discrimination.click_codes.cache_clear()
+
+    def test_build_names_pattern_and_owners(self, shared_source):
+        with pytest.raises(AmbiguousPattern) as info:
+            build_classifier(4)
+        message = str(info.value)
+        support = detect_distribution(apply_mode_unitary(build_phi(0, 4), build_dft(4), tuple(range(4))))
+        first = min(support, key=lambda p: p.clicks)
+        assert f"pattern {first}" in message
+        assert "both 0 and 1 (d=4)" in message
+
+    def test_cli_exits_3(self, shared_source, capsys):
+        assert cli.run(["discriminate", "--d", "4", "--state", "phi1"]) == 3
+        assert "internal assertion failed" in capsys.readouterr().err
+

@@ -21,7 +21,8 @@ from esdsim.optics import (
     apply_mode_unitary,
     build_dft,
     decompose_dft,
-    evolve_dense,
+    dense_amplitudes,
+    evolve_axes,
     recompose,
     unitaries_equal_up_to_global_phase,
 )
@@ -149,6 +150,12 @@ class TestApplyModeUnitary:
         padded[:3, :3] = build_dft(3).matrix
         out = apply_mode_unitary(joint, ModeUnitary(padded), (0, 1, 2, 3))
         assert abs(out.amplitude(FockBasisState({ModeLabel(0, 3): 1})) - 0.8) < 1e-12
+
+
+def evolve_dense(state, u):
+    """The dense evolution of a state with one photon per time-bin."""
+    timebins, amps = dense_amplitudes(state, u.dim)
+    return timebins, evolve_axes(u, amps)
 
 
 class TestEvolveDense:

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import esdsim.discrimination as discrimination
 import esdsim.fock as fock
-import esdsim.optics as optics
 import esdsim.protocols as protocols
 from esdsim.discrimination import (
+    INCONCLUSIVE_CODE,
     POSTSELECT_FAIL_CODE,
     DetectionPattern,
+    OutcomeTable,
     analytic_outcome_probabilities,
-    classify,
-    outcome_table,
+    build_classifier,
+    detect_distribution,
     parity_postselect,
     sample_outcomes,
 )
@@ -227,6 +229,10 @@ class TestGeneralizedSetup:
     def test_uniform_input_conclusive_probability(self, d):
         assert abs(generalized_conclusive_probability(d) - 1 / d) < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_conclusive_probability_to_rounding(self, d):
+        assert abs(generalized_conclusive_probability(d) - 1 / d) <= 1e-15
+
 
 def direct_teleport_branches(target):
     """Reference: evolve this target's own joint system and group the evolved
@@ -241,7 +247,8 @@ def direct_teleport_branches(target):
         groups.setdefault(inside, {})[outside] = amp
     branches = []
     for inside in sorted(groups, key=lambda b: b.sort_key()):
-        outcome = classify(DetectionPattern(inside.clicks()), 3)
+        index = build_classifier(3).get(DetectionPattern(inside.clicks()))
+        outcome = outcome_of(INCONCLUSIVE_CODE if index is None else index)
         bob = PureState(groups[inside])
         if outcome.is_conclusive:
             bob = apply_correction(bob.normalize(), correction_for(outcome.index), BOB_PORTS)
@@ -274,7 +281,7 @@ class TestTeleportBranchMaps:
         def forbidden(*args):
             raise AssertionError("teleport_analysis must not evolve per target")
 
-        monkeypatch.setattr(protocols, "evolve_dense", forbidden)
+        monkeypatch.setattr(discrimination, "evolve_axes", forbidden)
         analysis = teleport_analysis(TeleportTarget.haar_random(np.random.default_rng(4)))
         assert abs(analysis.conclusive_probability() - 1 / 3) < 1e-12
 
@@ -372,8 +379,7 @@ class TestMdiQkdSampling:
         monkeypatch.setattr(fock, "tensor", forbidden)
         monkeypatch.setattr(protocols, "tensor", forbidden)
         mdi_qkd_run(100, noise=NoiseConfig(0.1))  # the build itself needs no tensor product
-        monkeypatch.setattr(optics, "evolve_axes", forbidden)
-        monkeypatch.setattr(protocols, "evolve_axes", forbidden)
+        monkeypatch.setattr(discrimination, "evolve_axes", forbidden)
         run = mdi_qkd_run(20000, noise=NoiseConfig(0.1))
         assert run.sifted.any()
 
@@ -385,10 +391,18 @@ def flipped_bob_send(basis, value, flip_bits):
 
 
 def reference_table(row):
-    """The sparse outcome table of row input_code * 8 + flip_bits."""
+    """The outcome table of row input_code * 8 + flip_bits by the sparse
+    reference: parity projection, the polynomial evolution, on-off
+    detection and the classifier dict."""
     a_basis, x, b_basis, y, flip_bits = np.unravel_index(row, (2, 3, 2, 3, 8))
     joint = tensor(alice_send(BASES[a_basis], x), flipped_bob_send(BASES[b_basis], y, flip_bits))
-    return outcome_table(joint, 3)
+    passed, pass_prob = parity_postselect(joint, 3)
+    if pass_prob == 0.0:
+        return OutcomeTable(3, 0.0, np.zeros(0), np.zeros(0, dtype=np.int64))
+    dist = detect_distribution(apply_mode_unitary(passed, build_dft(3), ESD_PORTS))
+    ordered = sorted(dist.items(), key=lambda pair: pair[0].clicks)
+    codes = [build_classifier(3).get(pattern, INCONCLUSIVE_CODE) for pattern, _ in ordered]
+    return OutcomeTable(3, pass_prob, np.cumsum([prob for _, prob in ordered]), np.array(codes))
 
 
 class TestMdiOutcomeArray:
