@@ -30,15 +30,15 @@ from .errors import AmbiguousPattern
 from .fock import state_to_json
 from .optics import decompose_dft
 from .protocols import BASES, CHUNK_ROWS, NoiseConfig, mdi_qkd_run, teleport_run
-from .states import build_phi, build_psi
+from .states import build_phi, build_psi, phi_amplitudes, psi_amplitudes
 
 DEFAULT_SEED = 42
 # Largest --d that `discriminate` accepts: the dense measurement holds d^d
 # amplitudes per state and builds the click codes from all d states at
 # once.  With 10^6 trials on one core of an Intel Xeon, d = 6 takes
-# 0.55-0.66 s and 138 MB including import, d = 7 4.2 s and 615 MB.
+# 0.47-0.51 s and 123 MB including import, d = 7 2.4-2.7 s and 382 MB.
 MAX_DISCRIMINATE_D = 6
-# Largest --d of `list-states` (d = 7: 2.5 s and 75 MB, d = 8 runs past
+# Largest --d of `list-states` (d = 7: 2.5 s and 83 MB, d = 8 runs past
 # 20 s) and `describe-tritter` (d = 64: 0.7 s; d = 128: 11 s).
 MAX_D = {"discriminate": MAX_DISCRIMINATE_D, "list-states": 7, "describe-tritter": 64}
 # Largest number of rows in one `keyrate` table (Q values times dimensions,
@@ -68,14 +68,14 @@ def _parse_d_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _named_state(name: str, d: int):
+def _named_state(name: str, d: int) -> np.ndarray:
     name = name.lower()
     if name.startswith("psi"):
         if d != 3:
             raise ValueError("psi states are defined for d=3")
-        return build_psi(int(name[3:]))
+        return psi_amplitudes(int(name[3:]))
     if name.startswith("phi"):
-        return build_phi(int(name[3:]), d)
+        return phi_amplitudes(int(name[3:]), d)
     raise ValueError(f"unknown state name {name!r} (use psi0..psi8 or phi0..phi{d - 1})")
 
 

@@ -17,7 +17,6 @@ analytic decomposition that `analytic_outcome_probabilities` reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import AmbiguousPattern
 from .fock import DEFAULT_TOLERANCE, PureState
 from .optics import build_dft, dense_amplitudes, evolve_axes
-from .states import build_phi, build_psi
+from .states import permutation_table, phi_amplitudes, psi_amplitudes
 
 
 @dataclass(frozen=True)
@@ -175,18 +174,21 @@ def measure(inputs: np.ndarray, d: int) -> Measurement:
 
     d photons leave every one of the d ports odd only as one photon per
     port, so the parity projection is a mask on the port permutations.
-    The DFT never mixes time-bins, so the evolution is one tensordot per
-    time-bin axis.
+    The DFT never mixes time-bins, so the evolution is one product per
+    time-bin axis.  No full-size array outlives its use: the projected
+    input goes straight into the evolution, the click-order gather reads
+    the evolved array in place, and the probabilities are computed in place.
     """
     odd = np.zeros((d,) * d, dtype=bool)
-    odd[tuple(np.array(list(itertools.permutations(range(d)))).T)] = True
-    projected = np.where(odd, inputs, 0)
-    pass_prob = np.sum(np.abs(projected.reshape(len(inputs), -1)) ** 2, axis=1)
-    evolved = evolve_axes(build_dft(d), projected, batch_axes=1).reshape(len(inputs), -1)
-    amplitudes = evolved[:, np.ravel_multi_index(click_order(d).T, (d,) * d)]
-    scale = np.divide(1.0, np.sqrt(pass_prob), out=np.zeros_like(pass_prob), where=pass_prob > 0)
-    magnitudes = np.abs(amplitudes) * scale[:, None]
-    return Measurement(pass_prob, amplitudes, np.where(magnitudes > DEFAULT_TOLERANCE, magnitudes, 0.0) ** 2)
+    odd[tuple(permutation_table(d)[0].T)] = True
+    pass_prob = np.sum(np.where(odd, np.abs(inputs), 0.0).reshape(len(inputs), -1) ** 2, axis=1)
+    evolved = evolve_axes(build_dft(d), np.where(odd, inputs, 0), batch_axes=1)
+    amplitudes = evolved[(slice(None),) + tuple(click_order(d).T)]
+    del evolved
+    probs = np.abs(amplitudes)
+    probs *= np.divide(1.0, np.sqrt(pass_prob), out=np.zeros_like(pass_prob), where=pass_prob > 0)[:, None]
+    probs[probs <= DEFAULT_TOLERANCE] = 0.0
+    return Measurement(pass_prob, amplitudes, np.square(probs, out=probs))
 
 
 @lru_cache(maxsize=None)
@@ -201,8 +203,8 @@ def click_codes(d: int) -> np.ndarray:
     index.  Raises AmbiguousPattern if two supports share a pattern: that
     would falsify the discrimination claim, so the build aborts.
     """
-    sources = [build_psi(index) if d == 3 else build_phi(index, d) for index in range(d)]
-    support = measure(np.stack([dense_amplitudes(source, d)[1] for source in sources]), d).probs > 1e-12
+    sources = np.stack([psi_amplitudes(index) if d == 3 else phi_amplitudes(index, d) for index in range(d)])
+    support = measure(sources, d).probs > 1e-12
     shared = np.flatnonzero(support.sum(axis=0) > 1)
     if len(shared):
         pattern = DetectionPattern.from_pairs(zip(click_order(d)[shared[0]].tolist(), range(d)))
@@ -266,9 +268,9 @@ class OutcomeTable(NamedTuple):
     codes: np.ndarray
 
 
-def outcome_table(state: PureState, d: int) -> OutcomeTable:
-    """Build the outcome table of one input holding one photon in each of
-    time-bins 0..d-1: one `measure` row, pruned to its click support.
+def measurement_input(state: PureState, d: int) -> np.ndarray:
+    """A sparse input holding one photon in each of time-bins 0..d-1 as the
+    dense array that `measure` and `outcome_table` take.
 
     Raises PortMismatch or OverlappingModes as `dense_amplitudes` does, and
     ValueError for an input in any other time-bins.
@@ -276,6 +278,12 @@ def outcome_table(state: PureState, d: int) -> OutcomeTable:
     timebins, amps = dense_amplitudes(state, d)
     if timebins != tuple(range(d)):
         raise ValueError(f"the measurement needs one photon in each of time-bins 0..{d - 1}, got {timebins}")
+    return amps
+
+
+def outcome_table(amps: np.ndarray, d: int) -> OutcomeTable:
+    """Build the outcome table of one dense input, shape (d,) * d as
+    `measure` takes it: one `measure` row, pruned to its click support."""
     result = measure(amps[None], d)
     probs = result.probs[0]
     support = probs > 0
@@ -326,4 +334,4 @@ def outcome_probabilities(table: OutcomeTable, eta: float = 1.0) -> dict[str, fl
 
 def analytic_outcome_probabilities(state: PureState, d: int, eta: float = 1.0) -> dict[str, float]:
     """Closed-form outcome probabilities for `sample_outcomes` on this input."""
-    return outcome_probabilities(outcome_table(state, d), eta)
+    return outcome_probabilities(outcome_table(measurement_input(state, d), d), eta)

@@ -150,9 +150,13 @@ def dense_amplitudes(state: PureState, dim: int) -> tuple[tuple[int, ...], np.nd
 def evolve_axes(u: ModeUnitary, amps: np.ndarray, batch_axes: int = 0) -> np.ndarray:
     """Apply `u` to every axis of a dense amplitude array (one photon per
     axis, indexed by its port) after the first `batch_axes`, which index
-    independent states."""
+    independent states.  Each step is the product `np.tensordot` forms,
+    and drops the previous result before allocating the next."""
     for axis in range(batch_axes, amps.ndim):
-        amps = np.moveaxis(np.tensordot(u.matrix, amps, axes=([1], [axis])), 0, axis)
+        rows = np.moveaxis(amps, axis, 0)
+        shape, rows = rows.shape, rows.reshape(len(rows), -1)
+        del amps
+        amps = np.moveaxis(np.dot(u.matrix, rows).reshape(shape), 0, axis)
     return amps
 
 

@@ -45,8 +45,7 @@ from .fock import (
     superpose,
     tensor,
 )
-from .optics import dense_amplitudes
-from .states import OMEGA, build_alice_pair, build_minor, build_psi, mub_state
+from .states import OMEGA, build_psi, minor_amplitudes, mub_amplitudes, pair_amplitudes, psi_amplitudes
 
 ESD_PORTS = (0, 1, 2)
 BOB_PORTS = (3, 4, 5)
@@ -166,12 +165,10 @@ def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
     detection branches: the output ports of the three measured photons, in
     canonical click order.  A map takes the target's amplitudes to the
     receiver's unnormalized amplitudes, the branch's correction applied.
-    The receiver's photon never enters the DFT, so `measure` gets one row
-    per (receiver port, target port) holding the photons that remain.
+    The receiver keeps psi0's time-bin-a photon, which never enters the
+    DFT, so `measure` gets one row per (receiver port, target port).
     """
-    _, shared = dense_amplitudes(build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS), 6)
-    held = shared[np.ix_(BOB_PORTS, ESD_PORTS, ESD_PORTS)]  # receiver port, b port, c port
-    inputs = np.eye(3)[None, :, :, None, None] * held[:, None, None]  # receiver port, target port, a, b, c
+    inputs = np.eye(3)[None, :, :, None, None] * psi_amplitudes(0)[:, None, None]  # receiver, target port, a, b, c
     amps = measure(inputs.reshape(9, 3, 3, 3), 3).amplitudes
     support = np.abs(amps).max(axis=0) > DEFAULT_TOLERANCE
     codes = click_codes(3)[support]
@@ -326,42 +323,6 @@ class QkdRunResult:
     qber: float
 
 
-@lru_cache(maxsize=8)
-def _alice_mub_pair(x: int) -> PureState:
-    """Alice's MUB-basis pair: project the kept photon of her entangled
-    triple onto the MUB bra and renormalize.  Defining it through the actual
-    projection keeps the prepare-and-measure protocol statistically identical
-    to the EDP picture."""
-    tri = build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS)
-    kept_bra = mub_state(0, x, BOB_PORTS)
-    return partial_project(tri, kept_bra, BOB_PORTS).normalize()
-
-
-@lru_cache(maxsize=16)
-def alice_send(basis: str, value: int) -> PureState:
-    """Alice's two-photon encoding.
-
-    Path basis: value x selects the pair whose empty relay port is x, i.e.
-    build_alice_pair((x + 1) mod 3); with that convention a conclusive
-    matched trial satisfies bob_value == alice_value (the EDP correlation).
-    """
-    if basis == COMPUTATIONAL:
-        return build_alice_pair((value + 1) % 3, ESD_PORTS)
-    if basis == MUB:
-        return _alice_mub_pair(value)
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-@lru_cache(maxsize=16)
-def bob_send(basis: str, value: int) -> PureState:
-    """Bob's single-photon encoding: a path basis state or a MUB state."""
-    if basis == COMPUTATIONAL:
-        return PureState.single_photon(ModeLabel(0, ESD_PORTS[value]))
-    if basis == MUB:
-        return mub_state(0, value, ESD_PORTS)
-    raise ValueError(f"unknown basis {basis!r}")
-
-
 # Flip bits -> flipped ESD ports: bit k of a row's flip bits negates Bob's
 # photon on ESD_PORTS[k].
 _FLIPS = (np.arange(8)[:, None] >> np.arange(3)) & 1
@@ -388,12 +349,23 @@ class MdiOutcomes(NamedTuple):
     conclusive: np.ndarray
 
 
+def _alice_amplitudes() -> np.ndarray:
+    """Alice's two-photon encodings, indexed [basis, value, b port, c port].
+    Path basis: value x is pair_amplitudes((x + 1) mod 3), whose empty relay
+    port is x, so a conclusive matched trial has bob_value == alice_value.
+    MUB basis: psi0's kept photon projected onto the MUB bra and normalized,
+    which keeps the protocol statistically identical to the EDP picture."""
+    mub = np.tensordot(np.array([mub_amplitudes(x) for x in range(3)]).conj(), psi_amplitudes(0), axes=1)
+    mub /= np.sqrt(np.sum(np.abs(mub) ** 2, axis=(1, 2)))[:, None, None]
+    return np.array([[pair_amplitudes((x + 1) % 3) for x in range(3)], mub])
+
+
 @lru_cache(maxsize=1)
 def _mdi_outcomes() -> MdiOutcomes:
     """Measure all 288 joint inputs at once: one dense input per row with
     an axis per time-bin (Bob's photon is time-bin 0, Alice's 1 and 2)."""
-    alice = np.array([[dense_amplitudes(alice_send(b, x), 3)[1] for x in range(3)] for b in BASES])
-    bob = np.array([[dense_amplitudes(bob_send(b, y), 3)[1] for y in range(3)] for b in BASES])
+    alice = _alice_amplitudes()
+    bob = np.array([np.eye(3), [mub_amplitudes(y) for y in range(3)]])  # basis, y, port
     bob = bob[:, :, None, :] * (1 - 2 * _FLIPS)  # basis, y, flip bits, port
     amps = (alice[:, :, None, None, None, None] * bob[..., None, None]).reshape(-1, 3, 3, 3)
     result = measure(amps, 3)
@@ -513,7 +485,7 @@ def generalized_conclusive_probability(d: int) -> float:
     d*d encoding combinations of the generalized setup (one (d-1)-photon
     block state from Alice, one time-bin-0 photon from Bob), evaluated
     through the full measurement pipeline.  Equals 1/d."""
-    blocks = np.stack([dense_amplitudes(build_minor(i, d), d)[1] for i in range(d)])  # time-bins 1..d-1
+    blocks = np.stack([minor_amplitudes(i, d) for i in range(d)])  # time-bins 1..d-1
     inputs = np.eye(d)[None, :, :, None] * blocks.reshape(d, 1, 1, -1)  # block, Bob's port, time-bins 0..d-1
     result = measure(inputs.reshape((d * d,) + (d,) * d), d)
     conclusive = result.pass_prob[:, None] * result.probs[:, click_codes(d) >= 0]

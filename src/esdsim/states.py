@@ -1,4 +1,12 @@
-"""Constructors for the entangled-state families and MUB single-photon states.
+"""The entangled-state families and MUB single-photon states.
+
+Each family is defined once as a dense amplitude array with one axis per
+photon, in time-bin order, indexed by port position (`psi_amplitudes`,
+`phi_amplitudes`, `minor_amplitudes`, `mub_amplitudes`, `pair_amplitudes`);
+every runtime path reads these arrays.  The sparse builders (`build_psi`,
+`build_phi`, `build_minor`, `mub_state`, `build_alice_pair`) are views of
+them as `PureState`s on chosen port labels, the inverse of
+`optics.dense_amplitudes`.
 
 Time-bin letters map a -> 0, b -> 1, c -> 2 (and onward for higher d), so the
 qutrit triple family (`build_psi`) and the general-d determinant family
@@ -18,7 +26,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .errors import IndexOutOfRange, InvalidDimension
 from .fock import DEFAULT_TOLERANCE, FockBasisState, ModeLabel, PureState
@@ -32,20 +43,118 @@ def _unit_root(d: int, exponent: int) -> complex:
     return cmath.exp(2j * cmath.pi * (exponent % d) / d)
 
 
-def _check_ports(ports: Sequence[int], n: int) -> tuple[int, ...]:
-    ports = tuple(ports)
+def _check_ports(ports: Sequence[int] | None, n: int) -> tuple[int, ...]:
+    ports = tuple(range(n) if ports is None else ports)
     if len(ports) != n or len(set(ports)) != n:
         raise ValueError(f"expected {n} distinct port labels, got {ports!r}")
     return ports
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def _check_member(index: int, dim: int) -> None:
+    if dim < 2:
+        raise InvalidDimension(f"determinant family needs d >= 2, got {dim}")
+    if not 0 <= index < dim:
+        raise IndexOutOfRange(f"index must be 0..{dim - 1}, got {index}")
+
+
+@lru_cache(maxsize=None)
+def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n! permutations of 0..n-1 in lexicographic order, one per row,
+    and their signs (+1 or -1)."""
+    perms = np.array(list(itertools.permutations(range(n)))).reshape(-1, n)
+    signs = 1 - 2 * (np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2)) % 2)  # inversion parity
+    perms.setflags(write=False)
+    signs.setflags(write=False)
+    return perms, signs
+
+
+def _as_state(amps: np.ndarray, axis_ports: Sequence[Sequence[int]], first_timebin: int, tolerance: float) -> PureState:
+    """The sparse view of a dense array, the inverse of
+    `optics.dense_amplitudes`: axis k holds the photon of time-bin
+    first_timebin + k, and its index j puts it on port axis_ports[k][j]."""
+    nonzero = np.argwhere(amps)
+    bases = (
+        FockBasisState({ModeLabel(first_timebin + k, axis_ports[k][j]): 1 for k, j in enumerate(index)})
+        for index in nonzero.tolist()
+    )
+    return PureState(zip(bases, amps[tuple(nonzero.T)].tolist()), tolerance)
+
+
+def psi_amplitudes(index: int) -> np.ndarray:
+    """One of the nine tripartite entangled qutrit states as a 3 x 3 x 3
+    array over the ports of the a, b and c photons.
+
+    Members 0..2 put every photon in a separate port; members 3..8 bunch two
+    time-bins into one port.
+    """
+    if not 0 <= index <= 8:
+        raise IndexOutOfRange(f"qutrit triple index must be 0..8, got {index}")
+    family, i = divmod(index, 3)
+    # per family: port offsets of the (b, c) photons relative to j, first and
+    # second summand of the antisymmetric pair
+    bc_offsets = {0: ((1, 2), (2, 1)), 1: ((0, 1), (1, 0)), 2: ((2, 0), (0, 2))}[family]
+    amps = np.zeros((3, 3, 3), dtype=complex)
+    scale = 1.0 / math.sqrt(6)
+    for j in range(3):
+        phase = _unit_root(3, 2 * i * j) * scale
+        for sign, (db, dc) in zip((1, -1), bc_offsets):
+            amps[j, (j + db) % 3, (j + dc) % 3] = sign * phase
+    return amps
+
+
+def phi_amplitudes(index: int, dim: int) -> np.ndarray:
+    """Member `index` of the d-photon determinant family over d ports.
+
+    Amplitude of the arrangement (time-bin t at port sigma(t)) is
+    sgn(sigma) * chi^(index * sigma(0)) / sqrt(d!), chi = exp(2 pi i / d).
+    The family is orthonormal and has d! nonzero amplitudes per member.
+    """
+    _check_member(index, dim)
+    perms, signs = permutation_table(dim)
+    roots = np.array([_unit_root(dim, index * port) for port in range(dim)])
+    amps = np.zeros((dim,) * dim, dtype=complex)
+    amps[tuple(perms.T)] = signs * roots[perms[:, 0]] * (1.0 / math.sqrt(math.factorial(dim)))
+    return amps
+
+
+def minor_amplitudes(index: int, dim: int) -> np.ndarray:
+    """The (d-1)-photon determinant state over all d ports except port
+    `index`, one axis per photon of time-bins 1..d-1.
+
+    Those photons are antisymmetrized over the remaining ports in ascending
+    order.  These are the states one party sends in the generalized
+    key-distribution protocol.
+    """
+    _check_member(index, dim)
+    perms, signs = permutation_table(dim - 1)
+    remaining = np.array([k for k in range(dim) if k != index])
+    amps = np.zeros((dim,) * (dim - 1), dtype=complex)
+    amps[tuple(remaining[perms].T)] = signs * (1.0 / math.sqrt(math.factorial(dim - 1)))
+    return amps
+
+
+def mub_amplitudes(k: int) -> np.ndarray:
+    """Single-photon MUB state (1/sqrt(3)) sum_j omega^(k j) |j>.
+
+    Every member has overlap probability 1/3 with every path-basis state.
+    """
+    if not 0 <= k <= 2:
+        raise IndexOutOfRange(f"MUB index must be 0..2, got {k}")
+    scale = 1.0 / math.sqrt(3)
+    return np.array([_unit_root(3, k * j) * scale for j in range(3)])
+
+
+def pair_amplitudes(x: int) -> np.ndarray:
+    """The two-photon path-entangled pair
+    (1/sqrt(2)) (|b_x, c_(x+1)> - |b_(x+1), c_x>), indices mod 3, as a
+    3 x 3 array over the ports of the b and c photons."""
+    if not 0 <= x <= 2:
+        raise IndexOutOfRange(f"pair index must be 0..2, got {x}")
+    scale = 1.0 / math.sqrt(2)
+    hi = (x + 1) % 3
+    amps = np.zeros((3, 3), dtype=complex)
+    amps[x, hi], amps[hi, x] = scale, -scale
+    return amps
 
 
 def build_psi(
@@ -54,34 +163,13 @@ def build_psi(
     a_ports: Sequence[int] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> PureState:
-    """One of the nine tripartite entangled qutrit states.
-
-    Members 0..2 put every photon in a separate port; members 3..8 bunch two
-    time-bins into one port.  `a_ports`, when given, relocates the time-bin-a
-    photon onto different port labels (used when one party keeps that photon).
-    """
-    if not 0 <= index <= 8:
-        raise IndexOutOfRange(f"qutrit triple index must be 0..8, got {index}")
+    """`psi_amplitudes(index)` on the given ports.  `a_ports`, when given,
+    relocates the time-bin-a photon onto different port labels (used when
+    one party keeps that photon)."""
+    amps = psi_amplitudes(index)
     ports = _check_ports(ports, 3)
     a_ports = ports if a_ports is None else _check_ports(a_ports, 3)
-    family, i = divmod(index, 3)
-    # per family: port offsets of the (b, c) photons relative to j, first and
-    # second summand of the antisymmetric pair
-    bc_offsets = {0: ((1, 2), (2, 1)), 1: ((0, 1), (1, 0)), 2: ((2, 0), (0, 2))}[family]
-    amps: dict[FockBasisState, complex] = {}
-    scale = 1.0 / math.sqrt(6)
-    for j in range(3):
-        phase = _unit_root(3, 2 * i * j) * scale
-        for sign, (db, dc) in zip((1, -1), bc_offsets):
-            basis = FockBasisState(
-                {
-                    ModeLabel(0, a_ports[j]): 1,
-                    ModeLabel(1, ports[(j + db) % 3]): 1,
-                    ModeLabel(2, ports[(j + dc) % 3]): 1,
-                }
-            )
-            amps[basis] = amps.get(basis, 0j) + sign * phase
-    return PureState(amps, tolerance)
+    return _as_state(amps, (a_ports, ports, ports), 0, tolerance)
 
 
 def build_phi(
@@ -90,23 +178,9 @@ def build_phi(
     ports: Sequence[int] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> PureState:
-    """Member `index` of the d-photon determinant family over d ports.
-
-    Amplitude of the arrangement (time-bin t at ports[sigma(t)]) is
-    sgn(sigma) * chi^(index * sigma(0)) / sqrt(d!), chi = exp(2 pi i / d).
-    The family is orthonormal and has d! basis terms per member.
-    """
-    if dim < 2:
-        raise InvalidDimension(f"determinant family needs d >= 2, got {dim}")
-    if not 0 <= index < dim:
-        raise IndexOutOfRange(f"index must be 0..{dim - 1}, got {index}")
-    ports = _check_ports(ports if ports is not None else range(dim), dim)
-    scale = 1.0 / math.sqrt(math.factorial(dim))
-    amps: dict[FockBasisState, complex] = {}
-    for perm in itertools.permutations(range(dim)):
-        basis = FockBasisState({ModeLabel(t, ports[perm[t]]): 1 for t in range(dim)})
-        amps[basis] = _permutation_sign(perm) * _unit_root(dim, index * perm[0]) * scale
-    return PureState(amps, tolerance)
+    """`phi_amplitudes(index, dim)` on the given ports (default 0..d-1)."""
+    amps = phi_amplitudes(index, dim)
+    return _as_state(amps, (_check_ports(ports, dim),) * dim, 0, tolerance)
 
 
 def build_minor(
@@ -115,24 +189,10 @@ def build_minor(
     ports: Sequence[int] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> PureState:
-    """The (d-1)-photon determinant state over all ports except ports[index].
-
-    Time-bins 1..d-1 are antisymmetrized over the remaining ports in
-    ascending order.  These are the states one party sends in the
-    generalized key-distribution protocol.
-    """
-    if dim < 2:
-        raise InvalidDimension(f"determinant family needs d >= 2, got {dim}")
-    if not 0 <= index < dim:
-        raise IndexOutOfRange(f"index must be 0..{dim - 1}, got {index}")
-    ports = _check_ports(ports if ports is not None else range(dim), dim)
-    remaining = [p for k, p in enumerate(ports) if k != index]
-    scale = 1.0 / math.sqrt(math.factorial(dim - 1))
-    amps: dict[FockBasisState, complex] = {}
-    for perm in itertools.permutations(range(dim - 1)):
-        basis = FockBasisState({ModeLabel(t + 1, remaining[perm[t]]): 1 for t in range(dim - 1)})
-        amps[basis] = _permutation_sign(perm) * scale
-    return PureState(amps, tolerance)
+    """`minor_amplitudes(index, dim)` on the given ports (default 0..d-1):
+    empty on ports[index], time-bins 1..d-1."""
+    amps = minor_amplitudes(index, dim)
+    return _as_state(amps, (_check_ports(ports, dim),) * (dim - 1), 1, tolerance)
 
 
 def mub_state(
@@ -141,21 +201,12 @@ def mub_state(
     ports: Sequence[int] = _QUTRIT_PORTS,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> PureState:
-    """Single-photon MUB state (1/sqrt(3)) sum_j omega^(k j) |timebin at ports[j]>.
-
-    Every member has overlap probability 1/3 with every path-basis state.
-    """
-    if not 0 <= k <= 2:
-        raise IndexOutOfRange(f"MUB index must be 0..2, got {k}")
+    """`mub_amplitudes(k)` as a photon of the given time-bin on the given
+    ports."""
+    amps = mub_amplitudes(k)
     if not 0 <= timebin <= 2:
         raise IndexOutOfRange(f"time-bin must be 0..2, got {timebin}")
-    ports = _check_ports(ports, 3)
-    scale = 1.0 / math.sqrt(3)
-    amps = {
-        FockBasisState({ModeLabel(timebin, ports[j]): 1}): _unit_root(3, k * j) * scale
-        for j in range(3)
-    }
-    return PureState(amps, tolerance)
+    return _as_state(amps, (_check_ports(ports, 3),), timebin, tolerance)
 
 
 def build_alice_pair(
@@ -163,17 +214,6 @@ def build_alice_pair(
     ports: Sequence[int] = _QUTRIT_PORTS,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> PureState:
-    """The two-photon path-entangled pair
-    (1/sqrt(2)) (|b_x, c_(x+1)> - |b_(x+1), c_x>), indices mod 3."""
-    if not 0 <= x <= 2:
-        raise IndexOutOfRange(f"pair index must be 0..2, got {x}")
-    ports = _check_ports(ports, 3)
-    scale = 1.0 / math.sqrt(2)
-    hi = (x + 1) % 3
-    return PureState(
-        {
-            FockBasisState({ModeLabel(1, ports[x]): 1, ModeLabel(2, ports[hi]): 1}): scale,
-            FockBasisState({ModeLabel(1, ports[hi]): 1, ModeLabel(2, ports[x]): 1}): -scale,
-        },
-        tolerance,
-    )
+    """`pair_amplitudes(x)` as the b and c photons on the given ports."""
+    amps = pair_amplitudes(x)
+    return _as_state(amps, (_check_ports(ports, 3),) * 2, 1, tolerance)

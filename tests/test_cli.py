@@ -346,10 +346,14 @@ class TestReadmeCommands:
 
 class TestRuntimePaths:
     def test_no_sparse_measurement(self, monkeypatch, capsys):
-        # the sparse reference serves the tests only: no CLI path may build a
-        # click pattern object, project parity sparsely, run the polynomial
-        # evolution or take a sparse tensor product
+        # the sparse algebra serves list-states and the tests only: no other
+        # CLI path may build a basis state, a sparse state or a click pattern
+        # object, convert a sparse state to a dense one, project parity
+        # sparsely, run the polynomial evolution or take a sparse tensor product
         banned = {
+            id(fock.FockBasisState): "FockBasisState",
+            id(fock.PureState): "PureState",
+            id(optics.dense_amplitudes): "dense_amplitudes",
             id(discrimination.DetectionPattern): "DetectionPattern",
             id(discrimination.parity_postselect): "parity_postselect",
             id(optics.apply_mode_unitary): "apply_mode_unitary",
@@ -372,5 +376,8 @@ class TestRuntimePaths:
                     value.cache_clear()
         for d in range(2, 7):
             assert run(["discriminate", "--d", str(d), "--state", "phi1", "--trials", "100"]) == 0
+        assert run(["discriminate", "--d", "3", "--state", "psi0", "--trials", "100"]) == 0
         assert run(["teleport", "--trials", "100"]) == 0
         assert run(["mdiqkd", "--trials", "100"]) == 0
+        for d in range(2, 6):
+            assert abs(protocols.generalized_conclusive_probability(d) - 1 / d) < 1e-12

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from esdsim.discrimination import (
     derive_rng,
     detect_distribution,
     measure,
+    measurement_input,
     outcome_probabilities,
     outcome_table,
     parity_postselect,
@@ -30,7 +32,7 @@ from esdsim.discrimination import (
 from esdsim.errors import AmbiguousPattern, OverlappingModes, PortMismatch
 from esdsim.fock import FockBasisState, ModeLabel, PureState, states_equal_up_to_global_phase, superpose, tensor
 from esdsim.optics import apply_mode_unitary, build_dft, dense_amplitudes
-from esdsim.states import build_minor, build_phi, build_psi
+from esdsim.states import build_minor, build_phi, build_psi, phi_amplitudes, psi_amplitudes
 
 
 def pattern(*pairs):
@@ -157,7 +159,7 @@ class TestBuildClassifier:
 
 def sampled_codes(state, eta, n, seed):
     """Outcome codes of n trials of one d = 3 input, from one uniform block."""
-    return sample_outcomes(outcome_table(state, 3), eta, derive_rng(seed).random((n, 5)))
+    return sample_outcomes(outcome_table(measurement_input(state, 3), 3), eta, derive_rng(seed).random((n, 5)))
 
 
 class TestSampling:
@@ -279,7 +281,7 @@ class TestVectorizedSampler:
     def test_table_probabilities_sum_to_one(self, coeffs, eta):
         norm = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
         state = superpose([(c / norm, build_psi(i)) for i, c in enumerate(coeffs)])
-        table = outcome_table(state, 3)
+        table = outcome_table(measurement_input(state, 3), 3)
         if table.pass_prob > 0:
             assert abs(table.cumulative[-1] - 1.0) < 1e-12
         probs = outcome_probabilities(table, eta)
@@ -289,7 +291,7 @@ class TestVectorizedSampler:
 
     def test_uniform_block_shape_is_checked(self):
         with pytest.raises(ValueError):
-            sample_outcomes(outcome_table(build_psi(0), 3), 1.0, np.zeros((4, 3)))
+            sample_outcomes(outcome_table(psi_amplitudes(0), 3), 1.0, np.zeros((4, 3)))
 
 
 # -- dense measurement path ------------------------------------------------------
@@ -362,6 +364,25 @@ class TestClickDistribution:
             click_distribution(state, 2)
 
 
+class TestMeasureMemory:
+    def test_working_memory_is_two_inputs(self):
+        # besides the caller's inputs, `measure` holds at most two
+        # input-sized complex arrays at once (the evolution's previous and
+        # next product, then the evolved array and its click-order gather);
+        # the bound relies on a Python call handing its argument to the
+        # callee, as CPython 3.11 does
+        d = 6
+        inputs = np.stack([phi_amplitudes(i, d) for i in range(d)])
+        measure(inputs[:1], d)  # builds the cached click order
+        tracemalloc.start()
+        try:
+            measure(inputs, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * inputs.nbytes
+
+
 class TestClickOrder:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_patterns_strictly_increase(self, d):
@@ -379,21 +400,21 @@ class TestTimeBinDomain:
              for basis, amp in build_psi(0).items()}
         )
         with pytest.raises(ValueError, match="time-bins 0..2"):
-            outcome_table(shifted, 3)
+            measurement_input(shifted, 3)
         with pytest.raises(ValueError, match="time-bins 0..2"):
             analytic_outcome_probabilities(shifted, 3)
 
     def test_missing_photon_raises(self):
         with pytest.raises(ValueError, match="time-bins 0..3"):
-            outcome_table(build_minor(0, 4), 4)  # time-bins 1..3 only
+            measurement_input(build_minor(0, 4), 4)  # time-bins 1..3 only
 
     def test_dense_errors_come_first(self):
         hom = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(0, 1): 1}): 1.0})
         with pytest.raises(OverlappingModes):
-            outcome_table(hom, 2)
+            measurement_input(hom, 2)
         state = PureState({FockBasisState({ModeLabel(0, 0): 1, ModeLabel(1, 1): 1, ModeLabel(2, 2): 1}): 1.0})
         with pytest.raises(PortMismatch):
-            outcome_table(state, 2)
+            measurement_input(state, 2)
 
 
 class TestAmbiguousPattern:
@@ -401,7 +422,7 @@ class TestAmbiguousPattern:
 
     @pytest.fixture
     def shared_source(self, monkeypatch):
-        monkeypatch.setattr(discrimination, "build_phi", lambda index, d: build_phi(max(index - 1, 0), d))
+        monkeypatch.setattr(discrimination, "phi_amplitudes", lambda index, d: phi_amplitudes(max(index - 1, 0), d))
         discrimination.click_codes.cache_clear()
         yield
         discrimination.click_codes.cache_clear()

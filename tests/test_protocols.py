@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from esdsim.discrimination import (
     sample_outcomes,
 )
 from esdsim.fock import (
+    ModeLabel,
     PureState,
     apply_phases,
     inner_product,
@@ -25,7 +27,7 @@ from esdsim.fock import (
     states_equal_up_to_global_phase,
     tensor,
 )
-from esdsim.optics import ModeUnitary, apply_mode_unitary, build_dft
+from esdsim.optics import ModeUnitary, apply_mode_unitary, build_dft, dense_amplitudes
 from esdsim.protocols import (
     BASES,
     BOB_PORTS,
@@ -36,9 +38,7 @@ from esdsim.protocols import (
     CorrectionOp,
     NoiseConfig,
     TeleportTarget,
-    alice_send,
     apply_correction,
-    bob_send,
     correction_for,
     edp_shared_state,
     generalized_conclusive_probability,
@@ -51,7 +51,26 @@ from esdsim.protocols import (
 )
 from esdsim.protocols import _decode_table, _edp_system
 from esdsim.discrimination import derive_rng, outcome_of
-from esdsim.states import build_psi, mub_state
+from esdsim.states import build_alice_pair, build_psi, mub_state
+
+
+@lru_cache(maxsize=None)
+def alice_send(basis, value):
+    """Alice's two-photon encoding built term by term: the pair
+    build_alice_pair((x + 1) mod 3) in the path basis, the kept photon of
+    the shared triple projected onto the MUB bra in the MUB basis."""
+    if basis == COMPUTATIONAL:
+        return build_alice_pair((value + 1) % 3, ESD_PORTS)
+    triple = build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS)
+    return partial_project(triple, mub_state(0, value, BOB_PORTS), BOB_PORTS).normalize()
+
+
+@lru_cache(maxsize=None)
+def bob_send(basis, value):
+    """Bob's single-photon encoding: a path basis state or a MUB state."""
+    if basis == COMPUTATIONAL:
+        return PureState.single_photon(ModeLabel(0, ESD_PORTS[value]))
+    return mub_state(0, value, ESD_PORTS)
 
 
 def identity_padded(u, extra):
@@ -174,6 +193,16 @@ class TestEncodings:
                 )
                 expected = 1.0 if x == y else 0.0
                 assert abs(joint_weight - expected) < 1e-12
+
+    def test_dense_encodings_match_sparse(self):
+        # the dense encodings against the sparse ones; the MUB pair is the
+        # sparse projection of the triple's kept photon
+        dense = protocols._alice_amplitudes()
+        for b, basis in enumerate(BASES):
+            for x in range(3):
+                timebins, amps = dense_amplitudes(alice_send(basis, x), 3)
+                assert timebins == (1, 2)
+                assert np.abs(dense[b, x] - amps).max() <= 1e-15
 
     def test_decode_table_closed_form(self):
         table = _decode_table()

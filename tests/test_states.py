@@ -1,27 +1,145 @@
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from esdsim.errors import IndexOutOfRange, InvalidDimension
 from esdsim.fock import (
     FockBasisState,
     ModeLabel,
+    PureState,
     apply_phases,
     inner_product,
 )
+from esdsim.optics import dense_amplitudes
+from esdsim.protocols import BOB_PORTS, ESD_PORTS
 from esdsim.states import (
     OMEGA,
     build_alice_pair,
     build_minor,
     build_phi,
     build_psi,
+    minor_amplitudes,
+    mub_amplitudes,
     mub_state,
+    pair_amplitudes,
+    permutation_table,
+    phi_amplitudes,
+    psi_amplitudes,
 )
 
 
 def basis(*modes):
     return FockBasisState({ModeLabel(t, p): 1 for t, p in modes})
+
+
+# -- reference: the families built term by term ----------------------------------
+
+
+def unit_root(d, exponent):
+    return cmath.exp(2j * cmath.pi * (exponent % d) / d)
+
+
+def permutation_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def reference_psi(index, ports=(0, 1, 2), a_ports=None):
+    a_ports = ports if a_ports is None else a_ports
+    family, i = divmod(index, 3)
+    bc_offsets = {0: ((1, 2), (2, 1)), 1: ((0, 1), (1, 0)), 2: ((2, 0), (0, 2))}[family]
+    amps = {}
+    scale = 1.0 / math.sqrt(6)
+    for j in range(3):
+        phase = unit_root(3, 2 * i * j) * scale
+        for sign, (db, dc) in zip((1, -1), bc_offsets):
+            term = basis((0, a_ports[j]), (1, ports[(j + db) % 3]), (2, ports[(j + dc) % 3]))
+            amps[term] = amps.get(term, 0j) + sign * phase
+    return PureState(amps)
+
+
+def reference_phi(index, dim):
+    scale = 1.0 / math.sqrt(math.factorial(dim))
+    return PureState(
+        {
+            basis(*((t, perm[t]) for t in range(dim))): permutation_sign(perm) * unit_root(dim, index * perm[0]) * scale
+            for perm in itertools.permutations(range(dim))
+        }
+    )
+
+
+def reference_minor(index, dim):
+    remaining = [p for p in range(dim) if p != index]
+    scale = 1.0 / math.sqrt(math.factorial(dim - 1))
+    return PureState(
+        {
+            basis(*((t + 1, remaining[perm[t]]) for t in range(dim - 1))): permutation_sign(perm) * scale
+            for perm in itertools.permutations(range(dim - 1))
+        }
+    )
+
+
+def reference_mub(timebin, k):
+    scale = 1.0 / math.sqrt(3)
+    return PureState({basis((timebin, j)): unit_root(3, k * j) * scale for j in range(3)})
+
+
+def reference_pair(x):
+    hi = (x + 1) % 3
+    scale = 1.0 / math.sqrt(2)
+    return PureState({basis((1, x), (2, hi)): scale, basis((1, hi), (2, x)): -scale})
+
+
+class TestDenseDefinitions:
+    """Each dense array equals, bit for bit, the dense form of the family
+    built term by term, and each sparse builder is its view."""
+
+    @pytest.mark.parametrize("index", range(9))
+    def test_psi(self, index):
+        assert np.array_equal(psi_amplitudes(index), dense_amplitudes(reference_psi(index), 3)[1])
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_phi_and_minor(self, d):
+        for i in range(d):
+            assert np.array_equal(phi_amplitudes(i, d), dense_amplitudes(reference_phi(i, d), d)[1])
+            assert np.array_equal(minor_amplitudes(i, d), dense_amplitudes(reference_minor(i, d), d)[1])
+
+    def test_mub(self):
+        for timebin in range(3):
+            for k in range(3):
+                timebins, amps = dense_amplitudes(reference_mub(timebin, k), 3)
+                assert timebins == (timebin,)
+                assert np.array_equal(mub_amplitudes(k), amps)
+
+    def test_pair(self):
+        for x in range(3):
+            assert np.array_equal(pair_amplitudes(x), dense_amplitudes(reference_pair(x), 3)[1])
+
+    def test_relocated_psi_terms(self):
+        moved = build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS)
+        assert list(moved.items()) == list(reference_psi(0, ESD_PORTS, BOB_PORTS).items())
+
+    def test_sparse_views_keep_their_terms(self):
+        pairs = [(build_psi(i), reference_psi(i)) for i in range(9)]
+        pairs += [(build_phi(i, d), reference_phi(i, d)) for d in range(2, 6) for i in range(d)]
+        pairs += [(build_minor(i, d), reference_minor(i, d)) for d in range(2, 6) for i in range(d)]
+        pairs += [(mub_state(t, k), reference_mub(t, k)) for t in range(3) for k in range(3)]
+        pairs += [(build_alice_pair(x), reference_pair(x)) for x in range(3)]
+        for view, reference in pairs:
+            assert list(view.items()) == list(reference.items())
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_permutation_table(self, n):
+        perms, signs = permutation_table(n)
+        assert perms.tolist() == [list(p) for p in itertools.permutations(range(n))]
+        assert signs.tolist() == [permutation_sign(p) for p in perms.tolist()]
 
 
 class TestPsiFamily:
