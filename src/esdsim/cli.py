@@ -4,6 +4,10 @@ Subcommands: list-states, describe-tritter, discriminate, teleport, mdiqkd,
 keyrate.  Outputs are byte-identical across repeated runs with the same
 configuration.  Exit codes: 0 success, 2 configuration error, 3 internal
 assertion (e.g. a non-disjoint generated click table).
+
+`run(argv)` is the in-process entry point: it returns the exit code and may
+be called any number of times.  It builds its argument parser once per
+process, on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -68,15 +74,17 @@ def _parse_d_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _named_state(name: str, d: int) -> np.ndarray:
-    name = name.lower()
-    if name.startswith("psi"):
-        if d != 3:
-            raise ValueError("psi states are defined for d=3")
-        return psi_amplitudes(int(name[3:]))
-    if name.startswith("phi"):
-        return phi_amplitudes(int(name[3:]), d)
-    raise ValueError(f"unknown state name {name!r} (use psi0..psi8 or phi0..phi{d - 1})")
+def _named_state(name: str, d: int) -> tuple[str, np.ndarray]:
+    """The canonical lowercase name of a --state and its dense amplitudes."""
+    match = re.fullmatch(r"(psi|phi)(0|[1-9][0-9]*)", name, re.ASCII | re.IGNORECASE)
+    if match is None:
+        raise ValueError(f"unknown state name {name!r} (use psi0..psi8 or phi0..phi{d - 1})")
+    family, index = match[1].lower(), int(match[2])
+    if family == "phi":
+        return f"phi{index}", phi_amplitudes(index, d)
+    if d != 3:
+        raise ValueError("psi states are defined for d=3")
+    return f"psi{index}", psi_amplitudes(index)
 
 
 def _outcome_counts(codes: np.ndarray) -> dict[str, int]:
@@ -108,12 +116,12 @@ def _cmd_describe_tritter(args) -> int:
 
 
 def _cmd_discriminate(args) -> int:
-    state = _named_state(args.state, args.d)
+    name, state = _named_state(args.state, args.d)
     table = outcome_table(state, args.d)
     codes = sample_outcomes(table, args.eta, derive_rng(args.seed).random((args.trials, args.d + 2)))
     counts = _outcome_counts(codes)
     report = {
-        "state": args.state,
+        "state": name,
         "d": args.d,
         "eta": args.eta,
         "seed": args.seed,
@@ -203,6 +211,7 @@ def _cmd_keyrate(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esdsim",
@@ -223,7 +232,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discriminate", help="sample the discrimination measurement", **fmt)
     p.add_argument("--d", type=int, default=3, help="dimension")
-    p.add_argument("--state", default="psi0", help="psi0..psi8 (d=3) or phi0..phi{d-1}")
+    p.add_argument(
+        "--state",
+        default="psi0",
+        help="psi0..psi8 (d=3) or phi0..phi{d-1}, any letter case, no sign, space or leading zero;"
+        " the report names it in lowercase",
+    )
     p.add_argument("--trials", type=int, default=1000, help="number of sampled trials")
     p.add_argument("--eta", type=float, default=1.0, help="parity-device success probability")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed")

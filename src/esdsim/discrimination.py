@@ -144,10 +144,13 @@ def click_order(d: int) -> np.ndarray:
     Entry t of a row is the port of the time-bin-t photon.  Rows are sorted
     by their sorted (port, time-bin) click pairs, the order of
     `DetectionPattern.clicks`; every array over click patterns follows it.
+    Entries are bytes: the sort keys port * d + t fit one for d <= 16.
     """
-    ports = np.indices((d,) * d).reshape(d, -1).T
-    clicks = np.sort(ports * d + np.arange(d), axis=1)  # pair (port, t) as port * d + t
-    order = ports[np.lexsort(clicks.T[::-1])]
+    clicks = np.indices((d,) * d, dtype=np.uint8).reshape(d, -1)
+    clicks *= d
+    clicks += np.arange(d, dtype=np.uint8)[:, None]  # pair (port, t) as port * d + t
+    order = clicks.T[np.lexsort(np.sort(clicks, axis=0)[::-1])]
+    order //= d
     order.setflags(write=False)
     return order
 

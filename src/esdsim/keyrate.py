@@ -150,8 +150,9 @@ def keyrate_table(
     rows = []
     for d in d_values:
         for q in q_list:
-            total = rate_per_signal(d, q)
+            r = r_d(d, q)
+            total = max(0.0, r / (2.0 * d))  # rate_per_signal(d, q) from the same r
             if eta is not None:
                 total *= eta**d
-            rows.append(KeyRateRow(d, q, r_d(d, q), total, eta))
+            rows.append(KeyRateRow(d, q, r, total, eta))
     return rows

@@ -75,6 +75,23 @@ class TestDiscriminateCommand:
     def test_unknown_state_is_config_error(self, capsys):
         assert run(["discriminate", "--state", "nope", "--trials", "10"]) == 2
 
+    def test_state_name_is_canonical(self, tmp_path):
+        reports = set()
+        for name in ("psi1", "PSI1", "Psi1"):
+            out = tmp_path / f"{name}.json"
+            assert run(["discriminate", "--state", name, "--trials", "20", "--out", str(out)]) == 0
+            reports.add(out.read_bytes())
+        assert len(reports) == 1 and json.loads(reports.pop())["state"] == "psi1"
+        out = tmp_path / "phi.json"
+        assert run(["discriminate", "--d", "4", "--state", "PHI3", "--trials", "20", "--out", str(out)]) == 0
+        assert json.loads(read(out))["state"] == "phi3"
+
+    @pytest.mark.parametrize("name", ["psi", "phi", "psi01", "psi 1", "psi+1", "psi-0", " psi1", "psi1\n", "p\u017fi1"])
+    def test_malformed_state_names(self, name, capsys):
+        assert run(["discriminate", "--state", name, "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "(use psi0..psi8 or phi0..phi2)" in captured.err
+
 
 class TestTeleportCommand:
     def test_report(self, tmp_path):
@@ -323,25 +340,76 @@ class TestMdiqkdSummaryStream:
         assert capsys.readouterr().out == read(out)
 
 
-def readme_commands():
-    """The `esdsim` lines of the README's CLI block, as argument lists."""
+def readme_commands(directory):
+    """The `esdsim` lines of the README's CLI block, as argument lists that
+    write their files into `directory`."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("esdsim ")]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("esdsim ")]
+    return [
+        [str(directory / arg) if flag in ("--out", "--dump-state") else arg for flag, arg in zip([None] + argv, argv)]
+        for argv in commands
+    ]
 
 
 class TestReadmeCommands:
     def test_documented_commands_exit_zero(self, tmp_path, capsys):
-        commands = readme_commands()
+        commands = readme_commands(tmp_path)
         assert {argv[0] for argv in commands} == {
             "list-states", "describe-tritter", "discriminate", "teleport", "mdiqkd", "keyrate"
         }
         for argv in commands:
-            argv = [
-                str(tmp_path / arg) if flag in ("--out", "--dump-state") else arg
-                for flag, arg in zip([None] + argv, argv)
-            ]
             assert run(argv) == 0, argv
+
+
+class TestSharedParser:
+    def readme_outputs(self, directory, capsys, fresh_parser):
+        """Every README command's streams and files, each run on the parser
+        left by the runs before it or on a newly built one."""
+        directory.mkdir()
+        streams = []
+        for argv in readme_commands(directory):
+            if fresh_parser:
+                cli._build_parser.cache_clear()
+            assert run(argv) == 0, argv
+            streams.append(capsys.readouterr())
+        return streams, {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    def test_reused_parser_matches_fresh_ones(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        assert run(["no-such-command"]) == 2
+        assert run(["--help"]) == 0
+        assert run(["teleport", "--help"]) == 0
+        assert "--trials" in capsys.readouterr().out
+        shared = self.readme_outputs(tmp_path / "shared", capsys, fresh_parser=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert shared == self.readme_outputs(tmp_path / "fresh", capsys, fresh_parser=True)
+
+    def test_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        assert run(["keyrate", "thresholds", "--d-max", "3"]) == 0
+        assert run(["keyrate", "--d", "3", "--q-max", "0.01", "--q-step", "0.01"]) == 0
+        assert run(["no-such-command"]) == 2
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_import_builds_nothing(self):
+        # the parser is built on the first `run`, and the commands that
+        # sample nothing never import numpy.random
+        def run_code(code):
+            env = {"PYTHONPATH": str(Path(esdsim.__file__).parents[1])}
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            return done.stdout.split()[-2:]
+
+        if run_code("import sys, numpy; print('numpy.random' in sys.modules, 0)")[0] == "True":
+            pytest.skip("importing numpy alone loads numpy.random")
+        assert run_code(
+            "import sys, esdsim.cli as cli\n"
+            "info = cli._build_parser.cache_info()\n"
+            "assert info.misses == info.currsize == 0, info\n"
+            "for argv in (['keyrate'], ['keyrate', 'thresholds'], ['list-states'], ['describe-tritter']):\n"
+            "    assert cli.run(argv) == 0\n"
+            "print('numpy.random' in sys.modules, cli._build_parser.cache_info().misses)"
+        ) == ["False", "1"]
 
 
 class TestRuntimePaths:

@@ -391,6 +391,19 @@ class TestClickOrder:
         clicks = [DetectionPattern.from_pairs(zip(ports, range(d))).clicks for ports in order.tolist()]
         assert all(a < b for a, b in zip(clicks, clicks[1:]))
 
+    def test_construction_stays_in_bytes(self):
+        # the table holds one byte per port, and its build never holds an
+        # int64 copy of it (about 25 table sizes when it did)
+        click_order.cache_clear()
+        tracemalloc.start()
+        try:
+            order = click_order(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order.dtype == np.uint8
+        assert peak <= 5 * order.size
+
 
 class TestTimeBinDomain:
     def test_shifted_time_bins_raise(self):

@@ -159,6 +159,17 @@ class TestKeyrateTable:
         assert abs(row.r_total - 0.9**3 * math.log2(3) / 6) < 1e-12
         assert row.eta == 0.9
 
+    @pytest.mark.parametrize("eta", [None, 0.9])
+    def test_rows_equal_the_rate_functions(self, eta):
+        q_values = [i * 0.002 for i in range(61)]
+        rows = keyrate_table([2, 3, 4, 5, 7], q_values, eta=eta)
+        expected = [
+            (d, q, r_d(d, q), rate_per_signal(d, q) * (1.0 if eta is None else eta**d), eta)
+            for d in [2, 3, 4, 5, 7]
+            for q in q_values
+        ]
+        assert [(row.d, row.q, row.r_sifted, row.r_total, row.eta) for row in rows] == expected
+
 
 def test_mc_sift_rate_matches_model():
     # cross-check: simulated sift rate == sifted_rate/2 (basis-match factor)
