@@ -27,7 +27,7 @@ from . import keyrate as kr
 from .discrimination import (
     POSTSELECT_FAIL_CODE,
     derive_rng,
-    outcome_of,
+    outcome_name,
     outcome_probabilities,
     outcome_table,
     sample_outcomes,
@@ -89,7 +89,7 @@ def _named_state(name: str, d: int) -> tuple[str, np.ndarray]:
 
 def _outcome_counts(codes: np.ndarray) -> dict[str, int]:
     values, freqs = np.unique(codes, return_counts=True)
-    return {str(outcome_of(code)): freq for code, freq in zip(values.tolist(), freqs.tolist())}
+    return {outcome_name(code): freq for code, freq in zip(values.tolist(), freqs.tolist())}
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -161,7 +161,7 @@ def _qkd_csv_rows(result) -> Iterator[str]:
     for key in np.flatnonzero(np.bincount(keys, minlength=len(suffixes))).tolist():
         a_b, b_b, x, y, code, sift, b_sym = (int(v) for v in np.unravel_index(key, shape))
         symbols = f"{x},{b_sym}" if sift else ","
-        outcome = outcome_of(code + POSTSELECT_FAIL_CODE)
+        outcome = outcome_name(code + POSTSELECT_FAIL_CODE)
         suffixes[key] = f"{BASES[a_b]},{x},{BASES[b_b]},{y},{outcome},{sift},{symbols}\n"
     for start in range(0, len(keys), CHUNK_ROWS):
         chunk = keys[start : start + CHUNK_ROWS].tolist()
@@ -240,13 +240,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=1000, help="number of sampled trials")
     p.add_argument("--eta", type=float, default=1.0, help="parity-device success probability")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed, 0 <= seed < 2**64")
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     p.set_defaults(func=_cmd_discriminate)
 
     p = sub.add_parser("teleport", help="teleport Haar-random targets", **fmt)
     p.add_argument("--trials", type=int, default=1000, help="number of sampled trials")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed, 0 <= seed < 2**64")
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     p.set_defaults(func=_cmd_teleport)
 
@@ -254,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000, help="number of sampled trials")
     p.add_argument("--eta", type=float, default=1.0, help="parity-device success probability")
     p.add_argument("--noise", type=float, default=0.0, help="phase-flip probability per port")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed, 0 <= seed < 2**64")
     p.add_argument("--out", metavar="PATH", help="write the per-trial CSV here")
     p.set_defaults(func=_cmd_mdiqkd)
 

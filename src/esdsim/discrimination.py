@@ -8,10 +8,14 @@ the order of the d^d click patterns, and `click_codes` is the generated
 click table over that order.  `parity_postselect`, `detect_distribution` and
 `DetectionPattern` are the sparse reference that the tests check it against.
 
+An outcome is an integer code: a conclusive outcome is its state index
+(>= 0), the other two are INCONCLUSIVE_CODE and POSTSELECT_FAIL_CODE.
+`outcome_name` gives the name under which reports list a code.
+
 Device efficiency enters only as the per-port success probability eta of the
 parity readout; a failed device discards the trial (it never produces a wrong
 answer).  A genuinely even parity reading and a device failure are merged
-into the same PostSelectFail outcome -- the two are separable only in the
+into the same postselect_fail outcome -- the two are separable only in the
 analytic decomposition that `analytic_outcome_probabilities` reports.
 """
 
@@ -41,61 +45,6 @@ class DetectionPattern:
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"D[{p},{t}]" for p, t in self.clicks) + "}"
-
-
-@dataclass(frozen=True)
-class DiscriminationOutcome:
-    """Conclusive(index) | PostSelectFail | Inconclusive."""
-
-    tag: str
-    index: int | None = None
-
-    CONCLUSIVE = "conclusive"
-    POSTSELECT_FAIL = "postselect_fail"
-    INCONCLUSIVE = "inconclusive"
-
-    def __post_init__(self):
-        if self.tag == self.CONCLUSIVE:
-            if self.index is None or self.index < 0:
-                raise ValueError("conclusive outcome needs a non-negative index")
-        elif self.tag in (self.POSTSELECT_FAIL, self.INCONCLUSIVE):
-            if self.index is not None:
-                raise ValueError(f"{self.tag} outcome carries no index")
-        else:
-            raise ValueError(f"unknown outcome tag {self.tag!r}")
-
-    @classmethod
-    def conclusive(cls, index: int) -> "DiscriminationOutcome":
-        return cls(cls.CONCLUSIVE, index)
-
-    @property
-    def is_conclusive(self) -> bool:
-        return self.tag == self.CONCLUSIVE
-
-    @property
-    def code(self) -> int:
-        """Integer form read by the sampler; see `outcome_of`."""
-        if self.is_conclusive:
-            return self.index
-        return INCONCLUSIVE_CODE if self.tag == self.INCONCLUSIVE else POSTSELECT_FAIL_CODE
-
-    def __str__(self) -> str:
-        return f"conclusive({self.index})" if self.is_conclusive else self.tag
-
-
-POSTSELECT_FAIL = DiscriminationOutcome(DiscriminationOutcome.POSTSELECT_FAIL)
-INCONCLUSIVE = DiscriminationOutcome(DiscriminationOutcome.INCONCLUSIVE)
-
-
-@dataclass(frozen=True)
-class ParityModel:
-    """Per-port success probability of the nondestructive parity readout."""
-
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
 class ParityResult(NamedTuple):
@@ -234,9 +183,11 @@ def build_classifier(d: int) -> dict[DetectionPattern, int]:
 def derive_rng(seed: int) -> np.random.Generator:
     """Counter-based Philox generator keyed by the seed.  A run draws one
     block of uniforms from it, row i for trial i, so a trial's outcome
-    depends only on (seed, i)."""
-    key = np.array([seed % 2**64, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    depends only on (seed, i).  Raises ValueError for a seed outside
+    [0, 2**64), the range of the Philox key word it fills."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
 # Integer outcome codes of `click_codes` and the samplers: a conclusive
@@ -245,14 +196,15 @@ INCONCLUSIVE_CODE = -1
 POSTSELECT_FAIL_CODE = -2
 
 
-def outcome_of(code: int) -> DiscriminationOutcome:
-    """The outcome that an integer outcome code stands for."""
+def outcome_name(code: int) -> str:
+    """The name under which reports list an outcome code: conclusive(i),
+    inconclusive or postselect_fail.  Raises ValueError for any other code."""
     if code >= 0:
-        return DiscriminationOutcome.conclusive(code)
+        return f"conclusive({code})"
     if code == INCONCLUSIVE_CODE:
-        return INCONCLUSIVE
+        return "inconclusive"
     if code == POSTSELECT_FAIL_CODE:
-        return POSTSELECT_FAIL
+        return "postselect_fail"
     raise ValueError(f"unknown outcome code {code}")
 
 
@@ -326,10 +278,10 @@ def outcome_probabilities(table: OutcomeTable, eta: float = 1.0) -> dict[str, fl
     for cum, code in zip(table.cumulative.tolist(), table.codes.tolist()):
         weight = devices_ok * table.pass_prob * (cum - prev)
         prev = cum
-        key = str(outcome_of(code))
+        key = outcome_name(code)
         probs[key] = probs.get(key, 0.0) + weight
-    fail = max(0.0, 1.0 - devices_ok * table.pass_prob)
-    probs["postselect_fail"] = probs.get("postselect_fail", 0.0) + fail
+    fail = outcome_name(POSTSELECT_FAIL_CODE)
+    probs[fail] = probs.get(fail, 0.0) + max(0.0, 1.0 - devices_ok * table.pass_prob)
     probs["postselect_fail_device"] = 1.0 - devices_ok
     probs["postselect_fail_parity"] = max(0.0, devices_ok * (1.0 - table.pass_prob))
     return probs

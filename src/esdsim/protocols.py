@@ -2,13 +2,16 @@
 
 Teleportation: one party holds an arbitrary path-encoded qutrit (time-bin a)
 plus the b/c photons of a shared entangled triple, runs the discrimination
-measurement on those three photons, and announces the result; the other party
-recovers the input with one of two diagonal path rotations.
+measurement on those three photons, and announces the conclusive outcome i;
+the other party recovers the input with the diagonal path rotation in row i
+of `CORRECTION_PHASES` (the identity for i = 0).  Outcomes are the integer
+codes of `discrimination`.
 
 MDI-QKD: Alice encodes a value into a two-photon path-entangled pair, Bob
 into a single photon (path basis or its MUB), an untrusted relay measures the
 joint three-photon state and announces the outcome, and matched-basis
-conclusive trials become the sifted key.
+conclusive trials become the sifted key, decoded by the [basis, conclusive
+index, Bob value] array `_decode_array`.
 
 The security-analysis (EDP) picture is implemented as well: conditioning the
 shared four-photon system on each conclusive relay outcome and applying the
@@ -20,21 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .discrimination import (
-    POSTSELECT_FAIL_CODE,
-    DiscriminationOutcome,
-    ParityModel,
-    click_codes,
-    derive_rng,
-    measure,
-    outcome_of,
-)
+from .discrimination import POSTSELECT_FAIL_CODE, click_codes, derive_rng, measure
 from .fock import (
     DEFAULT_TOLERANCE,
     FockBasisState,
@@ -64,7 +58,7 @@ class TeleportTarget:
         if len(self.alphas) != 3:
             raise ValueError("target needs exactly three amplitudes")
         norm_sq = sum(abs(a) ** 2 for a in self.alphas)
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(f"target is not normalized (norm^2 = {norm_sq})")
 
     @classmethod
@@ -80,34 +74,17 @@ def _path_state(amps: Sequence[complex], ports: Sequence[int]) -> PureState:
     return PureState(zip((FockBasisState({ModeLabel(0, port): 1}) for port in ports), amps))
 
 
-class CorrectionOp(Enum):
-    """Diagonal path rotations announced-outcome -> receiver's fix-up.
-
-    ROTATE_1 = diag(1, w^2, w) and ROTATE_2 = diag(1, w, w^2) with
-    w = exp(2 pi i / 3); ROTATE_2 is the square of ROTATE_1.
-    """
-
-    IDENTITY = 0
-    ROTATE_1 = 1
-    ROTATE_2 = 2
-
-    @property
-    def phases(self) -> tuple[complex, complex, complex]:
-        if self is CorrectionOp.IDENTITY:
-            return (1 + 0j, 1 + 0j, 1 + 0j)
-        if self is CorrectionOp.ROTATE_1:
-            return (1 + 0j, OMEGA**2, OMEGA)
-        return (1 + 0j, OMEGA, OMEGA**2)
+# Receiver's correction for conclusive outcome i: row i holds the per-port
+# phases of a diagonal path rotation, diag(1, w^2, w) for i = 1 and its
+# square for i = 2, w = exp(2 pi i / 3).
+CORRECTION_PHASES = np.array([[1, 1, 1], [1, OMEGA**2, OMEGA], [1, OMEGA, OMEGA**2]])
 
 
-def correction_for(outcome_index: int) -> CorrectionOp:
-    return (CorrectionOp.IDENTITY, CorrectionOp.ROTATE_1, CorrectionOp.ROTATE_2)[outcome_index]
-
-
-def apply_correction(state: PureState, op: CorrectionOp, ports: Sequence[int]) -> PureState:
-    """Apply the per-port phases of `op` to whatever photons sit on `ports`."""
+def apply_correction(state: PureState, index: int, ports: Sequence[int]) -> PureState:
+    """Apply the correction for conclusive outcome `index` to whatever
+    photons sit on `ports`."""
     ports = tuple(ports)
-    phases = op.phases
+    phases = CORRECTION_PHASES[index].tolist()
 
     def phase_of(mode: ModeLabel) -> complex:
         return phases[ports.index(mode.port)] if mode.port in ports else 1 + 0j
@@ -121,10 +98,10 @@ def apply_correction(state: PureState, op: CorrectionOp, ports: Sequence[int]) -
 @dataclass(frozen=True)
 class TeleportBranch:
     """One fine-grained measurement record: probability is conditional on the
-    parity post-selection having passed."""
+    parity post-selection having passed; `code` is the outcome code."""
 
     probability: float
-    outcome: DiscriminationOutcome
+    code: int
     bob_state: PureState
     fidelity: float
 
@@ -135,14 +112,10 @@ class TeleportAnalysis:
     branches: tuple[TeleportBranch, ...]
 
     def conclusive_probability(self) -> float:
-        return self.pass_prob * sum(b.probability for b in self.branches if b.outcome.is_conclusive)
+        return self.pass_prob * sum(b.probability for b in self.branches if b.code >= 0)
 
     def outcome_fidelities(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for b in self.branches:
-            if b.outcome.is_conclusive:
-                out[b.outcome.index] = b.fidelity
-        return out
+        return {b.code: b.fidelity for b in self.branches if b.code >= 0}
 
 
 # Rows that `teleport_run` and `mdi_qkd_run` sample, and the CLI formats,
@@ -172,8 +145,8 @@ def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
     amps = measure(inputs.reshape(9, 3, 3, 3), 3).amplitudes
     support = np.abs(amps).max(axis=0) > DEFAULT_TOLERANCE
     codes = click_codes(3)[support]
-    phases = [correction_for(code).phases if code >= 0 else (1, 1, 1) for code in codes.tolist()]
-    matrices = np.array(phases)[:, :, None] * amps[:, support].T.reshape(-1, 3, 3)
+    phases = np.where(codes[:, None] >= 0, CORRECTION_PHASES[np.maximum(codes, 0)], 1)
+    matrices = phases[:, :, None] * amps[:, support].T.reshape(-1, 3, 3)
     return codes, matrices
 
 
@@ -195,7 +168,7 @@ def teleport_analysis(target: TeleportTarget) -> TeleportAnalysis:
         bob = _path_state((amps * scale).tolist(), BOB_PORTS)
         if not bob.is_zero():
             corrected, fid = (bob.normalize(), float(_fidelity(alphas, amps))) if code >= 0 else (bob, 0.0)
-            branches.append(TeleportBranch(bob.norm_sq(), outcome_of(code), corrected, fid))
+            branches.append(TeleportBranch(bob.norm_sq(), code, corrected, fid))
     return TeleportAnalysis(pass_prob, tuple(branches))
 
 
@@ -280,7 +253,7 @@ def edp_shared_state(charlie_outcome: int) -> PureState:
     projected = partial_project(
         system, build_psi(charlie_outcome, EDP_CHARLIE_PORTS), EDP_CHARLIE_PORTS
     )
-    return apply_correction(projected.normalize(), correction_for(charlie_outcome), EDP_BOB_PORTS)
+    return apply_correction(projected.normalize(), charlie_outcome, EDP_BOB_PORTS)
 
 
 # -- MDI-QKD -------------------------------------------------------------------
@@ -377,27 +350,21 @@ def _mdi_outcomes() -> MdiOutcomes:
 
 
 @lru_cache(maxsize=1)
-def _decode_table() -> dict[tuple[str, int, int], int]:
-    """Analytic decode rule: for each (basis, conclusive index, Bob value)
-    exactly one Alice value gives that outcome nonzero probability in the
-    noiseless protocol; the relay announcement plus Bob's own value
-    identify it."""
-    noiseless = _mdi_outcomes().conclusive[::8].reshape(2, 3, 2, 3, 3)  # a basis, x, b basis, y, index
-    table: dict[tuple[str, int, int], int] = {}
-    for b, basis in enumerate(BASES):
-        for i in range(3):
-            for y in range(3):
-                candidates = np.flatnonzero(noiseless[b, :, b, y, i] > 0).tolist()
-                if len(candidates) != 1:
-                    raise AssertionError(f"decode rule not unique for {(basis, i, y)}: {candidates}")
-                table[(basis, i, y)] = candidates[0]
-    return table
-
-
 def _decode_array() -> np.ndarray:
-    """`_decode_table` indexed [basis, conclusive index, Bob value]."""
-    decode = _decode_table()
-    return np.array([[[decode[(basis, i, y)] for y in range(3)] for i in range(3)] for basis in BASES])
+    """Analytic decode rule, indexed [basis, conclusive index, Bob value]:
+    for each entry exactly one Alice value gives that outcome nonzero
+    probability in the noiseless protocol; the relay announcement plus
+    Bob's own value identify it."""
+    noiseless = _mdi_outcomes().conclusive[::8].reshape(2, 3, 2, 3, 3)  # a basis, x, b basis, y, index
+    support = np.stack([noiseless[b, :, b] for b in range(2)]).transpose(0, 3, 2, 1) > 0  # basis, index, y, x
+    ambiguous = np.argwhere(support.sum(axis=-1) != 1)
+    if len(ambiguous):
+        b, i, y = ambiguous[0].tolist()
+        candidates = np.flatnonzero(support[b, i, y]).tolist()
+        raise AssertionError(f"decode rule not unique for {(BASES[b], i, y)}: {candidates}")
+    decode = np.argmax(support, axis=-1)
+    decode.setflags(write=False)
+    return decode
 
 
 def _sample_mdi(rows: np.ndarray, eta: float, uniforms: np.ndarray) -> np.ndarray:
@@ -434,8 +401,9 @@ def mdi_qkd_run(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     noise = noise or NoiseConfig()
-    model = ParityModel(eta)
     rng = derive_rng(seed)
     mub = np.empty((n_trials, 2), dtype=np.int64)
     values = np.empty((n_trials, 2), dtype=np.int64)
@@ -448,7 +416,7 @@ def mdi_qkd_run(
         flip_bits = (u[:, 4:7] < noise.phase_flip_p) @ np.array([1, 2, 4])
         choices = (mub[rows, 0], values[rows, 0], mub[rows, 1], values[rows, 1])
         inputs = np.ravel_multi_index(choices, (2, 3, 2, 3))
-        outcome_codes[rows] = _sample_mdi(inputs * 8 + flip_bits, model.eta, u[:, 7:12])
+        outcome_codes[rows] = _sample_mdi(inputs * 8 + flip_bits, eta, u[:, 7:12])
 
     sifted = (mub[:, 0] == mub[:, 1]) & (outcome_codes >= 0)
     bob_symbols = _decode_array()[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]
@@ -469,8 +437,9 @@ def mdi_qkd_expectation(eta: float = 1.0, noise: NoiseConfig | None = None) -> Q
     """The exact sift rate and QBER that `mdi_qkd_run` samples: a sum over
     the 288 rows of `_mdi_outcomes`, each weighted by its input's
     probability (1/36) p^k (1 - p)^(3 - k), k the number of phase flips."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     p = (noise or NoiseConfig()).phase_flip_p
-    eta = ParityModel(eta).eta
     weights = np.prod(np.where(_FLIPS == 1, p, 1 - p), axis=1)  # per flip bits
     a_basis, x, b_basis, y, _ = np.unravel_index(np.arange(288), (2, 3, 2, 3, 8))
     matched = (a_basis == b_basis)[:, None]

@@ -323,6 +323,25 @@ class TestErrorPaths:
         assert captured.out == "" and "--d-max must be >= 2" in captured.err
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("command", ["discriminate", "teleport", "mdiqkd"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_outside_exits_2_before_writing(self, command, seed, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([command, "--trials", "10", "--seed", str(seed), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["discriminate", "teleport", "mdiqkd"])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_range_ends_exit_0(self, command, seed, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([command, "--trials", "10", "--seed", str(seed), "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
+
+
 class TestMdiqkdSummaryStream:
     def test_summary_on_stderr_without_out(self, capsys):
         assert run(["mdiqkd", "--trials", "30", "--seed", "4"]) == 0

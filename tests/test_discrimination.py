@@ -10,20 +10,19 @@ from hypothesis import strategies as st
 import esdsim.discrimination as discrimination
 from esdsim import cli
 from esdsim.discrimination import (
-    INCONCLUSIVE,
-    POSTSELECT_FAIL,
+    INCONCLUSIVE_CODE,
     POSTSELECT_FAIL_CODE,
     DetectionPattern,
-    DiscriminationOutcome,
     OutcomeTable,
-    ParityModel,
     analytic_outcome_probabilities,
     build_classifier,
+    click_codes,
     click_order,
     derive_rng,
     detect_distribution,
     measure,
     measurement_input,
+    outcome_name,
     outcome_probabilities,
     outcome_table,
     parity_postselect,
@@ -32,6 +31,7 @@ from esdsim.discrimination import (
 from esdsim.errors import AmbiguousPattern, OverlappingModes, PortMismatch
 from esdsim.fock import FockBasisState, ModeLabel, PureState, states_equal_up_to_global_phase, superpose, tensor
 from esdsim.optics import apply_mode_unitary, build_dft, dense_amplitudes
+from esdsim.protocols import mdi_qkd_expectation, mdi_qkd_run
 from esdsim.states import build_minor, build_phi, build_psi, phi_amplitudes, psi_amplitudes
 
 
@@ -40,9 +40,8 @@ def pattern(*pairs):
 
 
 def classify(pattern, d):
-    """The outcome of a click pattern under the generated classifier."""
-    index = build_classifier(d).get(pattern)
-    return INCONCLUSIVE if index is None else DiscriminationOutcome.conclusive(index)
+    """The outcome code of a click pattern under the generated classifier."""
+    return build_classifier(d).get(pattern, INCONCLUSIVE_CODE)
 
 
 def evolved_psi(index):
@@ -102,14 +101,13 @@ class TestDetectDistribution:
 
 class TestClassify:
     def test_distinct_port_pattern(self):
-        assert classify(pattern((0, 0), (1, 1), (2, 2)), 3) == DiscriminationOutcome.conclusive(0)
+        assert classify(pattern((0, 0), (1, 1), (2, 2)), 3) == 0
 
     def test_doubled_port_pattern(self):
-        assert classify(pattern((0, 0), (0, 1), (1, 2)), 3) == DiscriminationOutcome.conclusive(1)
+        assert classify(pattern((0, 0), (0, 1), (1, 2)), 3) == 1
 
     def test_two_clicks_inconclusive(self):
-        out = classify(pattern((0, 0), (1, 1)), 3)
-        assert out.tag == DiscriminationOutcome.INCONCLUSIVE
+        assert classify(pattern((0, 0), (1, 1)), 3) == INCONCLUSIVE_CODE
 
     def test_hand_table_has_18_disjoint_patterns(self):
         assert len(QUTRIT_CLICK_TABLE) == 18
@@ -140,6 +138,25 @@ class TestBuildClassifier:
             assert abs(sum(dist.values()) - 1) < 1e-12
             assert all(table[p] == i for p in dist)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_suppression_law(self, d):
+        # phi_i reaches exactly the d! patterns whose time-bins 1..d-1 hit
+        # distinct ports and whose time-bin-0 photon sits i ports below the
+        # port m those miss, each with probability 1/d!; at d = 3 the table
+        # keys off the published psi labels, which swap 1 and 2
+        order = click_order(d).astype(int)
+        distinct = np.all(np.diff(np.sort(order[:, 1:], axis=1), axis=1) > 0, axis=1)
+        missing = d * (d - 1) // 2 - order[:, 1:].sum(axis=1)
+        phi_code = np.where(distinct, (missing - order[:, 0]) % d, INCONCLUSIVE_CODE)
+        psi_code = np.where(distinct, (order[:, 0] - missing) % d, INCONCLUSIVE_CODE)
+        np.testing.assert_array_equal(click_codes(d), psi_code if d == 3 else phi_code)
+        if d <= 5:
+            probs = measure(np.stack([phi_amplitudes(i, d) for i in range(d)]), d).probs
+            for i in range(d):
+                np.testing.assert_array_equal(probs[i] > 0, phi_code == i)
+            assert np.all(np.count_nonzero(probs, axis=1) == math.factorial(d))
+            assert np.abs(probs[probs > 0] - 1 / math.factorial(d)).max() <= 1e-12
+
     def test_d6_pattern_count(self):
         assert len(build_classifier(6)) == 6 * math.factorial(6)
 
@@ -166,7 +183,7 @@ class TestSampling:
     def test_conclusive_inputs_classified_exactly(self):
         for seed in (0, 1, 99):
             codes = sampled_codes(build_psi(2), 1.0, 1000, seed)
-            assert set(codes.tolist()) == {DiscriminationOutcome.conclusive(2).code}
+            assert set(codes.tolist()) == {2}
 
     def test_bunched_inputs_always_fail(self):
         for seed in (0, 1, 99):
@@ -184,6 +201,13 @@ class TestSampling:
     def test_deterministic_given_seed(self):
         mix = superpose([(1 / math.sqrt(3), build_psi(i)) for i in range(3)])
         np.testing.assert_array_equal(sampled_codes(mix, 0.9, 50, 7), sampled_codes(mix, 0.9, 50, 7))
+
+    def test_seed_range(self):
+        # a Philox key word holds [0, 2**64); no seed outside it aliases one inside
+        for seed in (-1, -5, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError):
+                derive_rng(seed)
+        assert derive_rng(0).random() != derive_rng(2**64 - 1).random()
 
 
 class TestMcTrial:
@@ -205,7 +229,9 @@ class TestMcTrial:
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            ParityModel(1.5)
+            mdi_qkd_run(10, eta=1.5)
+        with pytest.raises(ValueError):
+            mdi_qkd_expectation(eta=-0.1)
 
 
 class TestAnalyticProbabilities:
@@ -223,17 +249,12 @@ class TestAnalyticProbabilities:
 
 
 class TestOutcomeType:
-    def test_conclusive_requires_index(self):
-        with pytest.raises(ValueError):
-            DiscriminationOutcome(DiscriminationOutcome.CONCLUSIVE)
-
-    def test_fail_carries_no_index(self):
-        with pytest.raises(ValueError):
-            DiscriminationOutcome(DiscriminationOutcome.POSTSELECT_FAIL, 1)
-
     def test_string_forms(self):
-        assert str(DiscriminationOutcome.conclusive(2)) == "conclusive(2)"
-        assert str(POSTSELECT_FAIL) == "postselect_fail"
+        assert outcome_name(2) == "conclusive(2)"
+        assert outcome_name(INCONCLUSIVE_CODE) == "inconclusive"
+        assert outcome_name(POSTSELECT_FAIL_CODE) == "postselect_fail"
+        with pytest.raises(ValueError):
+            outcome_name(-3)
 
 
 # -- vectorized sampler ----------------------------------------------------------

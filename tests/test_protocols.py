@@ -34,12 +34,11 @@ from esdsim.protocols import (
     COMPUTATIONAL,
     EDP_CHARLIE_PORTS,
     ESD_PORTS,
+    CORRECTION_PHASES,
     MUB,
-    CorrectionOp,
     NoiseConfig,
     TeleportTarget,
     apply_correction,
-    correction_for,
     edp_shared_state,
     generalized_conclusive_probability,
     haar_amplitudes,
@@ -49,8 +48,8 @@ from esdsim.protocols import (
     teleport_analysis,
     teleport_run,
 )
-from esdsim.protocols import _decode_table, _edp_system
-from esdsim.discrimination import derive_rng, outcome_of
+from esdsim.protocols import _decode_array, _edp_system
+from esdsim.discrimination import derive_rng, outcome_name
 from esdsim.states import build_alice_pair, build_psi, mub_state
 
 
@@ -99,29 +98,24 @@ def qkd_columns(run):
 
 class TestCorrections:
     def test_identity_leaves_state_alone(self):
+        assert np.all(CORRECTION_PHASES[0] == 1)
         s = mub_state(0, 1, BOB_PORTS)
-        out = apply_correction(s, CorrectionOp.IDENTITY, BOB_PORTS)
+        out = apply_correction(s, 0, BOB_PORTS)
         for b in s.basis_states():
             assert out.amplitude(b) == s.amplitude(b)
 
     def test_rotation_product_is_identity(self):
+        assert np.abs(CORRECTION_PHASES[1] * CORRECTION_PHASES[2] - 1).max() < 1e-12
         s = mub_state(0, 1, BOB_PORTS)
-        out = apply_correction(
-            apply_correction(s, CorrectionOp.ROTATE_1, BOB_PORTS), CorrectionOp.ROTATE_2, BOB_PORTS
-        )
+        out = apply_correction(apply_correction(s, 1, BOB_PORTS), 2, BOB_PORTS)
         for b in s.basis_states():
             assert abs(out.amplitude(b) - s.amplitude(b)) < 1e-12
 
     def test_rotation_1_unwinds_linear_phases(self):
         # (1/sqrt 3) sum_j w^j |a_Bj>  ->  uniform superposition
         twisted = mub_state(0, 1, BOB_PORTS)
-        fixed = apply_correction(twisted, CorrectionOp.ROTATE_1, BOB_PORTS)
+        fixed = apply_correction(twisted, 1, BOB_PORTS)
         assert states_equal_up_to_global_phase(fixed, mub_state(0, 0, BOB_PORTS))
-
-    def test_table_lookup(self):
-        assert correction_for(0) is CorrectionOp.IDENTITY
-        assert correction_for(1) is CorrectionOp.ROTATE_1
-        assert correction_for(2) is CorrectionOp.ROTATE_2
 
 
 class TestTeleport:
@@ -142,8 +136,9 @@ class TestTeleport:
                 assert abs(fid - 1) < 1e-12
 
     def test_target_validation(self):
-        with pytest.raises(ValueError):
-            TeleportTarget((1.0, 1.0, 0.0))
+        for alphas in [(1.0, 1.0, 0.0), (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0)]:
+            with pytest.raises(ValueError):
+                TeleportTarget(alphas)
 
 
 class TestOutcomeWeights:
@@ -204,12 +199,13 @@ class TestEncodings:
                 assert timebins == (1, 2)
                 assert np.abs(dense[b, x] - amps).max() <= 1e-15
 
-    def test_decode_table_closed_form(self):
-        table = _decode_table()
+    def test_decode_array_closed_form(self):
+        decode = _decode_array()
+        assert decode.shape == (len(BASES), 3, 3)
         for i in range(3):
             for y in range(3):
-                assert table[(COMPUTATIONAL, i, y)] == y
-                assert table[(MUB, i, y)] == (y + i) % 3
+                assert decode[BASES.index(COMPUTATIONAL), i, y] == y
+                assert decode[BASES.index(MUB), i, y] == (y + i) % 3
 
 
 class TestMdiQkd:
@@ -276,12 +272,11 @@ def direct_teleport_branches(target):
         groups.setdefault(inside, {})[outside] = amp
     branches = []
     for inside in sorted(groups, key=lambda b: b.sort_key()):
-        index = build_classifier(3).get(DetectionPattern(inside.clicks()))
-        outcome = outcome_of(INCONCLUSIVE_CODE if index is None else index)
+        code = build_classifier(3).get(DetectionPattern(inside.clicks()), INCONCLUSIVE_CODE)
         bob = PureState(groups[inside])
-        if outcome.is_conclusive:
-            bob = apply_correction(bob.normalize(), correction_for(outcome.index), BOB_PORTS)
-        branches.append((outcome, PureState(groups[inside]).norm_sq(), bob))
+        if code >= 0:
+            bob = apply_correction(bob.normalize(), code, BOB_PORTS)
+        branches.append((code, PureState(groups[inside]).norm_sq(), bob))
     return pass_prob, branches
 
 
@@ -299,8 +294,8 @@ class TestTeleportBranchMaps:
             analysis = teleport_analysis(target)
             assert abs(analysis.pass_prob - pass_prob) < 1e-12
             assert len(analysis.branches) == len(reference)
-            for branch, (outcome, prob, bob) in zip(analysis.branches, reference):
-                assert branch.outcome == outcome
+            for branch, (code, prob, bob) in zip(analysis.branches, reference):
+                assert branch.code == code
                 assert abs(branch.probability - prob) < 1e-12
                 assert amplitude_distance(branch.bob_state, bob) < 1e-12
 
@@ -326,7 +321,7 @@ class TestTeleportRun:
             if code == POSTSELECT_FAIL_CODE:
                 assert math.isnan(fidelity) and analysis.pass_prob < 1
                 continue
-            branches = [b for b in analysis.branches if b.outcome.code == code]
+            branches = [b for b in analysis.branches if b.code == code]
             assert any(abs(b.fidelity - fidelity) < 1e-12 for b in branches)
             overlaps = [abs(inner_product(target.state(BOB_PORTS), b.bob_state)) ** 2 for b in branches]
             assert any(abs(overlap - fidelity) < 1e-12 for overlap in overlaps)
@@ -351,7 +346,7 @@ class TestTeleportRun:
 
     def test_fidelity_follows_the_receiver_state(self, monkeypatch):
         # without the announced rotations, outcomes 1 and 2 leave the target rotated
-        monkeypatch.setattr(protocols, "correction_for", lambda index: CorrectionOp.IDENTITY)
+        monkeypatch.setattr(protocols, "CORRECTION_PHASES", np.ones((3, 3), dtype=complex))
         protocols._teleport_branch_maps.cache_clear()
         try:
             codes, fidelities = teleport_run(300, seed=2)
@@ -388,7 +383,7 @@ class TestMdiQkdSampling:
             if inputs not in analytic:
                 joint = tensor(alice_send(*inputs[:2]), bob_send(*inputs[2:]))
                 analytic[inputs] = analytic_outcome_probabilities(joint, 3, 0.9)
-            assert analytic[inputs].get(str(outcome_of(code)), 0.0) > 0.0, (trial, inputs, code)
+            assert analytic[inputs].get(outcome_name(code), 0.0) > 0.0, (trial, inputs, code)
 
     def test_prefix_stable_across_chunks(self, monkeypatch):
         noise = NoiseConfig(0.3)
@@ -404,7 +399,7 @@ class TestMdiQkdSampling:
             raise AssertionError("called after the outcome array was built")
 
         protocols._mdi_outcomes.cache_clear()
-        protocols._decode_table.cache_clear()
+        protocols._decode_array.cache_clear()
         monkeypatch.setattr(fock, "tensor", forbidden)
         monkeypatch.setattr(protocols, "tensor", forbidden)
         mdi_qkd_run(100, noise=NoiseConfig(0.1))  # the build itself needs no tensor product
