@@ -54,10 +54,6 @@ MAX_KEYRATE_ROWS = 10**6
 MAX_TRIALS = 10**6
 
 
-def _write_text(path: str | None, text: str) -> None:
-    _write_chunks(path, (text,))
-
-
 def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
     if path is None:
         sys.stdout.writelines(chunks)
@@ -102,16 +98,16 @@ def _cmd_list_states(args) -> int:
         named.extend((f"psi{i}", build_psi(i)) for i in range(9))
     named.extend((f"phi{i}", build_phi(i, d)) for i in range(d))
     lines = [f"{name} = {state}" for name, state in named]
-    _write_text(None, "\n".join(lines) + "\n")
+    _write_chunks(None, ("\n".join(lines) + "\n",))
     if args.dump_state:
         payload = {name: state_to_json(state) for name, state in named}
-        _write_text(args.dump_state, _json_dumps(payload))
+        _write_chunks(args.dump_state, (_json_dumps(payload),))
     return 0
 
 
 def _cmd_describe_tritter(args) -> int:
     network = decompose_dft(args.d)
-    _write_text(args.out, _json_dumps(network.to_json()))
+    _write_chunks(args.out, (_json_dumps(network.to_json()),))
     return 0
 
 
@@ -130,7 +126,7 @@ def _cmd_discriminate(args) -> int:
         "empirical": {k: v / args.trials for k, v in counts.items()},
         "analytic": outcome_probabilities(table, args.eta),
     }
-    _write_text(args.out, _json_dumps(report))
+    _write_chunks(args.out, (_json_dumps(report),))
     return 0
 
 
@@ -145,7 +141,7 @@ def _cmd_teleport(args) -> int:
         "conclusive_fraction": n_conclusive / args.trials,
         "mean_conclusive_fidelity": float(fidelities[conclusive].mean()) if n_conclusive else None,
     }
-    _write_text(args.out, _json_dumps(report))
+    _write_chunks(args.out, (_json_dumps(report),))
     return 0
 
 
@@ -191,7 +187,7 @@ def _cmd_keyrate(args) -> int:
         lines = ["d,eta_threshold"]
         for d in range(2, args.d_max + 1):
             lines.append(f"{d},{kr.eta_threshold(d)!r}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_chunks(args.out, ("\n".join(lines) + "\n",))
         return 0
     d_values = _parse_d_list(args.d)
     n_steps = int(round(args.q_max / args.q_step))
@@ -204,7 +200,7 @@ def _cmd_keyrate(args) -> int:
         if args.eta is not None:
             line += f",{row.eta!r}"
         lines.append(line)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_chunks(args.out, ("\n".join(lines) + "\n",))
     return 0
 
 
@@ -297,6 +293,9 @@ def _validate(args) -> None:
     noise = getattr(args, "noise", None)
     if noise is not None and not 0.0 <= noise <= 1.0:
         raise ValueError("--noise must lie in [0, 1]")
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 2**64:
+        raise ValueError("--seed must lie in [0, 2**64)")
     d = getattr(args, "d", None)
     if isinstance(d, int) and d < 2:
         raise ValueError("--d must be >= 2")
@@ -310,10 +309,12 @@ def _validate(args) -> None:
         n_q = round(min(args.q_max / args.q_step, MAX_KEYRATE_ROWS)) + 1
         if n_q > MAX_KEYRATE_ROWS:
             raise ValueError(f"--q-max / --q-step gives more than {MAX_KEYRATE_ROWS} Q values")
-        n_d = len(_parse_d_list(args.d))
-        if n_d == 0:
+        d_values = _parse_d_list(args.d)
+        if not d_values:
             raise ValueError("--d must list at least one dimension")
-        if n_q * n_d > MAX_KEYRATE_ROWS:
+        if not all(2 <= d <= sys.float_info.max for d in d_values):  # the rates need d as a float
+            raise ValueError(f"--d values must lie in [2, {sys.float_info.max:.1e}]")
+        if n_q * len(d_values) > MAX_KEYRATE_ROWS:
             raise ValueError(f"--d and --q-max / --q-step give more than {MAX_KEYRATE_ROWS} rows")
     if args.command == "keyrate" and args.mode == "thresholds":
         if args.d_max < 2:

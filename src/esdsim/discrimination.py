@@ -5,8 +5,8 @@ d-port DFT, time-bin-resolved on-off detection, and table lookup from the
 click pattern to the state index.  `measure` runs the pipeline on a batch
 of dense inputs with one photon in each time-bin 0..d-1; `click_order` fixes
 the order of the d^d click patterns, and `click_codes` is the generated
-click table over that order.  `parity_postselect`, `detect_distribution` and
-`DetectionPattern` are the sparse reference that the tests check it against.
+click table over that order.  `detect_distribution` and `DetectionPattern`
+are the sparse detection model that the tests check it against.
 
 An outcome is an integer code: a conclusive outcome is its state index
 (>= 0), the other two are INCONCLUSIVE_CODE and POSTSELECT_FAIL_CODE.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -45,31 +45,6 @@ class DetectionPattern:
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"D[{p},{t}]" for p, t in self.clicks) + "}"
-
-
-class ParityResult(NamedTuple):
-    passed_state: PureState
-    pass_prob: float
-
-
-def parity_postselect(state: PureState, d: int, ports: Sequence[int] | None = None) -> ParityResult:
-    """Project onto every listed port holding an odd photon count.
-
-    Returns the renormalized projected state and the projection probability
-    (an empty state with probability 0 when nothing survives).  Device
-    efficiency is NOT applied here; see `sample_outcomes`.
-    """
-    ports = tuple(range(d)) if ports is None else tuple(ports)
-    kept = {
-        basis: amp
-        for basis, amp in state.items()
-        if all(basis.port_occupancy(p) % 2 == 1 for p in ports)
-    }
-    projected = PureState(kept, state.tolerance)
-    prob = projected.norm_sq()
-    if prob == 0.0:
-        return ParityResult(projected, 0.0)
-    return ParityResult(projected.normalize(), prob)
 
 
 def detect_distribution(state: PureState) -> dict[DetectionPattern, float]:
@@ -134,7 +109,7 @@ def measure(inputs: np.ndarray, d: int) -> Measurement:
     odd = np.zeros((d,) * d, dtype=bool)
     odd[tuple(permutation_table(d)[0].T)] = True
     pass_prob = np.sum(np.where(odd, np.abs(inputs), 0.0).reshape(len(inputs), -1) ** 2, axis=1)
-    evolved = evolve_axes(build_dft(d), np.where(odd, inputs, 0), batch_axes=1)
+    evolved = evolve_axes(build_dft(d), np.where(odd, inputs, 0))
     amplitudes = evolved[(slice(None),) + tuple(click_order(d).T)]
     del evolved
     probs = np.abs(amplitudes)

@@ -2,8 +2,9 @@
 
 A mode is a (time-bin, port) pair.  States are sparse complex superpositions
 over Fock occupation configurations; bosonic sqrt(n!) factors are applied
-explicitly, and every linear operation prunes amplitudes below a configurable
-tolerance so that exact interference zeros do not survive as float dust.
+explicitly, and every state prunes amplitudes at or below the fixed
+DEFAULT_TOLERANCE so that exact interference zeros do not survive as float
+dust.
 
 All values here are immutable and every operation returns a new object, so
 the whole stack is safe to share across threads without synchronization.
@@ -103,16 +104,6 @@ class FockBasisState:
     def ports(self) -> set[int]:
         return {mode.port for mode, _ in self._occ}
 
-    def occupancy(self, mode: ModeLabel) -> int:
-        for m, c in self._occ:
-            if m == mode:
-                return c
-        return 0
-
-    def port_occupancy(self, port: int) -> int:
-        """Total photon number sitting in a port, summed over time-bins."""
-        return sum(c for m, c in self._occ if m.port == port)
-
     @classmethod
     def _from_sorted(cls, occ: tuple[tuple[ModeLabel, int], ...], photons: int) -> "FockBasisState":
         obj = object.__new__(cls)
@@ -185,42 +176,25 @@ VACUUM = FockBasisState()
 class PureState:
     """A sparse superposition over Fock basis states.
 
-    Amplitudes with magnitude <= `tolerance` are dropped at construction.
-    All stored basis states must carry the same total photon number
-    (photon-number superselection within this package's scope).
+    Amplitudes with magnitude <= DEFAULT_TOLERANCE are dropped at
+    construction.  All stored basis states must carry the same total photon
+    number (photon-number superselection within this package's scope).
     """
 
-    __slots__ = ("_amps", "tolerance")
+    __slots__ = ("_amps",)
 
-    def __init__(
-        self,
-        amplitudes: Mapping[FockBasisState, complex] | Iterable[tuple[FockBasisState, complex]] = (),
-        tolerance: float = DEFAULT_TOLERANCE,
-    ):
+    def __init__(self, amplitudes: Mapping[FockBasisState, complex] | Iterable[tuple[FockBasisState, complex]] = ()):
         items = amplitudes.items() if isinstance(amplitudes, Mapping) else amplitudes
-        kept = {b: complex(a) for b, a in items if abs(a) > tolerance}
+        kept = {b: complex(a) for b, a in items if abs(a) > DEFAULT_TOLERANCE}
         # canonical term order; iteration order is part of the numeric contract
         ordered = dict(sorted(kept.items(), key=lambda pair: pair[0].sort_key()))
         counts = {b.photon_count for b in ordered}
         if len(counts) > 1:
             raise ValueError(f"mixed photon numbers {sorted(counts)} in one PureState")
         object.__setattr__(self, "_amps", ordered)
-        object.__setattr__(self, "tolerance", tolerance)
 
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def vacuum(cls, tolerance: float = DEFAULT_TOLERANCE) -> "PureState":
-        return cls({VACUUM: 1.0}, tolerance)
-
-    @classmethod
-    def single_photon(cls, mode: ModeLabel, tolerance: float = DEFAULT_TOLERANCE) -> "PureState":
-        return cls({FockBasisState({mode: 1}): 1.0}, tolerance)
-
-    # -- accessors ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[FockBasisState, complex]]:
         return iter(self._amps.items())
@@ -237,19 +211,6 @@ class PureState:
     def is_zero(self) -> bool:
         return not self._amps
 
-    @property
-    def photon_count(self) -> int | None:
-        """Photon number shared by all terms, or None for the zero state."""
-        for b in self._amps:
-            return b.photon_count
-        return None
-
-    def ports(self) -> set[int]:
-        out: set[int] = set()
-        for b in self._amps:
-            out |= b.ports()
-        return out
-
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self._amps.values())
 
@@ -263,10 +224,11 @@ class PureState:
         return self.scaled(1.0 / n)
 
     def scaled(self, factor: complex) -> "PureState":
-        return PureState({b: a * factor for b, a in self._amps.items()}, self.tolerance)
+        return PureState({b: a * factor for b, a in self._amps.items()})
 
     def __repr__(self) -> str:
-        return f"PureState({len(self._amps)} terms, n={self.photon_count})"
+        photons = next(iter(self._amps)).photon_count if self._amps else None
+        return f"PureState({len(self._amps)} terms, n={photons})"
 
     def __str__(self) -> str:
         if not self._amps:
@@ -284,18 +246,6 @@ def _format_amp(amp: complex) -> str:
 
 
 # -- operations ------------------------------------------------------------
-
-
-def apply_creation(state: PureState, mode: ModeLabel) -> PureState:
-    """Apply a creation operator: each |..,n,..> term maps to sqrt(n+1)|..,n+1,..>.
-
-    The result is intentionally not renormalized.
-    """
-    out: dict[FockBasisState, complex] = {}
-    for basis, amp in state.items():
-        new_basis, new_count = basis.with_photon_added(mode)
-        out[new_basis] = out.get(new_basis, 0j) + amp * math.sqrt(new_count)
-    return PureState(out, state.tolerance)
 
 
 def inner_product(x: PureState, y: PureState) -> complex:
@@ -323,16 +273,16 @@ def tensor(x: PureState, y: PureState) -> PureState:
     for bx, ax in x.items():
         for by, ay in y.items():
             out[bx.union(by)] = ax * ay
-    return PureState(out, max(x.tolerance, y.tolerance))
+    return PureState(out)
 
 
-def superpose(terms: Iterable[tuple[complex, PureState]], tolerance: float = DEFAULT_TOLERANCE) -> PureState:
+def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
     """Unnormalized linear combination sum_k c_k |state_k>."""
     out: dict[FockBasisState, complex] = {}
     for coeff, state in terms:
         for basis, amp in state.items():
             out[basis] = out.get(basis, 0j) + coeff * amp
-    return PureState(out, tolerance)
+    return PureState(out)
 
 
 def apply_phases(state: PureState, phase_of: Callable[[ModeLabel], complex]) -> PureState:
@@ -343,7 +293,7 @@ def apply_phases(state: PureState, phase_of: Callable[[ModeLabel], complex]) -> 
         for mode, count in basis.items():
             factor *= phase_of(mode) ** count
         out[basis] = amp * factor
-    return PureState(out, state.tolerance)
+    return PureState(out)
 
 
 def partial_project(state: PureState, ket: PureState, ports: Iterable[int]) -> PureState:
@@ -360,7 +310,7 @@ def partial_project(state: PureState, ket: PureState, ports: Iterable[int]) -> P
         if bra_amp == 0j:
             continue
         out[outside] = out.get(outside, 0j) + bra_amp.conjugate() * amp
-    return PureState(out, state.tolerance)
+    return PureState(out)
 
 
 def states_equal_up_to_global_phase(x: PureState, y: PureState, tol: float = 1e-12) -> bool:

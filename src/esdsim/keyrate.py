@@ -56,12 +56,17 @@ def rate_per_signal(d: int, q: float, clamp: bool = True) -> float:
     return max(0.0, raw) if clamp else raw
 
 
-def crossover_q(d1: int, d2: int, *, scan_step: float = 1e-3, tol: float = 1e-6) -> float:
+_SCAN_STEP = 1e-3
+_ROOT_TOL = 1e-6
+
+
+def crossover_q(d1: int, d2: int) -> float:
     """Smallest Q > 0 where the raw per-total-signal curves of d1 and d2 meet.
 
-    A coarse scan over (0, 0.5) brackets the first sign change of the
-    difference, then bisection narrows it below `tol`.  Raises NoRoot when
-    the curves never cross there, and DomainError for d1 == d2.
+    A coarse scan over (0, 0.5) in steps of _SCAN_STEP brackets the first
+    sign change of the difference, then bisection narrows it below
+    _ROOT_TOL.  Raises NoRoot when the curves never cross there, and
+    DomainError for d1 == d2.
     """
     if d1 == d2:
         raise DomainError("crossover of a curve with itself is undefined")
@@ -69,24 +74,24 @@ def crossover_q(d1: int, d2: int, *, scan_step: float = 1e-3, tol: float = 1e-6)
     def gap(q: float) -> float:
         return rate_per_signal(d1, q, clamp=False) - rate_per_signal(d2, q, clamp=False)
 
-    lo = scan_step
+    lo = _SCAN_STEP
     g_lo = gap(lo)
     bracket = None
-    q = lo + scan_step
+    q = lo + _SCAN_STEP
     while q < 0.5:
         g = gap(q)
         if g == 0.0:
             return q
         if g_lo * g < 0.0:
-            bracket = (q - scan_step, q)
+            bracket = (q - _SCAN_STEP, q)
             break
         g_lo = g
-        q += scan_step
+        q += _SCAN_STEP
     if bracket is None:
         raise NoRoot(f"rate curves for d={d1} and d={d2} do not cross in (0, 0.5)")
     a, b = bracket
     g_a = gap(a)
-    while b - a > tol:
+    while b - a > _ROOT_TOL:
         mid = 0.5 * (a + b)
         g_mid = gap(mid)
         if g_a * g_mid <= 0.0:

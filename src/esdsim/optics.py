@@ -114,7 +114,7 @@ def apply_mode_unitary(state: PureState, u: ModeUnitary, port_map: Sequence[int]
                 poly = grown
         for mono, coeff in poly.items():
             out[mono] += coeff * mono.sqrt_factorial()
-    return PureState(out, state.tolerance)
+    return PureState(out)
 
 
 def dense_amplitudes(state: PureState, dim: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -147,12 +147,12 @@ def dense_amplitudes(state: PureState, dim: int) -> tuple[tuple[int, ...], np.nd
     return timebins, amps
 
 
-def evolve_axes(u: ModeUnitary, amps: np.ndarray, batch_axes: int = 0) -> np.ndarray:
-    """Apply `u` to every axis of a dense amplitude array (one photon per
-    axis, indexed by its port) after the first `batch_axes`, which index
-    independent states.  Each step is the product `np.tensordot` forms,
+def evolve_axes(u: ModeUnitary, amps: np.ndarray) -> np.ndarray:
+    """Apply `u` to every axis but the first of a batch of dense amplitude
+    arrays: axis 0 indexes independent states, every later axis one photon,
+    indexed by its port.  Each step is the product `np.tensordot` forms,
     and drops the previous result before allocating the next."""
-    for axis in range(batch_axes, amps.ndim):
+    for axis in range(1, amps.ndim):
         rows = np.moveaxis(amps, axis, 0)
         shape, rows = rows.shape, rows.reshape(len(rows), -1)
         del amps

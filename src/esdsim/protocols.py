@@ -65,9 +65,6 @@ class TeleportTarget:
     def haar_random(cls, rng: np.random.Generator) -> "TeleportTarget":
         return cls(tuple(complex(a) for a in haar_amplitudes(rng.random((1, 6)))[0]))
 
-    def state(self, ports: Sequence[int]) -> PureState:
-        return _path_state(self.alphas, ports)
-
 
 def _path_state(amps: Sequence[complex], ports: Sequence[int]) -> PureState:
     """sum_j amps[j] |time-bin a on ports[j]>, unnormalized."""
@@ -309,15 +306,14 @@ class MdiOutcomes(NamedTuple):
     Bob's photon flipped as `_FLIPS[flip_bits]` says.  `cumulative` holds
     the running sum of the click-pattern probabilities after a passed
     parity projection, over all 27 output port tuples in canonical click
-    order (patterns with no amplitude add exactly 0), `codes` the outcome
-    code of each pattern, `last` each row's last pattern with nonzero
+    order (patterns with no amplitude add exactly 0; `click_codes(3)` holds
+    their outcome codes), `last` each row's last pattern with nonzero
     probability (0 for a row that never passes) and `conclusive` each row's
     probability of conclusive index 0, 1, 2 when every parity device works.
     """
 
     pass_prob: np.ndarray
     cumulative: np.ndarray
-    codes: np.ndarray
     last: np.ndarray
     conclusive: np.ndarray
 
@@ -346,7 +342,7 @@ def _mdi_outcomes() -> MdiOutcomes:
     support = result.probs > 0
     last = np.where(support.any(axis=1), support.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1), 0)
     conclusive = result.pass_prob[:, None] * (result.probs @ (codes[:, None] == np.arange(3)))
-    return MdiOutcomes(result.pass_prob, np.cumsum(result.probs, axis=1), codes, last, conclusive)
+    return MdiOutcomes(result.pass_prob, np.cumsum(result.probs, axis=1), last, conclusive)
 
 
 @lru_cache(maxsize=1)
@@ -376,7 +372,7 @@ def _sample_mdi(rows: np.ndarray, eta: float, uniforms: np.ndarray) -> np.ndarra
     cumulative = table.cumulative[rows]
     passed = np.all(uniforms[:, :3] < eta, axis=1) & (uniforms[:, 3] < table.pass_prob[rows])
     pick = np.sum(cumulative <= uniforms[:, 4:] * cumulative[:, -1:], axis=1)
-    return np.where(passed, table.codes[np.minimum(pick, table.last[rows])], POSTSELECT_FAIL_CODE)
+    return np.where(passed, click_codes(3)[np.minimum(pick, table.last[rows])], POSTSELECT_FAIL_CODE)
 
 
 def mdi_qkd_run(

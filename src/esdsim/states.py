@@ -3,10 +3,9 @@
 Each family is defined once as a dense amplitude array with one axis per
 photon, in time-bin order, indexed by port position (`psi_amplitudes`,
 `phi_amplitudes`, `minor_amplitudes`, `mub_amplitudes`, `pair_amplitudes`);
-every runtime path reads these arrays.  The sparse builders (`build_psi`,
-`build_phi`, `build_minor`, `mub_state`, `build_alice_pair`) are views of
-them as `PureState`s on chosen port labels, the inverse of
-`optics.dense_amplitudes`.
+every runtime path reads these arrays.  The sparse builders `build_psi` and
+`build_phi` are views of them as `PureState`s on chosen port labels, made
+by `_as_state`, the inverse of `optics.dense_amplitudes`.
 
 Time-bin letters map a -> 0, b -> 1, c -> 2 (and onward for higher d), so the
 qutrit triple family (`build_psi`) and the general-d determinant family
@@ -32,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidDimension
-from .fock import DEFAULT_TOLERANCE, FockBasisState, ModeLabel, PureState
+from .fock import FockBasisState, ModeLabel, PureState
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -68,7 +67,7 @@ def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, signs
 
 
-def _as_state(amps: np.ndarray, axis_ports: Sequence[Sequence[int]], first_timebin: int, tolerance: float) -> PureState:
+def _as_state(amps: np.ndarray, axis_ports: Sequence[Sequence[int]], first_timebin: int) -> PureState:
     """The sparse view of a dense array, the inverse of
     `optics.dense_amplitudes`: axis k holds the photon of time-bin
     first_timebin + k, and its index j puts it on port axis_ports[k][j]."""
@@ -77,7 +76,7 @@ def _as_state(amps: np.ndarray, axis_ports: Sequence[Sequence[int]], first_timeb
         FockBasisState({ModeLabel(first_timebin + k, axis_ports[k][j]): 1 for k, j in enumerate(index)})
         for index in nonzero.tolist()
     )
-    return PureState(zip(bases, amps[tuple(nonzero.T)].tolist()), tolerance)
+    return PureState(zip(bases, amps[tuple(nonzero.T)].tolist()))
 
 
 def psi_amplitudes(index: int) -> np.ndarray:
@@ -157,63 +156,18 @@ def pair_amplitudes(x: int) -> np.ndarray:
     return amps
 
 
-def build_psi(
-    index: int,
-    ports: Sequence[int] = _QUTRIT_PORTS,
-    a_ports: Sequence[int] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> PureState:
+def build_psi(index: int, ports: Sequence[int] = _QUTRIT_PORTS, a_ports: Sequence[int] | None = None) -> PureState:
     """`psi_amplitudes(index)` on the given ports.  `a_ports`, when given,
     relocates the time-bin-a photon onto different port labels (used when
     one party keeps that photon)."""
     amps = psi_amplitudes(index)
     ports = _check_ports(ports, 3)
     a_ports = ports if a_ports is None else _check_ports(a_ports, 3)
-    return _as_state(amps, (a_ports, ports, ports), 0, tolerance)
+    return _as_state(amps, (a_ports, ports, ports), 0)
 
 
-def build_phi(
-    index: int,
-    dim: int,
-    ports: Sequence[int] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> PureState:
+def build_phi(index: int, dim: int, ports: Sequence[int] | None = None) -> PureState:
     """`phi_amplitudes(index, dim)` on the given ports (default 0..d-1)."""
     amps = phi_amplitudes(index, dim)
-    return _as_state(amps, (_check_ports(ports, dim),) * dim, 0, tolerance)
+    return _as_state(amps, (_check_ports(ports, dim),) * dim, 0)
 
-
-def build_minor(
-    index: int,
-    dim: int,
-    ports: Sequence[int] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> PureState:
-    """`minor_amplitudes(index, dim)` on the given ports (default 0..d-1):
-    empty on ports[index], time-bins 1..d-1."""
-    amps = minor_amplitudes(index, dim)
-    return _as_state(amps, (_check_ports(ports, dim),) * (dim - 1), 1, tolerance)
-
-
-def mub_state(
-    timebin: int,
-    k: int,
-    ports: Sequence[int] = _QUTRIT_PORTS,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> PureState:
-    """`mub_amplitudes(k)` as a photon of the given time-bin on the given
-    ports."""
-    amps = mub_amplitudes(k)
-    if not 0 <= timebin <= 2:
-        raise IndexOutOfRange(f"time-bin must be 0..2, got {timebin}")
-    return _as_state(amps, (_check_ports(ports, 3),), timebin, tolerance)
-
-
-def build_alice_pair(
-    x: int,
-    ports: Sequence[int] = _QUTRIT_PORTS,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> PureState:
-    """`pair_amplitudes(x)` as the b and c photons on the given ports."""
-    amps = pair_amplitudes(x)
-    return _as_state(amps, (_check_ports(ports, 3),) * 2, 1, tolerance)

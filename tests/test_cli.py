@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esdsim
 import esdsim.cli as cli
@@ -14,6 +19,9 @@ import esdsim.fock as fock
 import esdsim.optics as optics
 import esdsim.protocols as protocols
 from esdsim.cli import run
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read(path):
@@ -326,12 +334,21 @@ class TestErrorPaths:
 class TestSeedRange:
     @pytest.mark.parametrize("command", ["discriminate", "teleport", "mdiqkd"])
     @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_outside_exits_2_before_writing(self, command, seed, tmp_path, capsys):
+    def test_outside_exits_2_before_writing(self, command, seed, tmp_path, monkeypatch, capsys):
+        # the seed is checked with the other options, before any table is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nothing may be built for a seed outside the range")
+
+        for name in ("outcome_table", "teleport_run", "mdi_qkd_run"):
+            monkeypatch.setattr(cli, name, forbidden)
         out = tmp_path / "out"
-        assert run([command, "--trials", "10", "--seed", str(seed), "--out", str(out)]) == 2
+        argv = [command, "--trials", "10", "--seed", str(seed), "--out", str(out)]
+        if command == "discriminate":
+            argv += ["--d", "6", "--state", "phi0"]
+        assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.err == "error: --seed must lie in [0, 2**64)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["discriminate", "teleport", "mdiqkd"])
@@ -340,6 +357,65 @@ class TestSeedRange:
         out = tmp_path / "out"
         assert run([command, "--trials", "10", "--seed", str(seed), "--out", str(out)]) == 0
         assert out.stat().st_size > 0
+
+
+def _option_values(*values):
+    return st.sampled_from([str(v) for v in values])
+
+
+# Each subcommand's option grammar: ints at and past each cap, except where
+# a run at the cap takes seconds (the explicit tests above cover those
+# caps), floats at the edges of every range, comma lists with blanks and
+# signs, state names with non-ASCII case folds, seeds at both ends of
+# [0, 2**64), and paths into missing directories or onto a directory.
+_FLOATS = _option_values("nan", "inf", "-inf", "-0.0", "0", "1e-300", "0.1", "0.5", "1", 1 + 2**-52, 1 - 2**-53, "-1")
+_TRIALS = _option_values(-1, 0, 1, 7, cli.MAX_TRIALS + 1, 2**64, 10**30)
+_SEEDS = _option_values(-1, 0, 1, 2**64 - 1, 2**64, 10**30)
+_PATHS = st.sampled_from(["out", "missing/out", "."])
+_STATES = st.sampled_from(
+    ["psi0", "psi8", "psi9", "PSI1", "Phi2", "phi5", "phi6", "phi-1", "phi+1", "psi01", " psi1", "", "x",
+     "p\u017fi1", "PS\u01301", "PH\u01300", "\uff30\uff33\uff291", "psi\u0661"]
+)
+_D_PARTS = ["2", "3", "10", " 4", "+5", "-3", "0", "1", "", " ", "1e3", "x", str(10**30), "1" + "0" * 400, "\u0663"]
+_GRAMMAR = {
+    "list-states": {"d": _option_values(-1, 0, 1, 2, 3, 4, cli.MAX_D["list-states"] + 1, 2**64, 10**30),
+                    "dump-state": _PATHS},
+    "describe-tritter": {"d": _option_values(-1, 0, 1, 2, 3, 16, cli.MAX_D["describe-tritter"] + 1, 2**64, 10**30),
+                         "out": _PATHS},
+    "discriminate": {"d": _option_values(-1, 0, 1, 2, 3, 4, cli.MAX_DISCRIMINATE_D, cli.MAX_DISCRIMINATE_D + 1,
+                                         2**64, 10**30),
+                     "state": _STATES, "trials": _TRIALS, "eta": _FLOATS, "seed": _SEEDS, "out": _PATHS},
+    "teleport": {"trials": _TRIALS, "seed": _SEEDS, "out": _PATHS},
+    "mdiqkd": {"trials": _TRIALS, "eta": _FLOATS, "noise": _FLOATS, "seed": _SEEDS, "out": _PATHS},
+    "keyrate": {"d": st.lists(st.sampled_from(_D_PARTS), max_size=4).map(",".join),
+                "q-max": _FLOATS | _option_values("0.12"), "q-step": _FLOATS | _option_values("0.002", "1e-7"),
+                "eta": _FLOATS, "d-max": _option_values(-1, 0, 1, 2, 30, cli.MAX_KEYRATE_ROWS + 2, 2**64, 10**30),
+                "out": _PATHS},
+}
+_PATH_FLAGS = ("out", "dump-state")
+
+
+class TestCliContract:
+    """Every input either succeeds or exits 2 with one message line."""
+
+    @pytest.mark.parametrize("command", sorted(_GRAMMAR))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_0_or_2_with_one_error_line(self, command, data, tmp_path_factory):
+        directory = tmp_path_factory.getbasetemp() / "contract"
+        directory.mkdir(exist_ok=True)
+        argv = [command]
+        if command == "keyrate":
+            argv += data.draw(st.sampled_from([[], ["table"], ["thresholds"], ["bogus"]]))
+        for flag, values in _GRAMMAR[command].items():
+            value = data.draw(st.none() | values, label=flag)
+            if value is not None:
+                argv.append(f"--{flag}={directory / value if flag in _PATH_FLAGS else value}")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        error_lines = [line for line in stderr.getvalue().splitlines() if "error:" in line]
+        assert (code, len(error_lines)) in ((0, 0), (2, 1)), (argv, code, stderr.getvalue())
 
 
 class TestMdiqkdSummaryStream:
@@ -362,8 +438,7 @@ class TestMdiqkdSummaryStream:
 def readme_commands(directory):
     """The `esdsim` lines of the README's CLI block, as argument lists that
     write their files into `directory`."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = read(README).split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("esdsim ")]
     return [
         [str(directory / arg) if flag in ("--out", "--dump-state") else arg for flag, arg in zip([None] + argv, argv)]
@@ -379,6 +454,14 @@ class TestReadmeCommands:
         }
         for argv in commands:
             assert run(argv) == 0, argv
+
+
+class TestReadmeLayout:
+    def test_names_every_module(self):
+        section = read(README).split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `esdsim\.(\w+)` \|", section, re.MULTILINE)
+        modules = {path.stem for path in Path(esdsim.__file__).parent.glob("*.py")} - {"__init__"}
+        assert sorted(documented) == sorted(modules)
 
 
 class TestSharedParser:
@@ -435,14 +518,13 @@ class TestRuntimePaths:
     def test_no_sparse_measurement(self, monkeypatch, capsys):
         # the sparse algebra serves list-states and the tests only: no other
         # CLI path may build a basis state, a sparse state or a click pattern
-        # object, convert a sparse state to a dense one, project parity
-        # sparsely, run the polynomial evolution or take a sparse tensor product
+        # object, convert a sparse state to a dense one, run the polynomial
+        # evolution or take a sparse tensor product
         banned = {
             id(fock.FockBasisState): "FockBasisState",
             id(fock.PureState): "PureState",
             id(optics.dense_amplitudes): "dense_amplitudes",
             id(discrimination.DetectionPattern): "DetectionPattern",
-            id(discrimination.parity_postselect): "parity_postselect",
             id(optics.apply_mode_unitary): "apply_mode_unitary",
             id(fock.tensor): "tensor",
         }

@@ -1,12 +1,17 @@
 import bisect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import esdsim
 import esdsim.discrimination as discrimination
 from esdsim import cli
 from esdsim.discrimination import (
@@ -25,14 +30,14 @@ from esdsim.discrimination import (
     outcome_name,
     outcome_probabilities,
     outcome_table,
-    parity_postselect,
     sample_outcomes,
 )
 from esdsim.errors import AmbiguousPattern, OverlappingModes, PortMismatch
 from esdsim.fock import FockBasisState, ModeLabel, PureState, states_equal_up_to_global_phase, superpose, tensor
 from esdsim.optics import apply_mode_unitary, build_dft, dense_amplitudes
 from esdsim.protocols import mdi_qkd_expectation, mdi_qkd_run
-from esdsim.states import build_minor, build_phi, build_psi, phi_amplitudes, psi_amplitudes
+from esdsim.states import build_phi, build_psi, phi_amplitudes, psi_amplitudes
+from sparse_reference import build_minor, parity_postselect, single_photon, suppression_law
 
 
 def pattern(*pairs):
@@ -91,7 +96,7 @@ class TestDetectDistribution:
             assert abs(prob - 1 / 6) < 1e-12
 
     def test_single_photon(self):
-        dist = detect_distribution(PureState.single_photon(ModeLabel(0, 0)))
+        dist = detect_distribution(single_photon(ModeLabel(0, 0)))
         assert dist == {pattern((0, 0)): 1.0}
 
     def test_probabilities_sum_to_one(self):
@@ -144,11 +149,8 @@ class TestBuildClassifier:
         # distinct ports and whose time-bin-0 photon sits i ports below the
         # port m those miss, each with probability 1/d!; at d = 3 the table
         # keys off the published psi labels, which swap 1 and 2
-        order = click_order(d).astype(int)
-        distinct = np.all(np.diff(np.sort(order[:, 1:], axis=1), axis=1) > 0, axis=1)
-        missing = d * (d - 1) // 2 - order[:, 1:].sum(axis=1)
-        phi_code = np.where(distinct, (missing - order[:, 0]) % d, INCONCLUSIVE_CODE)
-        psi_code = np.where(distinct, (order[:, 0] - missing) % d, INCONCLUSIVE_CODE)
+        phi_code = suppression_law(d)
+        psi_code = np.where(phi_code >= 0, -phi_code % d, phi_code)
         np.testing.assert_array_equal(click_codes(d), psi_code if d == 3 else phi_code)
         if d <= 5:
             probs = measure(np.stack([phi_amplitudes(i, d) for i in range(d)]), d).probs
@@ -156,6 +158,19 @@ class TestBuildClassifier:
                 np.testing.assert_array_equal(probs[i] > 0, phi_code == i)
             assert np.all(np.count_nonzero(probs, axis=1) == math.factorial(d))
             assert np.abs(probs[probs > 0] - 1 / math.factorial(d)).max() <= 1e-12
+
+    def test_suppression_law_d7(self):
+        # click_codes(7) peaks near 320 MB, so it is built in a process of its own
+        code = (
+            "import numpy as np\n"
+            "from esdsim.discrimination import click_codes\n"
+            "from sparse_reference import suppression_law\n"
+            "print(np.array_equal(click_codes(7), suppression_law(7)))"
+        )
+        env = {"PYTHONPATH": os.pathsep.join([str(Path(esdsim.__file__).parents[1]), str(Path(__file__).parent)])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                              timeout=120)
+        assert done.stdout.split() == ["True"]
 
     def test_d6_pattern_count(self):
         assert len(build_classifier(6)) == 6 * math.factorial(6)
@@ -339,7 +354,7 @@ def click_distribution(state, d):
 def measurement_inputs(d):
     """The one-photon-per-time-bin inputs the measurement sees."""
     inputs = [build_phi(i, d) for i in range(d)]
-    inputs += [tensor(build_minor(i, d), PureState.single_photon(ModeLabel(0, j)))
+    inputs += [tensor(build_minor(i, d), single_photon(ModeLabel(0, j)))
                for i in range(d) for j in range(d)]
     if d == 3:
         inputs += [build_psi(i) for i in range(9)]

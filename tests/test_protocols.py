@@ -14,8 +14,9 @@ from esdsim.discrimination import (
     OutcomeTable,
     analytic_outcome_probabilities,
     build_classifier,
+    click_codes,
     detect_distribution,
-    parity_postselect,
+    measure,
     sample_outcomes,
 )
 from esdsim.fock import (
@@ -50,7 +51,15 @@ from esdsim.protocols import (
 )
 from esdsim.protocols import _decode_array, _edp_system
 from esdsim.discrimination import derive_rng, outcome_name
-from esdsim.states import build_alice_pair, build_psi, mub_state
+from esdsim.states import build_psi, minor_amplitudes, phi_amplitudes
+from sparse_reference import (
+    build_alice_pair,
+    mub_state,
+    parity_postselect,
+    port_occupancy,
+    single_photon,
+    target_state,
+)
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +77,7 @@ def alice_send(basis, value):
 def bob_send(basis, value):
     """Bob's single-photon encoding: a path basis state or a MUB state."""
     if basis == COMPUTATIONAL:
-        return PureState.single_photon(ModeLabel(0, ESD_PORTS[value]))
+        return single_photon(ModeLabel(0, ESD_PORTS[value]))
     return mub_state(0, value, ESD_PORTS)
 
 
@@ -83,7 +92,7 @@ def build_teleport_system(target):
     """Target qutrit on the sender's measurement ports, tensored with the
     shared triple whose time-bin-a photon lives on the receiver's ports."""
     shared = build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS)
-    return tensor(target.state(ESD_PORTS), shared)
+    return tensor(target_state(target, ESD_PORTS), shared)
 
 
 def conditional_outcome_weights(target):
@@ -171,7 +180,7 @@ class TestEdp:
         for ports in ((3, 4, 5), (6, 7, 8)):
             for port in ports:
                 prob = sum(
-                    abs(amp) ** 2 for b, amp in shared.items() if b.port_occupancy(port) == 1
+                    abs(amp) ** 2 for b, amp in shared.items() if port_occupancy(b, port) == 1
                 )
                 assert abs(prob - 1 / 3) < 1e-12
 
@@ -258,6 +267,23 @@ class TestGeneralizedSetup:
     def test_conclusive_probability_to_rounding(self, d):
         assert abs(generalized_conclusive_probability(d) - 1 / d) <= 1e-15
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_two_line_argument(self, d):
+        # minor i with Bob's photon on port j passes the parity projection
+        # only for j = i, and then always; that input has weight exactly 1/d
+        # on every phi_k, each conclusive with probability 1, so of the d*d
+        # equally likely inputs d pass and every one is conclusive: 1/d
+        bob = np.eye(d)  # Bob's time-bin-0 photon on port j
+        inputs = np.stack([np.multiply.outer(bob[j], minor_amplitudes(i, d)) for i in range(d) for j in range(d)])
+        result = measure(inputs, d)
+        assert np.abs(result.pass_prob.reshape(d, d) - np.eye(d)).max() <= 1e-12
+        passed = inputs[:: d + 1].reshape(d, -1)  # j = i
+        phis = np.stack([phi_amplitudes(k, d) for k in range(d)]).reshape(d, -1)
+        assert np.abs(np.abs(phis.conj() @ passed.T) ** 2 - 1 / d).max() <= 1e-12
+        conclusive = result.probs[:: d + 1][:, click_codes(d) >= 0].sum(axis=1)
+        assert np.abs(conclusive - 1).max() <= 1e-12
+        assert abs(generalized_conclusive_probability(d) - 1 / d) <= 1e-12
+
 
 def direct_teleport_branches(target):
     """Reference: evolve this target's own joint system and group the evolved
@@ -323,7 +349,7 @@ class TestTeleportRun:
                 continue
             branches = [b for b in analysis.branches if b.code == code]
             assert any(abs(b.fidelity - fidelity) < 1e-12 for b in branches)
-            overlaps = [abs(inner_product(target.state(BOB_PORTS), b.bob_state)) ** 2 for b in branches]
+            overlaps = [abs(inner_product(target_state(target, BOB_PORTS), b.bob_state)) ** 2 for b in branches]
             assert any(abs(overlap - fidelity) < 1e-12 for overlap in overlaps)
         assert (codes >= 0).any() and (codes < 0).any()
 
@@ -437,7 +463,7 @@ class TestMdiOutcomeArray:
             reference = reference_table(row)
             assert abs(table.pass_prob[row] - reference.pass_prob) < 1e-12
             support = np.diff(table.cumulative[row], prepend=0.0) > 0
-            np.testing.assert_array_equal(table.codes[support], reference.codes)
+            np.testing.assert_array_equal(click_codes(3)[support], reference.codes)
             assert np.all(np.abs(table.cumulative[row, support] - reference.cumulative) < 1e-12)
             if support.any():
                 assert table.last[row] == np.flatnonzero(support)[-1]
