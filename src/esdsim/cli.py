@@ -27,9 +27,9 @@ from . import keyrate as kr
 from .discrimination import (
     POSTSELECT_FAIL_CODE,
     derive_rng,
+    measure,
     outcome_name,
     outcome_probabilities,
-    outcome_table,
     sample_outcomes,
 )
 from .errors import AmbiguousPattern
@@ -41,8 +41,9 @@ from .states import build_phi, build_psi, phi_amplitudes, psi_amplitudes
 DEFAULT_SEED = 42
 # Largest --d that `discriminate` accepts: the dense measurement holds d^d
 # amplitudes per state and builds the click codes from all d states at
-# once.  With 10^6 trials on one core of an Intel Xeon, d = 6 takes
-# 0.47-0.51 s and 123 MB including import, d = 7 2.4-2.7 s and 382 MB.
+# once; trials are sampled CHUNK_ROWS at a time.  With 10^6 trials on one
+# core of an Intel Xeon, d = 6 takes 0.46-0.59 s and 57 MB including
+# import, d = 7 2.2-2.3 s and 366 MB.
 MAX_DISCRIMINATE_D = 6
 # Largest --d of `list-states` (d = 7: 2.5 s and 83 MB, d = 8 runs past
 # 20 s) and `describe-tritter` (d = 64: 0.7 s; d = 128: 11 s).
@@ -97,11 +98,10 @@ def _cmd_list_states(args) -> int:
     if d == 3:
         named.extend((f"psi{i}", build_psi(i)) for i in range(9))
     named.extend((f"phi{i}", build_phi(i, d)) for i in range(d))
-    lines = [f"{name} = {state}" for name, state in named]
-    _write_chunks(None, ("\n".join(lines) + "\n",))
-    if args.dump_state:
+    if args.dump_state:  # before stdout, so a failed dump prints nothing
         payload = {name: state_to_json(state) for name, state in named}
         _write_chunks(args.dump_state, (_json_dumps(payload),))
+    _write_chunks(None, ("\n".join(f"{name} = {state}" for name, state in named) + "\n",))
     return 0
 
 
@@ -113,8 +113,11 @@ def _cmd_describe_tritter(args) -> int:
 
 def _cmd_discriminate(args) -> int:
     name, state = _named_state(args.state, args.d)
-    table = outcome_table(state, args.d)
-    codes = sample_outcomes(table, args.eta, derive_rng(args.seed).random((args.trials, args.d + 2)))
+    m, rng = measure(state[None], args.d), derive_rng(args.seed)
+    codes = np.empty(args.trials, dtype=np.int64)
+    for start in range(0, args.trials, CHUNK_ROWS):
+        u = rng.random((min(CHUNK_ROWS, args.trials - start), args.d + 2))
+        codes[start : start + len(u)] = sample_outcomes(m, np.zeros(len(u), dtype=np.int64), args.eta, u)
     counts = _outcome_counts(codes)
     report = {
         "state": name,
@@ -124,7 +127,7 @@ def _cmd_discriminate(args) -> int:
         "trials": args.trials,
         "counts": counts,
         "empirical": {k: v / args.trials for k, v in counts.items()},
-        "analytic": outcome_probabilities(table, args.eta),
+        "analytic": outcome_probabilities(m, args.eta),
     }
     _write_chunks(args.out, (_json_dumps(report),))
     return 0

@@ -11,7 +11,9 @@ MDI-QKD: Alice encodes a value into a two-photon path-entangled pair, Bob
 into a single photon (path basis or its MUB), an untrusted relay measures the
 joint three-photon state and announces the outcome, and matched-basis
 conclusive trials become the sifted key, decoded by the [basis, conclusive
-index, Bob value] array `_decode_array`.
+index, Bob value] array `_decode_array`.  Trials sample, and the decode rule
+and the exact sift rate and QBER read, one `Measurement` of all 288 joint
+inputs, `_mdi_outcomes`.
 
 The security-analysis (EDP) picture is implemented as well: conditioning the
 shared four-photon system on each conclusive relay outcome and applying the
@@ -28,7 +30,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .discrimination import POSTSELECT_FAIL_CODE, click_codes, derive_rng, measure
+from .discrimination import (
+    POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, derive_rng, measure, sample_outcomes
+)
 from .fock import (
     DEFAULT_TOLERANCE,
     FockBasisState,
@@ -298,26 +302,6 @@ class QkdRunResult:
 _FLIPS = (np.arange(8)[:, None] >> np.arange(3)) & 1
 
 
-class MdiOutcomes(NamedTuple):
-    """The relay's outcome distribution for every joint MDI-QKD input.
-
-    Row input_code * 8 + flip_bits holds the input whose code packs (Alice
-    basis, x, Bob basis, y) as np.ravel_multi_index over (2, 3, 2, 3), with
-    Bob's photon flipped as `_FLIPS[flip_bits]` says.  `cumulative` holds
-    the running sum of the click-pattern probabilities after a passed
-    parity projection, over all 27 output port tuples in canonical click
-    order (patterns with no amplitude add exactly 0; `click_codes(3)` holds
-    their outcome codes), `last` each row's last pattern with nonzero
-    probability (0 for a row that never passes) and `conclusive` each row's
-    probability of conclusive index 0, 1, 2 when every parity device works.
-    """
-
-    pass_prob: np.ndarray
-    cumulative: np.ndarray
-    last: np.ndarray
-    conclusive: np.ndarray
-
-
 def _alice_amplitudes() -> np.ndarray:
     """Alice's two-photon encodings, indexed [basis, value, b port, c port].
     Path basis: value x is pair_amplitudes((x + 1) mod 3), whose empty relay
@@ -330,19 +314,16 @@ def _alice_amplitudes() -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _mdi_outcomes() -> MdiOutcomes:
-    """Measure all 288 joint inputs at once: one dense input per row with
-    an axis per time-bin (Bob's photon is time-bin 0, Alice's 1 and 2)."""
+def _mdi_outcomes() -> Measurement:
+    """The relay's measurement of all 288 joint inputs, one dense input per
+    row with an axis per time-bin (Bob's photon is time-bin 0, Alice's 1
+    and 2).  Row input_code * 8 + flip_bits holds the input whose code packs
+    (Alice basis, x, Bob basis, y) as np.ravel_multi_index over (2, 3, 2, 3),
+    with Bob's photon flipped as `_FLIPS[flip_bits]` says."""
     alice = _alice_amplitudes()
     bob = np.array([np.eye(3), [mub_amplitudes(y) for y in range(3)]])  # basis, y, port
     bob = bob[:, :, None, :] * (1 - 2 * _FLIPS)  # basis, y, flip bits, port
-    amps = (alice[:, :, None, None, None, None] * bob[..., None, None]).reshape(-1, 3, 3, 3)
-    result = measure(amps, 3)
-    codes = click_codes(3)
-    support = result.probs > 0
-    last = np.where(support.any(axis=1), support.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1), 0)
-    conclusive = result.pass_prob[:, None] * (result.probs @ (codes[:, None] == np.arange(3)))
-    return MdiOutcomes(result.pass_prob, np.cumsum(result.probs, axis=1), last, conclusive)
+    return measure((alice[:, :, None, None, None, None] * bob[..., None, None]).reshape(-1, 3, 3, 3), 3)
 
 
 @lru_cache(maxsize=1)
@@ -351,7 +332,7 @@ def _decode_array() -> np.ndarray:
     for each entry exactly one Alice value gives that outcome nonzero
     probability in the noiseless protocol; the relay announcement plus
     Bob's own value identify it."""
-    noiseless = _mdi_outcomes().conclusive[::8].reshape(2, 3, 2, 3, 3)  # a basis, x, b basis, y, index
+    noiseless = conclusive_probabilities(_mdi_outcomes())[::8].reshape(2, 3, 2, 3, 3)  # a basis, x, b basis, y, index
     support = np.stack([noiseless[b, :, b] for b in range(2)]).transpose(0, 3, 2, 1) > 0  # basis, index, y, x
     ambiguous = np.argwhere(support.sum(axis=-1) != 1)
     if len(ambiguous):
@@ -361,18 +342,6 @@ def _decode_array() -> np.ndarray:
     decode = np.argmax(support, axis=-1)
     decode.setflags(write=False)
     return decode
-
-
-def _sample_mdi(rows: np.ndarray, eta: float, uniforms: np.ndarray) -> np.ndarray:
-    """Outcome codes for rows of `_mdi_outcomes`, one per row of an (n, 5)
-    block of uniforms laid out as `sample_outcomes` lays out d = 3: the
-    same draw gives the same code as that sampler on the input's pruned
-    outcome table."""
-    table = _mdi_outcomes()
-    cumulative = table.cumulative[rows]
-    passed = np.all(uniforms[:, :3] < eta, axis=1) & (uniforms[:, 3] < table.pass_prob[rows])
-    pick = np.sum(cumulative <= uniforms[:, 4:] * cumulative[:, -1:], axis=1)
-    return np.where(passed, click_codes(3)[np.minimum(pick, table.last[rows])], POSTSELECT_FAIL_CODE)
 
 
 def mdi_qkd_run(
@@ -392,8 +361,8 @@ def mdi_qkd_run(
     12)), drawn in chunks of CHUNK_ROWS rows; row i is trial i, so a run's
     columns are a prefix of any longer run's.  Columns: 0-1 bases (< 0.5 is
     computational), 2-3 values floor(3u), 4-6 phase flips (< p), 7-9 parity
-    devices, 10 parity projection, 11 click pattern.  Every trial is a
-    lookup in `_mdi_outcomes`, built once per process for all 288 inputs.
+    devices, 10 parity projection, 11 click pattern.  Every trial samples a
+    row of `_mdi_outcomes`, built once per process for all 288 inputs.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -412,7 +381,7 @@ def mdi_qkd_run(
         flip_bits = (u[:, 4:7] < noise.phase_flip_p) @ np.array([1, 2, 4])
         choices = (mub[rows, 0], values[rows, 0], mub[rows, 1], values[rows, 1])
         inputs = np.ravel_multi_index(choices, (2, 3, 2, 3))
-        outcome_codes[rows] = _sample_mdi(inputs * 8 + flip_bits, eta, u[:, 7:12])
+        outcome_codes[rows] = sample_outcomes(_mdi_outcomes(), inputs * 8 + flip_bits, eta, u[:, 7:12])
 
     sifted = (mub[:, 0] == mub[:, 1]) & (outcome_codes >= 0)
     bob_symbols = _decode_array()[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]
@@ -440,7 +409,7 @@ def mdi_qkd_expectation(eta: float = 1.0, noise: NoiseConfig | None = None) -> Q
     a_basis, x, b_basis, y, _ = np.unravel_index(np.arange(288), (2, 3, 2, 3, 8))
     matched = (a_basis == b_basis)[:, None]
     errors = _decode_array()[a_basis[:, None], np.arange(3), y[:, None]] != x[:, None]
-    conclusive = eta**3 * np.tile(weights, 36)[:, None] / 36 * _mdi_outcomes().conclusive * matched
+    conclusive = eta**3 * np.tile(weights, 36)[:, None] / 36 * conclusive_probabilities(_mdi_outcomes()) * matched
     sift_rate = float(conclusive.sum())
     return QkdExpectation(sift_rate, float((conclusive * errors).sum()) / sift_rate if sift_rate else 0.0)
 
@@ -452,6 +421,4 @@ def generalized_conclusive_probability(d: int) -> float:
     through the full measurement pipeline.  Equals 1/d."""
     blocks = np.stack([minor_amplitudes(i, d) for i in range(d)])  # time-bins 1..d-1
     inputs = np.eye(d)[None, :, :, None] * blocks.reshape(d, 1, 1, -1)  # block, Bob's port, time-bins 0..d-1
-    result = measure(inputs.reshape((d * d,) + (d,) * d), d)
-    conclusive = result.pass_prob[:, None] * result.probs[:, click_codes(d) >= 0]
-    return float(np.sum(conclusive)) / (d * d)
+    return float(np.sum(conclusive_probabilities(measure(inputs.reshape((d * d,) + (d,) * d), d)))) / (d * d)

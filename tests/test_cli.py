@@ -245,6 +245,11 @@ class TestGoldenOutputs:
 
 
 class TestErrorPaths:
+    def test_failed_dump_prints_nothing(self, tmp_path, capsys):
+        assert run(["list-states", "--dump-state", str(tmp_path / "missing" / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_usage_error_exit_code(self):
         assert run(["no-such-command"]) == 2
 
@@ -277,7 +282,7 @@ class TestErrorPaths:
             raise AssertionError("nothing may be built past the dimension limit")
 
         monkeypatch.setattr(cli, "_named_state", forbidden)
-        monkeypatch.setattr(cli, "outcome_table", forbidden)
+        monkeypatch.setattr(cli, "measure", forbidden)
         assert run(["discriminate", "--d", str(cli.MAX_DISCRIMINATE_D + 1), "--state", "phi1"]) == 2
         assert f"limit of {cli.MAX_DISCRIMINATE_D}" in capsys.readouterr().err
 
@@ -339,7 +344,7 @@ class TestSeedRange:
         def forbidden(*args, **kwargs):
             raise AssertionError("nothing may be built for a seed outside the range")
 
-        for name in ("outcome_table", "teleport_run", "mdi_qkd_run"):
+        for name in ("measure", "teleport_run", "mdi_qkd_run"):
             monkeypatch.setattr(cli, name, forbidden)
         out = tmp_path / "out"
         argv = [command, "--trials", "10", "--seed", str(seed), "--out", str(out)]

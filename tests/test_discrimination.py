@@ -18,18 +18,18 @@ from esdsim.discrimination import (
     INCONCLUSIVE_CODE,
     POSTSELECT_FAIL_CODE,
     DetectionPattern,
-    OutcomeTable,
+    Measurement,
     analytic_outcome_probabilities,
     build_classifier,
     click_codes,
     click_order,
+    conclusive_probabilities,
     derive_rng,
     detect_distribution,
     measure,
     measurement_input,
     outcome_name,
     outcome_probabilities,
-    outcome_table,
     sample_outcomes,
 )
 from esdsim.errors import AmbiguousPattern, OverlappingModes, PortMismatch
@@ -191,7 +191,8 @@ class TestBuildClassifier:
 
 def sampled_codes(state, eta, n, seed):
     """Outcome codes of n trials of one d = 3 input, from one uniform block."""
-    return sample_outcomes(outcome_table(measurement_input(state, 3), 3), eta, derive_rng(seed).random((n, 5)))
+    m = measure(measurement_input(state, 3)[None], 3)
+    return sample_outcomes(m, np.zeros(n, dtype=np.int64), eta, derive_rng(seed).random((n, 5)))
 
 
 class TestSampling:
@@ -275,40 +276,53 @@ class TestOutcomeType:
 # -- vectorized sampler ----------------------------------------------------------
 
 
-def scalar_sample(table, eta, row):
-    """Loop reference: devices, then the parity projection, then bisect_right
-    over the cumulative pattern probabilities."""
-    d = table.d
-    if any(u >= eta for u in row[:d]) or row[d] >= table.pass_prob or not len(table.codes):
+def scalar_sample(m, row, eta, u):
+    """Loop reference for one trial on input `row`: devices, then the parity
+    projection, then bisect_right over the running probabilities of the
+    row's support patterns, clamped to the last of them."""
+    d = m.d
+    if any(x >= eta for x in u[:d]) or u[d] >= m.pass_prob[row]:
         return POSTSELECT_FAIL_CODE
-    cum = table.cumulative.tolist()
-    idx = min(bisect.bisect_right(cum, row[d + 1] * cum[-1]), len(cum) - 1)
-    return int(table.codes[idx])
+    support = np.flatnonzero(m.probs[row])
+    cum = np.cumsum(m.probs[row, support]).tolist()
+    idx = min(bisect.bisect_right(cum, u[d + 1] * cum[-1]), len(cum) - 1)
+    return int(click_codes(d)[support[idx]])
 
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
+# Dyadic weights and picks make u * total tie with a running sum exactly; at
+# the top edge u * total can round to the total, and 1.0 always reaches it.
+dyadic = st.sampled_from([0.25, 0.5, 1.0])
+pick = st.one_of(unit, st.sampled_from([0.0, 0.25, 0.5, 0.75, float(np.nextafter(1.0, 0.0)), 1.0]))
+probability = st.one_of(st.just(1.0), st.floats(0.0, 1.0))  # often 1, so that many trials reach the pick
 
 
 @st.composite
-def tables_and_uniforms(draw):
-    d = draw(st.integers(2, 4))
-    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=12))
-    cumulative = np.cumsum(weights) if weights and sum(weights) > 0 else np.zeros(0)
-    codes = np.array([draw(st.integers(-1, d - 1)) for _ in cumulative], dtype=np.int64)
-    pass_prob = draw(st.floats(0.0, 1.0)) if len(cumulative) else 0.0
-    table = OutcomeTable(d, pass_prob, cumulative, codes)
-    uniforms = np.array(draw(st.lists(st.lists(unit, min_size=d + 2, max_size=d + 2), min_size=1, max_size=20)))
-    eta = draw(st.floats(0.0, 1.0))
-    return table, eta, uniforms
+def measurements_and_uniforms(draw):
+    """A synthetic multi-row Measurement: zero-probability patterns between
+    support patterns, weights too small to move a running sum, and rows
+    with no click support, which never pass; plus trials on rows drawn in
+    any order."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    probs = np.zeros((draw(st.integers(1, 4)), d**d))
+    for row in probs:
+        weight = draw(st.sampled_from([dyadic, st.floats(0.0, 1.0)]))
+        weights = draw(st.dictionaries(st.integers(0, d**d - 1), weight, max_size=6))
+        row[list(weights)] = list(weights.values())
+    pass_prob = np.array([draw(probability) if row.any() else 0.0 for row in probs])
+    m = Measurement(d, pass_prob, np.sqrt(probs).astype(complex), probs)
+    trial = st.tuples(st.integers(0, len(probs) - 1), *[unit] * (d + 1), pick)
+    trials = np.array(draw(st.lists(trial, min_size=1, max_size=20)))
+    return m, trials[:, 0].astype(np.int64), draw(probability), trials[:, 1:]
 
 
 class TestVectorizedSampler:
-    @settings(max_examples=300, deadline=None)
-    @given(tables_and_uniforms())
+    @settings(max_examples=150, deadline=None)
+    @given(measurements_and_uniforms())
     def test_matches_scalar_reference(self, case):
-        table, eta, uniforms = case
-        codes = sample_outcomes(table, eta, uniforms)
-        assert codes.tolist() == [scalar_sample(table, eta, row.tolist()) for row in uniforms]
+        m, rows, eta, uniforms = case
+        codes = sample_outcomes(m, rows, eta, uniforms)
+        assert codes.tolist() == [scalar_sample(m, row, eta, u) for row, u in zip(rows.tolist(), uniforms.tolist())]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
@@ -317,17 +331,29 @@ class TestVectorizedSampler:
     def test_table_probabilities_sum_to_one(self, coeffs, eta):
         norm = math.sqrt(sum(abs(c) ** 2 for c in coeffs))
         state = superpose([(c / norm, build_psi(i)) for i, c in enumerate(coeffs)])
-        table = outcome_table(measurement_input(state, 3), 3)
-        if table.pass_prob > 0:
-            assert abs(table.cumulative[-1] - 1.0) < 1e-12
-        probs = outcome_probabilities(table, eta)
+        m = measure(measurement_input(state, 3)[None], 3)
+        if m.pass_prob[0] > 0:
+            assert abs(np.cumsum(m.probs[0])[-1] - 1.0) < 1e-12
+        probs = outcome_probabilities(m, eta)
         split = probs.pop("postselect_fail_device") + probs.pop("postselect_fail_parity")
         assert abs(sum(probs.values()) - 1.0) < 1e-12
         assert abs(split - probs["postselect_fail"]) < 1e-12
 
+    def test_conclusive_probabilities(self):
+        # the closed form agrees with the per-input analytic split on every
+        # psi state, and each phi_i passes and is conclusive i for sure (at
+        # d = 3 the codes carry the psi labels, checked above)
+        m = measure(np.stack([psi_amplitudes(i) for i in range(9)]), 3)
+        for i, row in enumerate(conclusive_probabilities(m).tolist()):
+            probs = analytic_outcome_probabilities(build_psi(i), 3)
+            assert np.allclose(row, [probs.get(f"conclusive({k})", 0.0) for k in range(3)], rtol=0, atol=1e-12)
+        for d in (2, 4, 5):
+            phis = measure(np.stack([phi_amplitudes(i, d) for i in range(d)]), d)
+            assert np.abs(conclusive_probabilities(phis) - np.eye(d)).max() <= 1e-12
+
     def test_uniform_block_shape_is_checked(self):
         with pytest.raises(ValueError):
-            sample_outcomes(outcome_table(psi_amplitudes(0), 3), 1.0, np.zeros((4, 3)))
+            sample_outcomes(measure(psi_amplitudes(0)[None], 3), np.zeros(4, dtype=np.int64), 1.0, np.zeros((4, 3)))
 
 
 # -- dense measurement path ------------------------------------------------------

@@ -11,7 +11,6 @@ from esdsim.discrimination import (
     INCONCLUSIVE_CODE,
     POSTSELECT_FAIL_CODE,
     DetectionPattern,
-    OutcomeTable,
     analytic_outcome_probabilities,
     build_classifier,
     click_codes,
@@ -441,42 +440,56 @@ def flipped_bob_send(basis, value, flip_bits):
 
 
 def reference_table(row):
-    """The outcome table of row input_code * 8 + flip_bits by the sparse
+    """The pass probability, running click probabilities and outcome codes,
+    over the click support, of row input_code * 8 + flip_bits by the sparse
     reference: parity projection, the polynomial evolution, on-off
     detection and the classifier dict."""
     a_basis, x, b_basis, y, flip_bits = np.unravel_index(row, (2, 3, 2, 3, 8))
     joint = tensor(alice_send(BASES[a_basis], x), flipped_bob_send(BASES[b_basis], y, flip_bits))
     passed, pass_prob = parity_postselect(joint, 3)
     if pass_prob == 0.0:
-        return OutcomeTable(3, 0.0, np.zeros(0), np.zeros(0, dtype=np.int64))
+        return 0.0, np.zeros(0), np.zeros(0, dtype=np.int64)
     dist = detect_distribution(apply_mode_unitary(passed, build_dft(3), ESD_PORTS))
     ordered = sorted(dist.items(), key=lambda pair: pair[0].clicks)
     codes = [build_classifier(3).get(pattern, INCONCLUSIVE_CODE) for pattern, _ in ordered]
-    return OutcomeTable(3, pass_prob, np.cumsum([prob for _, prob in ordered]), np.array(codes))
+    return pass_prob, np.cumsum([prob for _, prob in ordered]), np.array(codes)
+
+
+def reference_codes(table, eta, uniforms):
+    """Outcome codes of d = 3 trials on one `reference_table`: the first
+    support pattern whose running probability exceeds u times the total,
+    clamped to the last."""
+    pass_prob, cumulative, codes = table
+    out = np.full(len(uniforms), POSTSELECT_FAIL_CODE)
+    passed = np.all(uniforms[:, :3] < eta, axis=1) & (uniforms[:, 3] < pass_prob)
+    if len(cumulative):
+        pick = np.searchsorted(cumulative, uniforms[passed, 4] * cumulative[-1], side="right")
+        out[passed] = codes[np.minimum(pick, len(cumulative) - 1)]
+    return out
 
 
 class TestMdiOutcomeArray:
     def test_rows_match_sparse_tables(self):
-        table = protocols._mdi_outcomes()
-        assert table.cumulative.shape == (288, 27)
+        m = protocols._mdi_outcomes()
+        assert m.probs.shape == (288, 27)
         for row in range(288):
-            reference = reference_table(row)
-            assert abs(table.pass_prob[row] - reference.pass_prob) < 1e-12
-            support = np.diff(table.cumulative[row], prepend=0.0) > 0
-            np.testing.assert_array_equal(click_codes(3)[support], reference.codes)
-            assert np.all(np.abs(table.cumulative[row, support] - reference.cumulative) < 1e-12)
-            if support.any():
-                assert table.last[row] == np.flatnonzero(support)[-1]
-            else:
-                assert reference.pass_prob == 0.0 and table.pass_prob[row] == 0.0
-        assert (table.pass_prob == 0).any() and (table.pass_prob > 0).any()
+            pass_prob, cumulative, codes = reference_table(row)
+            assert abs(m.pass_prob[row] - pass_prob) < 1e-12
+            support = m.probs[row] > 0
+            np.testing.assert_array_equal(click_codes(3)[support], codes)
+            assert np.all(np.abs(np.cumsum(m.probs[row])[support] - cumulative) < 1e-12)
+            if not support.any():
+                assert pass_prob == 0.0 and m.pass_prob[row] == 0.0
+        assert (m.pass_prob == 0).any() and (m.pass_prob > 0).any()
 
-    def test_sampling_matches_sample_outcomes(self):
+    def test_sampler_matches_reference_tables(self):
         uniforms = derive_rng(21).random((500, 5))
         uniforms[:50, 4] = 1.0  # the top edge, where the pick is clamped to the last pattern
+        # one call over all 288 rows, interleaved: trial k is uniform k // 288 on row k % 288
+        rows = np.arange(288 * len(uniforms)) % 288
+        codes = sample_outcomes(protocols._mdi_outcomes(), rows, 0.85, np.repeat(uniforms, 288, axis=0))
         for row in range(288):
-            codes = protocols._sample_mdi(np.full(len(uniforms), row), 0.85, uniforms)
-            np.testing.assert_array_equal(codes, sample_outcomes(reference_table(row), 0.85, uniforms))
+            np.testing.assert_array_equal(codes[row::288], reference_codes(reference_table(row), 0.85, uniforms))
 
 
 class TestMdiQkdExpectation:
