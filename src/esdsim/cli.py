@@ -42,8 +42,8 @@ DEFAULT_SEED = 42
 # Largest --d that `discriminate` accepts: the dense measurement holds d^d
 # amplitudes per state and builds the click codes from all d states at
 # once; trials are sampled CHUNK_ROWS at a time.  With 10^6 trials on one
-# core of an Intel Xeon, d = 6 takes 0.46-0.59 s and 57 MB including
-# import, d = 7 2.2-2.3 s and 366 MB.
+# core of an Intel Xeon, d = 6 takes 0.43-0.48 s and 58 MB including
+# interpreter start, d = 7 2.3-2.7 s and 369 MB.
 MAX_DISCRIMINATE_D = 6
 # Largest --d of `list-states` (d = 7: 2.5 s and 83 MB, d = 8 runs past
 # 20 s) and `describe-tritter` (d = 64: 0.7 s; d = 128: 11 s).

@@ -276,15 +276,6 @@ def tensor(x: PureState, y: PureState) -> PureState:
     return PureState(out)
 
 
-def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
-    """Unnormalized linear combination sum_k c_k |state_k>."""
-    out: dict[FockBasisState, complex] = {}
-    for coeff, state in terms:
-        for basis, amp in state.items():
-            out[basis] = out.get(basis, 0j) + coeff * amp
-    return PureState(out)
-
-
 def apply_phases(state: PureState, phase_of: Callable[[ModeLabel], complex]) -> PureState:
     """Apply a diagonal mode unitary: amplitude *= prod_m phase(m)**n_m."""
     out: dict[FockBasisState, complex] = {}

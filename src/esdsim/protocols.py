@@ -5,7 +5,11 @@ plus the b/c photons of a shared entangled triple, runs the discrimination
 measurement on those three photons, and announces the conclusive outcome i;
 the other party recovers the input with the diagonal path rotation in row i
 of `CORRECTION_PHASES` (the identity for i = 0).  Outcomes are the integer
-codes of `discrimination`.
+codes of `discrimination`.  Each of the 18 detection branches is a fixed 3x3
+map from the target's amplitudes to the receiver's corrected amplitudes, and
+one product, `_receivers`, applies all of them: `teleport_run` samples a
+branch per row of Haar-random targets, and `teleport_analysis` lists every
+branch of one target as arrays.
 
 MDI-QKD: Alice encodes a value into a two-photon path-entangled pair, Bob
 into a single photon (path basis or its MUB), an untrusted relay measures the
@@ -18,7 +22,8 @@ inputs, `_mdi_outcomes`.
 The security-analysis (EDP) picture is implemented as well: conditioning the
 shared four-photon system on each conclusive relay outcome and applying the
 published correction must leave the two parties holding the maximally
-entangled pair.
+entangled pair.  The system itself is Alice's triple tensored with that same
+`maximally_entangled_pair`, placed on the relay's and Bob's ports.
 """
 
 from __future__ import annotations
@@ -33,16 +38,7 @@ import numpy as np
 from .discrimination import (
     POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, derive_rng, measure, sample_outcomes
 )
-from .fock import (
-    DEFAULT_TOLERANCE,
-    FockBasisState,
-    ModeLabel,
-    PureState,
-    apply_phases,
-    partial_project,
-    superpose,
-    tensor,
-)
+from .fock import DEFAULT_TOLERANCE, FockBasisState, ModeLabel, PureState, apply_phases, partial_project, tensor
 from .states import OMEGA, build_psi, minor_amplitudes, mub_amplitudes, pair_amplitudes, psi_amplitudes
 
 ESD_PORTS = (0, 1, 2)
@@ -70,11 +66,6 @@ class TeleportTarget:
         return cls(tuple(complex(a) for a in haar_amplitudes(rng.random((1, 6)))[0]))
 
 
-def _path_state(amps: Sequence[complex], ports: Sequence[int]) -> PureState:
-    """sum_j amps[j] |time-bin a on ports[j]>, unnormalized."""
-    return PureState(zip((FockBasisState({ModeLabel(0, port): 1}) for port in ports), amps))
-
-
 # Receiver's correction for conclusive outcome i: row i holds the per-port
 # phases of a diagonal path rotation, diag(1, w^2, w) for i = 1 and its
 # square for i = 2, w = exp(2 pi i / 3).
@@ -96,27 +87,25 @@ def apply_correction(state: PureState, index: int, ports: Sequence[int]) -> Pure
 # -- teleportation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TeleportBranch:
-    """One fine-grained measurement record: probability is conditional on the
-    parity post-selection having passed; `code` is the outcome code."""
+class TeleportAnalysis(NamedTuple):
+    """Every detection branch of one run, as arrays over the branches in
+    canonical click order: outcome codes, probabilities given that the
+    parity post-selection passed (probability `pass_prob`), the receiver's
+    corrected, unnormalized amplitudes (branches x 3) and their fidelity
+    with the target."""
 
-    probability: float
-    code: int
-    bob_state: PureState
-    fidelity: float
-
-
-@dataclass(frozen=True)
-class TeleportAnalysis:
     pass_prob: float
-    branches: tuple[TeleportBranch, ...]
+    codes: np.ndarray
+    probabilities: np.ndarray
+    receivers: np.ndarray
+    fidelities: np.ndarray
 
     def conclusive_probability(self) -> float:
-        return self.pass_prob * sum(b.probability for b in self.branches if b.code >= 0)
+        return self.pass_prob * sum(self.probabilities[self.codes >= 0].tolist())
 
     def outcome_fidelities(self) -> dict[int, float]:
-        return {b.code: b.fidelity for b in self.branches if b.code >= 0}
+        conclusive = self.codes >= 0
+        return dict(zip(self.codes[conclusive].tolist(), self.fidelities[conclusive].tolist()))
 
 
 # Rows that `teleport_run` and `mdi_qkd_run` sample, and the CLI formats,
@@ -151,6 +140,14 @@ def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
     return codes, matrices
 
 
+def _receivers(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The branches' outcome codes and, for each row of an (n, 3) array of
+    target amplitudes, every branch's corrected, unnormalized receiver
+    amplitudes, (n, branches, 3)."""
+    codes, matrices = _teleport_branch_maps()
+    return codes, (alphas @ matrices.reshape(-1, 3).T).reshape(len(alphas), len(codes), 3)
+
+
 def _fidelity(alphas: np.ndarray, receiver: np.ndarray) -> np.ndarray:
     """|<target|receiver>|^2 / <receiver|receiver> along the last axis."""
     overlap = np.sum(alphas.conj() * receiver, axis=-1)
@@ -158,19 +155,15 @@ def _fidelity(alphas: np.ndarray, receiver: np.ndarray) -> np.ndarray:
 
 
 def teleport_analysis(target: TeleportTarget) -> TeleportAnalysis:
-    """Deterministic enumeration of every detection branch of one run."""
-    codes, matrices = _teleport_branch_maps()
+    """Deterministic enumeration of every detection branch of one run: the
+    one-target case of `_receivers`.  Every branch map M has M^dagger M =
+    I/54, so each of the 18 branches has probability 1/18 given a pass, and
+    the pass probability is 1/3, for any target."""
     alphas = np.array(target.alphas)
-    receiver = matrices @ alphas
-    pass_prob = float(np.sum(np.abs(receiver) ** 2))
-    scale = 1.0 / math.sqrt(pass_prob)
-    branches = []
-    for code, amps in zip(codes.tolist(), receiver):
-        bob = _path_state((amps * scale).tolist(), BOB_PORTS)
-        if not bob.is_zero():
-            corrected, fid = (bob.normalize(), float(_fidelity(alphas, amps))) if code >= 0 else (bob, 0.0)
-            branches.append(TeleportBranch(bob.norm_sq(), code, corrected, fid))
-    return TeleportAnalysis(pass_prob, tuple(branches))
+    codes, (receivers,) = _receivers(alphas[None])
+    weights = np.sum(np.abs(receivers) ** 2, axis=1)
+    pass_prob = float(weights.sum())
+    return TeleportAnalysis(pass_prob, codes, weights / pass_prob, receivers, _fidelity(alphas, receivers))
 
 
 def _sample_teleport(alphas: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,9 +173,8 @@ def _sample_teleport(alphas: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarr
     chosen branch's corrected receiver amplitudes with the target (NaN
     elsewhere).
     """
-    branch_codes, matrices = _teleport_branch_maps()
+    branch_codes, receiver = _receivers(alphas)
     n_branches = len(branch_codes)
-    receiver = (alphas @ matrices.reshape(-1, 3).T).reshape(len(alphas), n_branches, 3)
     cumulative = np.cumsum(np.sum(np.abs(receiver) ** 2, axis=2), axis=1)
     pick = np.minimum(np.sum(cumulative <= uniforms[:, 1:] * cumulative[:, -1:], axis=1), n_branches - 1)
     codes = np.where(uniforms[:, 0] < cumulative[:, -1], branch_codes[pick], POSTSELECT_FAIL_CODE)
@@ -213,26 +205,6 @@ EDP_ALICE_PORTS = (3, 4, 5)
 EDP_BOB_PORTS = (6, 7, 8)
 
 
-def _edp_system() -> PureState:
-    """Alice's triple (keeping the time-bin-a photon) tensored with Bob's
-    maximally entangled pair (keeping one of two time-bin-a photons)."""
-    alice = build_psi(0, ports=EDP_CHARLIE_PORTS, a_ports=EDP_ALICE_PORTS)
-    bob_terms = []
-    for j in range(3):
-        pair = PureState(
-            {
-                FockBasisState(
-                    {
-                        ModeLabel(0, EDP_CHARLIE_PORTS[j]): 1,
-                        ModeLabel(0, EDP_BOB_PORTS[j]): 1,
-                    }
-                ): 1.0
-            }
-        )
-        bob_terms.append((1 / math.sqrt(3), pair))
-    return tensor(alice, superpose(bob_terms))
-
-
 def maximally_entangled_pair(
     alice_ports: Sequence[int] = EDP_ALICE_PORTS, bob_ports: Sequence[int] = EDP_BOB_PORTS
 ) -> PureState:
@@ -243,6 +215,13 @@ def maximally_entangled_pair(
         for j in range(3)
     }
     return PureState(terms)
+
+
+def _edp_system() -> PureState:
+    """Alice's triple (keeping the time-bin-a photon) tensored with Bob's
+    maximally entangled pair (keeping one of two time-bin-a photons)."""
+    alice = build_psi(0, ports=EDP_CHARLIE_PORTS, a_ports=EDP_ALICE_PORTS)
+    return tensor(alice, maximally_entangled_pair(EDP_CHARLIE_PORTS, EDP_BOB_PORTS))
 
 
 def edp_shared_state(charlie_outcome: int) -> PureState:

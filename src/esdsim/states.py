@@ -3,9 +3,9 @@
 Each family is defined once as a dense amplitude array with one axis per
 photon, in time-bin order, indexed by port position (`psi_amplitudes`,
 `phi_amplitudes`, `minor_amplitudes`, `mub_amplitudes`, `pair_amplitudes`);
-every runtime path reads these arrays.  The sparse builders `build_psi` and
-`build_phi` are views of them as `PureState`s on chosen port labels, made
-by `_as_state`, the inverse of `optics.dense_amplitudes`.
+every runtime path reads these arrays.  The sparse builders `build_psi` (on
+chosen port labels) and `build_phi` (on ports 0..d-1) are views of them as
+`PureState`s, made by `_as_state`, the inverse of `optics.dense_amplitudes`.
 
 Time-bin letters map a -> 0, b -> 1, c -> 2 (and onward for higher d), so the
 qutrit triple family (`build_psi`) and the general-d determinant family
@@ -166,8 +166,8 @@ def build_psi(index: int, ports: Sequence[int] = _QUTRIT_PORTS, a_ports: Sequenc
     return _as_state(amps, (a_ports, ports, ports), 0)
 
 
-def build_phi(index: int, dim: int, ports: Sequence[int] | None = None) -> PureState:
-    """`phi_amplitudes(index, dim)` on the given ports (default 0..d-1)."""
+def build_phi(index: int, dim: int) -> PureState:
+    """`phi_amplitudes(index, dim)` on ports 0..d-1."""
     amps = phi_amplitudes(index, dim)
-    return _as_state(amps, (_check_ports(ports, dim),) * dim, 0)
+    return _as_state(amps, (range(dim),) * dim, 0)
 

@@ -2,23 +2,24 @@
 
 The package's runtime paths work on dense arrays; these build and inspect
 the sparse states that the tests compare them against: photon counts of a
-basis state, creation operators on the vacuum, the parity projection, and
-sparse views of the state families that no runtime path builds as sparse
-states; also the closed-form click table of the determinant family.
+basis state, creation operators on the vacuum, superpositions, the parity
+projection, and sparse views of the state families and path-encoded photons
+that no runtime path builds as sparse states; also the closed-form click
+table of the determinant family.
 Test modules import it as `sparse_reference`; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from esdsim.discrimination import INCONCLUSIVE_CODE, click_order
 from esdsim.errors import IndexOutOfRange
 from esdsim.fock import VACUUM, FockBasisState, ModeLabel, PureState
-from esdsim.protocols import TeleportTarget, _path_state
+from esdsim.protocols import TeleportTarget
 from esdsim.states import _QUTRIT_PORTS, _as_state, _check_ports, minor_amplitudes, mub_amplitudes, pair_amplitudes
 
 
@@ -47,6 +48,15 @@ def apply_creation(state: PureState, mode: ModeLabel) -> PureState:
     for basis, amp in state.items():
         new_basis, new_count = basis.with_photon_added(mode)
         out[new_basis] = out.get(new_basis, 0j) + amp * math.sqrt(new_count)
+    return PureState(out)
+
+
+def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
+    """Unnormalized linear combination sum_k c_k |state_k>."""
+    out: dict[FockBasisState, complex] = {}
+    for coeff, state in terms:
+        for basis, amp in state.items():
+            out[basis] = out.get(basis, 0j) + coeff * amp
     return PureState(out)
 
 
@@ -94,9 +104,14 @@ def build_alice_pair(x: int, ports: Sequence[int] = _QUTRIT_PORTS) -> PureState:
     return _as_state(amps, (_check_ports(ports, 3),) * 2, 1)
 
 
+def path_state(amps: Sequence[complex], ports: Sequence[int]) -> PureState:
+    """sum_j amps[j] |time-bin a on ports[j]>, unnormalized."""
+    return PureState(zip((FockBasisState({ModeLabel(0, port): 1}) for port in ports), amps))
+
+
 def target_state(target: TeleportTarget, ports: Sequence[int]) -> PureState:
     """The teleportation target as a time-bin-a photon on the given ports."""
-    return _path_state(target.alphas, ports)
+    return path_state(target.alphas, ports)
 
 
 def suppression_law(d: int) -> np.ndarray:

@@ -226,6 +226,18 @@ class TestGoldenOutputs:
             "teleport": "581777da018d3270e0917133580bf6ad423c4aeefbeb175d8c5f91b7071e00fc",
         }
 
+    def test_teleport_reports(self, tmp_path):
+        # whole reports, so that the last digit of the mean fidelity is pinned too
+        digests = {}
+        for seed in (3, 7):
+            report = tmp_path / f"teleport{seed}.json"
+            assert run(["teleport", "--trials", "2000", "--seed", str(seed), "--out", str(report)]) == 0
+            digests[seed] = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digests == {
+            3: "4fc465d0ddb9f02d3dbe41bb299b7b87ee96d1dcc9d3247d3c45ca0f0a585bc6",
+            7: "8908ee18529f1db751b15070f4083ed78a62c7dc9b3354025ecd7ceb15c0871e",
+        }
+
     def test_mdiqkd_noise_edges(self, tmp_path, capsys):
         # high noise with the summary on stdout, and the noise-free defaults
         # with the CSV on stdout and the summary on stderr

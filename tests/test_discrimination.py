@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import esdsim
@@ -33,11 +33,11 @@ from esdsim.discrimination import (
     sample_outcomes,
 )
 from esdsim.errors import AmbiguousPattern, OverlappingModes, PortMismatch
-from esdsim.fock import FockBasisState, ModeLabel, PureState, states_equal_up_to_global_phase, superpose, tensor
+from esdsim.fock import FockBasisState, ModeLabel, PureState, states_equal_up_to_global_phase, tensor
 from esdsim.optics import apply_mode_unitary, build_dft, dense_amplitudes
 from esdsim.protocols import mdi_qkd_expectation, mdi_qkd_run
 from esdsim.states import build_phi, build_psi, phi_amplitudes, psi_amplitudes
-from sparse_reference import build_minor, parity_postselect, single_photon, suppression_law
+from sparse_reference import build_minor, parity_postselect, single_photon, superpose, suppression_law
 
 
 def pattern(*pairs):
@@ -316,9 +316,25 @@ def measurements_and_uniforms(draw):
     return m, trials[:, 0].astype(np.int64), draw(probability), trials[:, 1:]
 
 
+# Two trials on row 0 of a two-row d = 2 Measurement that the generated cases
+# reach only now and then: a pick that ties a running sum exactly (the next
+# pattern wins), and a pick of 1.0 on a row that is not the last (clamped to
+# that row's last support pattern, never the next row's first).
+_TIE_PROBS = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+TIE_AND_CLAMP = (
+    Measurement(2, np.ones(2), np.sqrt(_TIE_PROBS).astype(complex), _TIE_PROBS),
+    np.zeros(2, dtype=np.int64),
+    1.0,
+    np.array([[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]]),
+)
+
+
 class TestVectorizedSampler:
-    @settings(max_examples=150, deadline=None)
+    # no shrinking: shrinking a failing multi-row example takes minutes, and
+    # the unshrunk example already names the trials that disagree
+    @settings(max_examples=150, deadline=None, phases=[phase for phase in Phase if phase != Phase.shrink])
     @given(measurements_and_uniforms())
+    @example(TIE_AND_CLAMP)
     def test_matches_scalar_reference(self, case):
         m, rows, eta, uniforms = case
         codes = sample_outcomes(m, rows, eta, uniforms)

@@ -13,10 +13,9 @@ from esdsim.fock import (
     inner_product,
     partial_project,
     state_to_json,
-    superpose,
     tensor,
 )
-from sparse_reference import apply_creation, occupancy, vacuum
+from sparse_reference import apply_creation, occupancy, superpose, vacuum
 
 
 def single(timebin, port, amp=1.0):

@@ -10,7 +10,6 @@ from esdsim.fock import (
     ModeLabel,
     PureState,
     states_equal_up_to_global_phase,
-    superpose,
 )
 from esdsim.optics import (
     BeamSplitter,
@@ -26,7 +25,7 @@ from esdsim.optics import (
     unitaries_equal_up_to_global_phase,
 )
 from esdsim.states import build_psi
-from sparse_reference import apply_creation, mub_state, single_photon, vacuum
+from sparse_reference import apply_creation, mub_state, single_photon, superpose, vacuum
 
 
 def random_multiphoton_state(rng, n_photons, n_ports, n_timebins=2):

@@ -55,6 +55,7 @@ from sparse_reference import (
     build_alice_pair,
     mub_state,
     parity_postselect,
+    path_state,
     port_occupancy,
     single_photon,
     target_state,
@@ -318,11 +319,27 @@ class TestTeleportBranchMaps:
             pass_prob, reference = direct_teleport_branches(target)
             analysis = teleport_analysis(target)
             assert abs(analysis.pass_prob - pass_prob) < 1e-12
-            assert len(analysis.branches) == len(reference)
-            for branch, (code, prob, bob) in zip(analysis.branches, reference):
-                assert branch.code == code
-                assert abs(branch.probability - prob) < 1e-12
-                assert amplitude_distance(branch.bob_state, bob) < 1e-12
+            assert len(analysis.codes) == len(reference)
+            branches = zip(analysis.codes.tolist(), analysis.probabilities.tolist(), analysis.receivers)
+            for (code, prob, receiver), (ref_code, ref_prob, bob) in zip(branches, reference):
+                assert code == ref_code
+                assert abs(prob - ref_prob) < 1e-12
+                state = path_state((receiver / math.sqrt(pass_prob)).tolist(), BOB_PORTS)
+                assert amplitude_distance(state.normalize() if code >= 0 else state, bob) < 1e-12
+
+    def test_branch_weights_do_not_depend_on_the_target(self):
+        # every map has M^dagger M = I/54, so for any normalized target each
+        # of the 18 branches has weight 1/54: probability 1/18 given a pass,
+        # and the pass probability is 18/54 = 1/3
+        _, matrices = protocols._teleport_branch_maps()
+        assert len(matrices) == 18
+        gram = np.swapaxes(matrices.conj(), 1, 2) @ matrices
+        assert np.abs(gram - np.eye(3) / 54).max() <= 1e-15
+        rng = np.random.default_rng(5)
+        for target in [TeleportTarget((0.0, 1.0, 0.0))] + [TeleportTarget.haar_random(rng) for _ in range(10)]:
+            analysis = teleport_analysis(target)
+            assert abs(analysis.pass_prob - 1 / 3) < 1e-12
+            assert np.abs(analysis.probabilities - 1 / 18).max() < 1e-12
 
     def test_analysis_evolves_nothing_per_target(self, monkeypatch):
         teleport_analysis(TeleportTarget((1.0, 0.0, 0.0)))  # the maps are built on first use
@@ -346,9 +363,10 @@ class TestTeleportRun:
             if code == POSTSELECT_FAIL_CODE:
                 assert math.isnan(fidelity) and analysis.pass_prob < 1
                 continue
-            branches = [b for b in analysis.branches if b.code == code]
-            assert any(abs(b.fidelity - fidelity) < 1e-12 for b in branches)
-            overlaps = [abs(inner_product(target_state(target, BOB_PORTS), b.bob_state)) ** 2 for b in branches]
+            branches = analysis.codes == code
+            assert np.any(np.abs(analysis.fidelities[branches] - fidelity) < 1e-12)
+            bobs = [path_state(receiver.tolist(), BOB_PORTS).normalize() for receiver in analysis.receivers[branches]]
+            overlaps = [abs(inner_product(target_state(target, BOB_PORTS), bob)) ** 2 for bob in bobs]
             assert any(abs(overlap - fidelity) < 1e-12 for overlap in overlaps)
         assert (codes >= 0).any() and (codes < 0).any()
 
