@@ -124,7 +124,7 @@ def measure(inputs: np.ndarray, d: int) -> Measurement:
 
 @lru_cache(maxsize=None)
 def click_codes(d: int) -> np.ndarray:
-    """The generated click table: the outcome code of each pattern in
+    """The generated click table: the int8 outcome code of each pattern in
     `click_order`, from one `measure` call over the d discriminable states.
 
     A pattern in the support (probability above 1e-12) of state i gets code
@@ -141,7 +141,7 @@ def click_codes(d: int) -> np.ndarray:
         pattern = DetectionPattern.from_pairs(zip(click_order(d)[shared[0]].tolist(), range(d)))
         i, j = np.flatnonzero(support[:, shared[0]])[:2].tolist()
         raise AmbiguousPattern(f"pattern {pattern} appears in supports of both {i} and {j} (d={d})")
-    codes = np.where(support.any(axis=0), np.argmax(support, axis=0), INCONCLUSIVE_CODE)
+    codes = np.where(support.any(axis=0), np.argmax(support, axis=0), INCONCLUSIVE_CODE).astype(np.int8)
     codes.setflags(write=False)
     return codes
 
@@ -201,8 +201,8 @@ def measurement_input(state: PureState, d: int) -> np.ndarray:
 
 
 def sample_outcomes(m: Measurement, rows: np.ndarray, eta: float, uniforms: np.ndarray) -> np.ndarray:
-    """Outcome codes of n trials, trial i on input `rows[i]` of `m`, from an
-    (n, d + 2) block of uniforms in [0, 1).
+    """The int8 outcome codes of n trials, trial i on input `rows[i]` of
+    `m`, from an (n, d + 2) block of uniforms in [0, 1).
 
     Columns 0..d-1 are the parity devices (a value >= eta discards the
     trial), column d is the parity projection (a value >= pass_prob discards
@@ -213,7 +213,7 @@ def sample_outcomes(m: Measurement, rows: np.ndarray, eta: float, uniforms: np.n
     d = m.d
     if uniforms.ndim != 2 or uniforms.shape[1] != d + 2:
         raise ValueError(f"expected an (n, {d + 2}) block of uniforms, got shape {uniforms.shape}")
-    codes = np.full(len(uniforms), POSTSELECT_FAIL_CODE, dtype=np.int64)
+    codes = np.full(len(uniforms), POSTSELECT_FAIL_CODE, dtype=np.int8)
     # column by column: on rows this short, np.all(axis=1) is about 3x slower
     devices_ok = np.logical_and.reduce([uniforms[:, k] < eta for k in range(d)])
     passed = np.flatnonzero(devices_ok & (uniforms[:, d] < m.pass_prob[rows]))

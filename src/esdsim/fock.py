@@ -19,8 +19,6 @@ from .errors import OverlappingModes
 
 DEFAULT_TOLERANCE = 1e-12
 
-_Complex = complex
-
 
 class ModeLabel:
     """One optical mode: a time-bin index and a port index.

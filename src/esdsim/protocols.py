@@ -129,7 +129,8 @@ def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
     canonical click order.  A map takes the target's amplitudes to the
     receiver's unnormalized amplitudes, the branch's correction applied.
     The receiver keeps psi0's time-bin-a photon, which never enters the
-    DFT, so `measure` gets one row per (receiver port, target port).
+    DFT, so `measure` gets one row per (receiver port, target port).  Both
+    arrays are cached for the process, so they are read-only.
     """
     inputs = np.eye(3)[None, :, :, None, None] * psi_amplitudes(0)[:, None, None]  # receiver, target port, a, b, c
     amps = measure(inputs.reshape(9, 3, 3, 3), 3).amplitudes
@@ -137,6 +138,8 @@ def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
     codes = click_codes(3)[support]
     phases = np.where(codes[:, None] >= 0, CORRECTION_PHASES[np.maximum(codes, 0)], 1)
     matrices = phases[:, :, None] * amps[:, support].T.reshape(-1, 3, 3)
+    for array in (codes, matrices):
+        array.setflags(write=False)
     return codes, matrices
 
 
@@ -189,7 +192,7 @@ def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     any longer run.  Columns: 0-5 the target (`haar_amplitudes`), 6 the
     parity projection, 7 the detection branch."""
     rng = derive_rng(seed)
-    codes, fidelities = np.empty(n_trials, dtype=np.int64), np.empty(n_trials)
+    codes, fidelities = np.empty(n_trials, dtype=np.int8), np.empty(n_trials)
     for start in range(0, n_trials, CHUNK_ROWS):
         u = rng.random((min(CHUNK_ROWS, n_trials - start), 8))
         rows = slice(start, start + len(u))
@@ -264,7 +267,8 @@ class QkdRunResult:
     `bases` and `values` have one column per party, Alice's first; a basis
     is an index into BASES.  `outcomes` holds the relay's outcome codes,
     `sifted` marks the matched-basis conclusive rows, on which Alice's
-    symbol is her value and Bob's is `bob_symbols`.
+    symbol is her value and Bob's is `bob_symbols`.  `sifted` is bool and
+    every other column int8: each value lies in [-2, 2].
     """
 
     bases: np.ndarray
@@ -298,11 +302,15 @@ def _mdi_outcomes() -> Measurement:
     row with an axis per time-bin (Bob's photon is time-bin 0, Alice's 1
     and 2).  Row input_code * 8 + flip_bits holds the input whose code packs
     (Alice basis, x, Bob basis, y) as np.ravel_multi_index over (2, 3, 2, 3),
-    with Bob's photon flipped as `_FLIPS[flip_bits]` says."""
+    with Bob's photon flipped as `_FLIPS[flip_bits]` says.  Cached for the
+    process, so its arrays are read-only."""
     alice = _alice_amplitudes()
     bob = np.array([np.eye(3), [mub_amplitudes(y) for y in range(3)]])  # basis, y, port
     bob = bob[:, :, None, :] * (1 - 2 * _FLIPS)  # basis, y, flip bits, port
-    return measure((alice[:, :, None, None, None, None] * bob[..., None, None]).reshape(-1, 3, 3, 3), 3)
+    m = measure((alice[:, :, None, None, None, None] * bob[..., None, None]).reshape(-1, 3, 3, 3), 3)
+    for array in m[1:]:
+        array.setflags(write=False)
+    return m
 
 
 @lru_cache(maxsize=1)
@@ -318,7 +326,7 @@ def _decode_array() -> np.ndarray:
         b, i, y = ambiguous[0].tolist()
         candidates = np.flatnonzero(support[b, i, y]).tolist()
         raise AssertionError(f"decode rule not unique for {(BASES[b], i, y)}: {candidates}")
-    decode = np.argmax(support, axis=-1)
+    decode = np.argmax(support, axis=-1).astype(np.int8)
     decode.setflags(write=False)
     return decode
 
@@ -349,14 +357,13 @@ def mdi_qkd_run(
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     noise = noise or NoiseConfig()
     rng = derive_rng(seed)
-    mub = np.empty((n_trials, 2), dtype=np.int64)
-    values = np.empty((n_trials, 2), dtype=np.int64)
-    outcome_codes = np.empty(n_trials, dtype=np.int64)
+    mub, values = np.empty((n_trials, 2), dtype=np.int8), np.empty((n_trials, 2), dtype=np.int8)
+    outcome_codes = np.empty(n_trials, dtype=np.int8)
     for start in range(0, n_trials, CHUNK_ROWS):
         u = rng.random((min(CHUNK_ROWS, n_trials - start), 12))
         rows = slice(start, start + len(u))
         mub[rows] = u[:, 0:2] >= 0.5
-        values[rows] = (3 * u[:, 2:4]).astype(np.int64)
+        values[rows] = (3 * u[:, 2:4]).astype(np.int8)
         flip_bits = (u[:, 4:7] < noise.phase_flip_p) @ np.array([1, 2, 4])
         choices = (mub[rows, 0], values[rows, 0], mub[rows, 1], values[rows, 1])
         inputs = np.ravel_multi_index(choices, (2, 3, 2, 3))

@@ -6,8 +6,10 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ import esdsim.discrimination as discrimination
 import esdsim.fock as fock
 import esdsim.optics as optics
 import esdsim.protocols as protocols
+import esdsim.states as states
 from esdsim.cli import run
 
 
@@ -82,6 +85,16 @@ class TestDiscriminateCommand:
 
     def test_unknown_state_is_config_error(self, capsys):
         assert run(["discriminate", "--state", "nope", "--trials", "10"]) == 2
+
+    def test_largest_dimension_report_digest(self, tmp_path):
+        # the whole d = 6 report, pinned so that a change of the code dtype
+        # or of the sampler keeps every byte
+        out = tmp_path / "report.json"
+        assert run(["discriminate", "--d", "6", "--state", "phi2", "--trials", "20000", "--eta", "0.9",
+                    "--seed", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2f793b66f9af52c64a8a87cb2206d4fe9bd3a7e9f542de2a47bef260c8cf2925"
+        )
 
     def test_state_name_is_canonical(self, tmp_path):
         reports = set()
@@ -254,6 +267,35 @@ class TestGoldenOutputs:
         captured = capsys.readouterr()
         assert sha(captured.out) == "432432206d74243aa42b879463695180040f240fd3407edb04296f584d5a1529"
         assert sha(captured.err) == "76183aa5dfb7c4c81a020f0fb2ff8b9225156e84f29db079a25eb6cabdfd90ea"
+
+
+class TestRunMemory:
+    def test_mdiqkd_columns_and_csv_stay_small(self):
+        # int8 columns (bool for `sifted`) take 7 B per trial, and the CSV
+        # keys are computed one chunk at a time; at 2 * 10^5 trials one
+        # chunk's sampling and formatting adds about 17 B per trial.  Keys
+        # over the whole run come to about 43 B per trial, and int64
+        # columns with them to about 92 B
+        n = 2 * 10**5
+        protocols.mdi_qkd_run(10, noise=protocols.NoiseConfig(0.1))  # builds the cached outcome array
+        tracemalloc.start()
+        try:
+            result = protocols.mdi_qkd_run(n, eta=0.9, noise=protocols.NoiseConfig(0.1), seed=3)
+            for _ in cli._qkd_csv_rows(result):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n
+        assert {column.dtype for column in (result.bases, result.values, result.outcomes, result.bob_symbols)} == {
+            np.dtype(np.int8)
+        }
+
+    def test_outcome_codes_are_int8(self):
+        m = discrimination.measure(states.psi_amplitudes(1)[None], 3)
+        uniforms = discrimination.derive_rng(1).random((50, 5))
+        codes = discrimination.sample_outcomes(m, np.zeros(50, dtype=np.int64), 0.9, uniforms)
+        assert discrimination.click_codes(3).dtype == codes.dtype == protocols.teleport_run(50)[0].dtype == np.int8
 
 
 class TestErrorPaths:

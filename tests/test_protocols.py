@@ -352,6 +352,30 @@ class TestTeleportBranchMaps:
         assert abs(analysis.conclusive_probability() - 1 / 3) < 1e-12
 
 
+class TestReadOnlyCaches:
+    # the process-wide caches are shared by every later run, so a caller's
+    # write must fail rather than change those runs
+
+    def test_teleport_branch_maps(self):
+        before = teleport_run(2000, seed=3)
+        analysis = teleport_analysis(TeleportTarget((1.0, 0.0, 0.0)))
+        for array in (analysis.codes, *protocols._teleport_branch_maps()):
+            with pytest.raises(ValueError):
+                array[...] = 0
+        for column, again in zip(before, teleport_run(2000, seed=3)):
+            np.testing.assert_array_equal(column, again)
+
+    def test_mdi_outcomes(self):
+        before = mdi_qkd_run(2000, eta=0.9, noise=NoiseConfig(0.1), seed=3)
+        m = protocols._mdi_outcomes()
+        for array in (m.pass_prob, m.amplitudes, m.probs, _decode_array(), click_codes(3)):
+            with pytest.raises(ValueError):
+                array[...] = 0
+        after = mdi_qkd_run(2000, eta=0.9, noise=NoiseConfig(0.1), seed=3)
+        for column, again in zip(qkd_columns(before), qkd_columns(after)):
+            np.testing.assert_array_equal(column, again)
+
+
 class TestTeleportRun:
     def test_one_row_calls_match_the_block(self):
         # each row's code and fidelity is a branch of its own target's analysis
