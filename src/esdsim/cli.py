@@ -26,6 +26,7 @@ import numpy as np
 from . import keyrate as kr
 from .discrimination import (
     POSTSELECT_FAIL_CODE,
+    click_order,
     derive_rng,
     measure,
     outcome_name,
@@ -33,10 +34,10 @@ from .discrimination import (
     sample_outcomes,
 )
 from .errors import AmbiguousPattern
-from .fock import state_to_json
+from .fock import DEFAULT_TOLERANCE, ModeLabel
 from .optics import decompose_dft
 from .protocols import BASES, CHUNK_ROWS, NoiseConfig, mdi_qkd_run, teleport_run
-from .states import build_phi, build_psi, phi_amplitudes, psi_amplitudes
+from .states import phi_amplitudes, psi_amplitudes
 
 DEFAULT_SEED = 42
 # Largest --d that `discriminate` accepts: the dense measurement holds d^d
@@ -45,8 +46,8 @@ DEFAULT_SEED = 42
 # core of an Intel Xeon, d = 6 takes 0.50-0.54 s and 55 MB including
 # interpreter start, d = 7 2.4 s and 362 MB.
 MAX_DISCRIMINATE_D = 6
-# Largest --d of `list-states` (d = 7: 2.5 s and 83 MB, d = 8 runs past
-# 20 s) and `describe-tritter` (d = 64: 0.7 s; d = 128: 11 s).
+# Largest --d of `list-states` (d = 7: 0.7 s and 71 MB; one d = 8 state is
+# 8^8 complex amplitudes, 268 MB) and `describe-tritter` (d = 64: 0.7 s; d = 128: 11 s).
 MAX_D = {"discriminate": MAX_DISCRIMINATE_D, "list-states": 7, "describe-tritter": 64}
 # Largest number of rows in one `keyrate` table (Q values times dimensions,
 # or dimensions in thresholds mode).
@@ -65,6 +66,12 @@ def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _chunked(lines: Iterator[str]) -> Iterator[str]:
+    """The lines joined CHUNK_ROWS at a time."""
+    while chunk := "".join(itertools.islice(lines, CHUNK_ROWS)):
+        yield chunk
 
 
 def _parse_d_list(text: str) -> list[int]:
@@ -94,16 +101,41 @@ def _outcome_counts(codes: np.ndarray) -> dict[str, int]:
 # -- subcommand handlers -------------------------------------------------------
 
 
+def _listed_terms(d: int) -> Iterator[tuple[str, list[list[int]], list[complex]]]:
+    """Each state `list-states` prints, one dense array at a time, as its
+    name, the modes of each term as sorted click keys port * d + time-bin,
+    and the amplitudes.  With one photon per time-bin, `PureState`'s
+    canonical term order is `click_order(d)`; amplitudes at or below
+    DEFAULT_TOLERANCE are dropped, as `PureState` drops them."""
+    order = click_order(d)
+    flat = np.ravel_multi_index(order.T, (d,) * d)
+    for name in [f"psi{i}" for i in range(9 if d == 3 else 0)] + [f"phi{i}" for i in range(d)]:
+        amps = _named_state(name, d)[1].ravel()
+        kept = (np.abs(amps) > DEFAULT_TOLERANCE)[flat]  # gathers bytes, not the d^d complex amplitudes
+        terms = amps[flat[kept]].tolist()
+        del amps  # before the next state's array is built
+        yield name, np.sort(order[kept] * d + np.arange(d), axis=1).tolist(), terms
+
+
+def _state_text(keys: list[list[int]], amps: list[complex], labels: list[str]) -> str:
+    """A state as `PureState` prints it: per term the amplitude to 8
+    decimals, real when its imaginary part is at or below DEFAULT_TOLERANCE,
+    and the modes; terms two spaces apart."""
+    amp_texts = (f"{a.real:+.8f}" if abs(a.imag) <= DEFAULT_TOLERANCE else f"({a.real:+.8f}{a.imag:+.8f}j)" for a in amps)
+    return "  ".join(f"{text} |{' '.join(labels[k] for k in row)}>" for text, row in zip(amp_texts, keys))
+
+
 def _cmd_list_states(args) -> int:
     d = args.d
-    named: list[tuple[str, object]] = []
-    if d == 3:
-        named.extend((f"psi{i}", build_psi(i)) for i in range(9))
-    named.extend((f"phi{i}", build_phi(i, d)) for i in range(d))
+    states = list(_listed_terms(d))
     if args.dump_state:  # before stdout, so a failed dump prints nothing
-        payload = {name: state_to_json(state) for name, state in named}
+        payload = {  # click key k is time-bin k % d on port k // d
+            name: [{"modes": [[k % d, k // d, 1] for k in row], "re": a.real, "im": a.imag} for row, a in zip(keys, amps)]
+            for name, keys, amps in states
+        }
         _write_chunks(args.dump_state, (_json_dumps(payload),))
-    _write_chunks(None, ("\n".join(f"{name} = {state}" for name, state in named) + "\n",))
+    labels = [str(ModeLabel(k % d, k // d)) for k in range(d * d)]
+    _write_chunks(None, (f"{name} = {_state_text(keys, amps, labels)}\n" for name, keys, amps in states))
     return 0
 
 
@@ -189,25 +221,24 @@ def _cmd_mdiqkd(args) -> int:
     return 0
 
 
+def _q_count(q_max: float, q_step: float) -> int:
+    """Number of grid values i * q_step up to q_max, allowing 1e-9 of a step
+    for the rounding of the quotient; MAX_KEYRATE_ROWS + 1 at most, so that
+    an overflowing quotient stays an int."""
+    return math.floor(min(q_max / q_step + 1e-9, MAX_KEYRATE_ROWS)) + 1
+
+
 def _cmd_keyrate(args) -> int:
     if args.mode == "thresholds":
-        lines = ["d,eta_threshold"]
-        for d in range(2, args.d_max + 1):
-            lines.append(f"{d},{kr.eta_threshold(d)!r}")
-        _write_chunks(args.out, ("\n".join(lines) + "\n",))
-        return 0
-    d_values = _parse_d_list(args.d)
-    n_steps = int(round(args.q_max / args.q_step))
-    q_values = [i * args.q_step for i in range(n_steps + 1)]
-    rows = kr.keyrate_table(d_values, q_values, eta=args.eta)
-    header = "d,Q,r_sifted,R_total" + ("" if args.eta is None else ",eta")
-    lines = [header]
-    for row in rows:
-        line = f"{row.d},{row.q!r},{row.r_sifted!r},{row.r_total!r}"
-        if args.eta is not None:
-            line += f",{row.eta!r}"
-        lines.append(line)
-    _write_chunks(args.out, ("\n".join(lines) + "\n",))
+        header = "d,eta_threshold\n"
+        lines = (f"{d},{kr.eta_threshold(d)!r}\n" for d in range(2, args.d_max + 1))
+    else:
+        q_values = [i * args.q_step for i in range(_q_count(args.q_max, args.q_step))]
+        rows = kr.keyrate_table(_parse_d_list(args.d), q_values, eta=args.eta)
+        header = "d,Q,r_sifted,R_total" + ("" if args.eta is None else ",eta") + "\n"
+        eta = "" if args.eta is None else f",{args.eta!r}"
+        lines = (f"{d},{q!r},{r!r},{total!r}{eta}\n" for d, q, r, total in rows)
+    _write_chunks(args.out, itertools.chain((header,), _chunked(lines)))
     return 0
 
 
@@ -313,9 +344,11 @@ def _validate(args) -> None:
             raise ValueError("--q-step must be a positive number")
         if not (math.isfinite(args.q_max) and args.q_max >= 0.0):
             raise ValueError("--q-max must be a non-negative number")
-        n_q = round(min(args.q_max / args.q_step, MAX_KEYRATE_ROWS)) + 1
+        n_q = _q_count(args.q_max, args.q_step)
         if n_q > MAX_KEYRATE_ROWS:
             raise ValueError(f"--q-max / --q-step gives more than {MAX_KEYRATE_ROWS} Q values")
+        if (n_q - 1) * args.q_step >= 1.0:  # checked here, as the rows are written while they are evaluated
+            raise ValueError(f"the Q grid reaches {(n_q - 1) * args.q_step!r}; error rates must lie in [0, 1)")
         d_values = _parse_d_list(args.d)
         if not d_values:
             raise ValueError("--d must list at least one dimension")

@@ -228,20 +228,6 @@ class PureState:
         photons = next(iter(self._amps)).photon_count if self._amps else None
         return f"PureState({len(self._amps)} terms, n={photons})"
 
-    def __str__(self) -> str:
-        if not self._amps:
-            return "0"
-        parts = []
-        for basis, amp in self._amps.items():
-            parts.append(f"{_format_amp(amp)} |{basis}>")
-        return "  ".join(parts)
-
-
-def _format_amp(amp: complex) -> str:
-    if abs(amp.imag) <= 1e-12:
-        return f"{amp.real:+.8f}"
-    return f"({amp.real:+.8f}{amp.imag:+.8f}j)"
-
 
 # -- operations ------------------------------------------------------------
 
@@ -322,14 +308,3 @@ def phase_aligned_distance(x: PureState, y: PureState) -> float:
     basis_union = set(x.basis_states()) | set(y.basis_states())
     return max(abs(phase * x.amplitude(b) - y.amplitude(b)) for b in basis_union)
 
-
-def state_to_json(state: PureState) -> list[dict]:
-    """Serialize to a list of {modes: [[timebin, port, count]..], re, im} terms.
-
-    Modes within a term and terms themselves follow canonical order.
-    """
-    out = []
-    for basis, amp in state.items():
-        modes = [[m.timebin, m.port, c] for m, c in basis.items()]
-        out.append({"modes": modes, "re": amp.real, "im": amp.imag})
-    return out

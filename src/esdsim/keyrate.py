@@ -10,14 +10,15 @@ R = r_d / (2d): a factor 1/d for the discrimination success probability and
 
 Raw (possibly negative) values are what the root finder sees; clamping to
 zero happens only in table output, mirroring how the curves are plotted.
+`keyrate_table` yields its rows as plain tuples, one at a time, so a table
+is written as it is evaluated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, NoRoot
 
@@ -133,31 +134,20 @@ def eta_threshold(d: int) -> float:
     return (1.0 / d) ** (1.0 / d)
 
 
-@dataclass(frozen=True)
-class KeyRateRow:
-    d: int
-    q: float
-    r_sifted: float
-    r_total: float
-    eta: float | None = None
-
-
 def keyrate_table(
-    d_values: Sequence[int], q_values: Iterable[float], eta: float | None = None
-) -> list[KeyRateRow]:
-    """Evaluate the rate curves on a grid, one row per (d, Q).
+    d_values: Iterable[int], q_values: Sequence[float], eta: float | None = None
+) -> Iterator[tuple[int, float, float, float]]:
+    """Evaluate the rate curves on a grid, yielding (d, Q, r_sifted,
+    r_total) for each d and then each Q.
 
     `r_sifted` is the raw per-sifted-signal rate; `r_total` is clamped at
     zero as plotted.  With `eta` given, r_total additionally carries the
     eta^d device-efficiency factor.
     """
-    q_list = list(q_values)
-    rows = []
     for d in d_values:
-        for q in q_list:
+        for q in q_values:
             r = r_d(d, q)
             total = max(0.0, r / (2.0 * d))  # rate_per_signal(d, q) from the same r
             if eta is not None:
                 total *= eta**d
-            rows.append(KeyRateRow(d, q, r, total, eta))
-    return rows
+            yield d, q, r, total

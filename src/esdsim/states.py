@@ -3,9 +3,10 @@
 Each family is defined once as a dense amplitude array with one axis per
 photon, in time-bin order, indexed by port position (`psi_amplitudes`,
 `phi_amplitudes`, `minor_amplitudes`, `mub_amplitudes`, `pair_amplitudes`);
-every runtime path reads these arrays.  The sparse builders `build_psi` (on
-chosen port labels) and `build_phi` (on ports 0..d-1) are views of them as
-`PureState`s, made by `_as_state`, the inverse of `optics.dense_amplitudes`.
+every CLI path reads these arrays, `list-states` included.  The sparse
+builders `build_psi` (on chosen port labels) and `build_phi` (on ports
+0..d-1) are views of them as `PureState`s for the criteria and the tests,
+made by `_as_state`, the inverse of `optics.dense_amplitudes`.
 
 Time-bin letters map a -> 0, b -> 1, c -> 2 (and onward for higher d), so the
 qutrit triple family (`build_psi`) and the general-d determinant family

@@ -5,7 +5,8 @@ the sparse states that the tests compare them against: photon counts of a
 basis state, creation operators on the vacuum, superpositions, the parity
 projection, and sparse views of the state families and path-encoded photons
 that no runtime path builds as sparse states; also the closed-form click
-table of the determinant family.
+table of the determinant family, and the sparse text and JSON forms of a
+state that `list-states` output is checked against.
 Test modules import it as `sparse_reference`; pytest does not collect it.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from esdsim.discrimination import INCONCLUSIVE_CODE, click_order
 from esdsim.errors import IndexOutOfRange
-from esdsim.fock import VACUUM, FockBasisState, ModeLabel, PureState
+from esdsim.fock import DEFAULT_TOLERANCE, VACUUM, FockBasisState, ModeLabel, PureState
 from esdsim.protocols import TeleportTarget
 from esdsim.states import _QUTRIT_PORTS, _as_state, _check_ports, minor_amplitudes, mub_amplitudes, pair_amplitudes
 
@@ -124,3 +125,31 @@ def suppression_law(d: int) -> np.ndarray:
     distinct = np.all(np.diff(np.sort(order[:, 1:], axis=1), axis=1) > 0, axis=1)
     missing = d * (d - 1) // 2 - order[:, 1:].sum(axis=1)
     return np.where(distinct, (missing - order[:, 0]) % d, INCONCLUSIVE_CODE)
+
+
+def format_amp(amp: complex) -> str:
+    """An amplitude to 8 decimals, real when its imaginary part is at or
+    below DEFAULT_TOLERANCE."""
+    if abs(amp.imag) <= DEFAULT_TOLERANCE:
+        return f"{amp.real:+.8f}"
+    return f"({amp.real:+.8f}{amp.imag:+.8f}j)"
+
+
+def state_text(state: PureState) -> str:
+    """The terms as `amplitude |modes>`, two spaces apart, in canonical
+    order; "0" for the zero state."""
+    if state.is_zero():
+        return "0"
+    return "  ".join(f"{format_amp(amp)} |{basis}>" for basis, amp in state.items())
+
+
+def state_to_json(state: PureState) -> list[dict]:
+    """Serialize to a list of {modes: [[timebin, port, count]..], re, im} terms.
+
+    Modes within a term and terms themselves follow canonical order.
+    """
+    out = []
+    for basis, amp in state.items():
+        modes = [[m.timebin, m.port, c] for m, c in basis.items()]
+        out.append({"modes": modes, "re": amp.real, "im": amp.imag})
+    return out

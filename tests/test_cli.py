@@ -22,6 +22,7 @@ import esdsim.optics as optics
 import esdsim.protocols as protocols
 import esdsim.states as states
 from esdsim.cli import run
+from sparse_reference import state_text, state_to_json
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -53,6 +54,23 @@ class TestKeyrateCommand:
         run(["keyrate", "--d", "3", "--q-max", "0.01", "--q-step", "0.01", "--eta", "0.9", "--out", str(out)])
         lines = read(out).strip().splitlines()
         assert lines[0] == "d,Q,r_sifted,R_total,eta"
+
+    def test_independent_of_chunk_size(self, monkeypatch, capsys):
+        def outputs():
+            for argv in (["keyrate", "--eta", "0.5"], ["keyrate", "thresholds", "--d-max", "30"]):
+                assert run(argv) == 0
+                yield capsys.readouterr().out
+
+        whole = list(outputs())
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+        assert list(outputs()) == whole
+
+    def test_q_grid_stops_at_q_max(self, capsys):
+        # the grid holds the i * q_step up to --q-max: 0.011 / 0.002 = 5.5
+        # ends at Q = 0.01, and 0.9999 / 0.5 at Q = 0.5
+        for q_max, q_step, last in (("0.011", "0.002", "0.01"), ("0.9999", "0.5", "0.5"), ("0.12", "0.002", "0.12")):
+            assert run(["keyrate", "--d", "3", "--q-max", q_max, "--q-step", q_step]) == 0
+            assert capsys.readouterr().out.splitlines()[-1].split(",")[1] == last
 
 
 class TestDiscriminateCommand:
@@ -183,6 +201,18 @@ class TestListStatesCommand:
         term = doc["psi0"][0]
         assert set(term) == {"modes", "re", "im"}
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_sparse_reference(self, d, tmp_path, capsys):
+        # the text and JSON written from the dense arrays equal those of the
+        # sparse states, for every member
+        dump = tmp_path / "states.json"
+        assert run(["list-states", "--d", str(d), "--dump-state", str(dump)]) == 0
+        named = [(f"psi{i}", states.build_psi(i)) for i in range(9 if d == 3 else 0)]
+        named += [(f"phi{i}", states.build_phi(i, d)) for i in range(d)]
+        assert capsys.readouterr().out == "".join(f"{name} = {state_text(state)}\n" for name, state in named)
+        payload = {name: state_to_json(state) for name, state in named}
+        assert read(dump) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
 
 class TestDescribeTritterCommand:
     def test_json_shape(self, tmp_path):
@@ -239,6 +269,36 @@ class TestGoldenOutputs:
             "teleport": "581777da018d3270e0917133580bf6ad423c4aeefbeb175d8c5f91b7071e00fc",
         }
 
+    def test_keyrate_tables(self, capsys):
+        # the README table, the eta column and the thresholds
+        digests = {}
+        for argv in (["keyrate", "--d", "2,3,4,5", "--q-max", "0.12", "--q-step", "0.002"],
+                     ["keyrate", "--d", "3,7", "--eta", "0.9"],
+                     ["keyrate", "thresholds", "--d-max", "30"]):
+            assert run(argv) == 0
+            digests[" ".join(argv[1:])] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == {
+            "--d 2,3,4,5 --q-max 0.12 --q-step 0.002": "5a6c0a0d6be579ce8c054937e531ef6763b2daa07094cbbc9e7e2d728cd6b0fb",
+            "--d 3,7 --eta 0.9": "17226be9686534259320e38d441cc73c7ab48dd2a06d95e7b9455736a27d2ca6",
+            "thresholds --d-max 30": "bf852b95735fa98e77de6741541911a776bae804033206977b59cf3c95250d56",
+        }
+
+    def test_list_states(self, tmp_path, capsys):
+        # (stdout, --dump-state) per dimension
+        digests = {}
+        for d in range(2, 7):
+            dump = tmp_path / f"states{d}.json"
+            assert run(["list-states", "--d", str(d), "--dump-state", str(dump)]) == 0
+            out = capsys.readouterr().out.encode()
+            digests[d] = (hashlib.sha256(out).hexdigest()[:16], hashlib.sha256(dump.read_bytes()).hexdigest()[:16])
+        assert digests == {
+            2: ("7f6aa0516499b810", "a752d536618b6dc0"),
+            3: ("844789dadc043e3b", "31c146457f39fbf1"),
+            4: ("50e062780342b4d8", "b970042194bc86b1"),
+            5: ("d4edfe43295e2112", "dd348ecd1b87aab8"),
+            6: ("8b69fe71ff4a4e9b", "2680ab49d72c2cbb"),
+        }
+
     def test_teleport_reports(self, tmp_path):
         # whole reports, so that the last digit of the mean fidelity is pinned too
         digests = {}
@@ -291,6 +351,37 @@ class TestRunMemory:
             np.dtype(np.int8)
         }
 
+    def test_keyrate_rows_stream(self, tmp_path):
+        # rows are formatted CHUNK_ROWS at a time, so past the Q grid (32 B
+        # per Q value) one chunk of lines is the working memory: about 100 B
+        # per row at 5 * 10^4 rows.  A row object per row and the table
+        # joined into one string took about 400 B per row
+        n = 5 * 10**4
+        out = tmp_path / "rates.csv"
+        tracemalloc.start()
+        try:
+            assert run(["keyrate", "--d", "3", "--q-max", "0.49999", "--q-step", "1e-5", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read(out).count("\n") == 1 + n
+        assert peak <= 150 * n
+
+    def test_thresholds_rows_stream(self, tmp_path):
+        # one chunk of lines, about 2 MB, is the working memory: about 22 B
+        # per row at 10^5 rows, against about 130 B for the whole table as a
+        # list of lines and one string
+        n = 10**5
+        out = tmp_path / "thresholds.csv"
+        tracemalloc.start()
+        try:
+            assert run(["keyrate", "thresholds", "--d-max", str(n + 1), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read(out).count("\n") == 1 + n
+        assert peak <= 40 * n
+
     def test_outcome_codes_are_int8(self):
         m = discrimination.measure(states.psi_amplitudes(1)[None], 3)
         uniforms = discrimination.derive_rng(1).random((50, 5))
@@ -331,6 +422,21 @@ class TestErrorPaths:
         assert "Q values" in capsys.readouterr().err
         assert run(["keyrate", "--d", "3", "--q-max", "0.5", "--q-step", "1e-320"]) == 2
 
+    @pytest.mark.parametrize("q_max", ["1.0", "1.5"])
+    def test_q_grid_outside_rate_domain(self, q_max, tmp_path, monkeypatch, capsys):
+        # rows are written while they are evaluated, so a grid that reaches
+        # Q >= 1, outside the domain of r_d, exits 2 before anything is written
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no row may be evaluated for a grid outside [0, 1)")
+
+        monkeypatch.setattr(cli.kr, "keyrate_table", forbidden)
+        out = tmp_path / "rates.csv"
+        for argv in ([], ["--out", str(out)]):
+            assert run(["keyrate", "--d", "3", "--q-max", q_max, "--q-step", "0.5", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: the Q grid reaches ")
+        assert not out.exists()
+
     def test_discriminate_dimension_limit(self, monkeypatch, capsys):
         def forbidden(*args):
             raise AssertionError("nothing may be built past the dimension limit")
@@ -345,7 +451,7 @@ class TestErrorPaths:
         def forbidden(*args):
             raise AssertionError("nothing may be built past the dimension limit")
 
-        for name in ("build_phi", "build_psi", "decompose_dft"):
+        for name in ("psi_amplitudes", "phi_amplitudes", "decompose_dft"):
             monkeypatch.setattr(cli, name, forbidden)
         assert run([command, "--d", str(cli.MAX_D[command] + 1)]) == 2
         captured = capsys.readouterr()
@@ -574,11 +680,11 @@ class TestSharedParser:
 
 
 class TestRuntimePaths:
-    def test_no_sparse_measurement(self, monkeypatch, capsys):
-        # the sparse algebra serves list-states and the tests only: no other
-        # CLI path may build a basis state, a sparse state or a click pattern
-        # object, convert a sparse state to a dense one, run the polynomial
-        # evolution or take a sparse tensor product
+    def test_no_sparse_measurement(self, tmp_path, monkeypatch, capsys):
+        # the sparse algebra serves the tests only: no CLI path may build a
+        # basis state, a sparse state or a click pattern object, convert a
+        # sparse state to a dense one, run the polynomial evolution or take a
+        # sparse tensor product
         banned = {
             id(fock.FockBasisState): "FockBasisState",
             id(fock.PureState): "PureState",
@@ -607,5 +713,9 @@ class TestRuntimePaths:
         assert run(["discriminate", "--d", "3", "--state", "psi0", "--trials", "100"]) == 0
         assert run(["teleport", "--trials", "100"]) == 0
         assert run(["mdiqkd", "--trials", "100"]) == 0
+        for d in range(2, 7):
+            assert run(["list-states", "--d", str(d), "--dump-state", str(tmp_path / "states.json")]) == 0
+        assert run(["keyrate"]) == 0
+        assert run(["keyrate", "thresholds"]) == 0
         for d in range(2, 6):
             assert abs(protocols.generalized_conclusive_probability(d) - 1 / d) < 1e-12

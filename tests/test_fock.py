@@ -12,10 +12,9 @@ from esdsim.fock import (
     apply_phases,
     inner_product,
     partial_project,
-    state_to_json,
     tensor,
 )
-from sparse_reference import apply_creation, occupancy, superpose, vacuum
+from sparse_reference import apply_creation, occupancy, state_to_json, superpose, vacuum
 
 
 def single(timebin, port, amp=1.0):
