@@ -25,6 +25,7 @@ import numpy as np
 
 from . import keyrate as kr
 from .discrimination import (
+    DEFAULT_TOLERANCE,
     POSTSELECT_FAIL_CODE,
     click_order,
     derive_rng,
@@ -34,7 +35,6 @@ from .discrimination import (
     sample_outcomes,
 )
 from .errors import AmbiguousPattern
-from .fock import DEFAULT_TOLERANCE, ModeLabel
 from .optics import decompose_dft
 from .protocols import BASES, CHUNK_ROWS, NoiseConfig, mdi_qkd_run, teleport_run
 from .states import phi_amplitudes, psi_amplitudes
@@ -104,9 +104,9 @@ def _outcome_counts(codes: np.ndarray) -> dict[str, int]:
 def _listed_terms(d: int) -> Iterator[tuple[str, list[list[int]], list[complex]]]:
     """Each state `list-states` prints, one dense array at a time, as its
     name, the modes of each term as sorted click keys port * d + time-bin,
-    and the amplitudes.  With one photon per time-bin, `PureState`'s
-    canonical term order is `click_order(d)`; amplitudes at or below
-    DEFAULT_TOLERANCE are dropped, as `PureState` drops them."""
+    and the amplitudes.  Terms follow `click_order(d)`, which orders them by
+    their modes sorted by (port, time-bin); amplitudes at or below
+    DEFAULT_TOLERANCE are dropped."""
     order = click_order(d)
     flat = np.ravel_multi_index(order.T, (d,) * d)
     for name in [f"psi{i}" for i in range(9 if d == 3 else 0)] + [f"phi{i}" for i in range(d)]:
@@ -118,24 +118,33 @@ def _listed_terms(d: int) -> Iterator[tuple[str, list[list[int]], list[complex]]
 
 
 def _state_text(keys: list[list[int]], amps: list[complex], labels: list[str]) -> str:
-    """A state as `PureState` prints it: per term the amplitude to 8
-    decimals, real when its imaginary part is at or below DEFAULT_TOLERANCE,
-    and the modes; terms two spaces apart."""
+    """One line of the listing: per term the amplitude to 8 decimals, real
+    when its imaginary part is at or below DEFAULT_TOLERANCE, and the modes;
+    terms two spaces apart."""
     amp_texts = (f"{a.real:+.8f}" if abs(a.imag) <= DEFAULT_TOLERANCE else f"({a.real:+.8f}{a.imag:+.8f}j)" for a in amps)
     return "  ".join(f"{text} |{' '.join(labels[k] for k in row)}>" for text, row in zip(amp_texts, keys))
 
 
+def _dump_chunks(states: dict[str, tuple[list[list[int]], list[complex]]], d: int) -> Iterator[str]:
+    """The --dump-state JSON, the bytes of `_json_dumps` of the whole
+    {name: terms} object, formatted one state at a time in sorted-name
+    order.  Click key k is time-bin k % d on port k // d."""
+    for n, name in enumerate(sorted(states)):
+        keys, amps = states[name]
+        terms = [{"modes": [[k % d, k // d, 1] for k in row], "re": a.real, "im": a.imag} for row, a in zip(keys, amps)]
+        value = json.dumps(terms, indent=2, sort_keys=True).replace("\n", "\n  ")
+        yield ("{" if n == 0 else ",") + f"\n  {json.dumps(name)}: {value}"
+    yield "\n}\n"
+
+
 def _cmd_list_states(args) -> int:
     d = args.d
-    states = list(_listed_terms(d))
+    states = {name: (keys, amps) for name, keys, amps in _listed_terms(d)}
     if args.dump_state:  # before stdout, so a failed dump prints nothing
-        payload = {  # click key k is time-bin k % d on port k // d
-            name: [{"modes": [[k % d, k // d, 1] for k in row], "re": a.real, "im": a.imag} for row, a in zip(keys, amps)]
-            for name, keys, amps in states
-        }
-        _write_chunks(args.dump_state, (_json_dumps(payload),))
-    labels = [str(ModeLabel(k % d, k // d)) for k in range(d * d)]
-    _write_chunks(None, (f"{name} = {_state_text(keys, amps, labels)}\n" for name, keys, amps in states))
+        _write_chunks(args.dump_state, _dump_chunks(states, d))
+    # mode letters: time-bin a, b, c, ... then the port; --d <= 7 keeps to a..g
+    labels = [f"{chr(ord('a') + k % d)}{k // d}" for k in range(d * d)]
+    _write_chunks(None, (f"{name} = {_state_text(keys, amps, labels)}\n" for name, (keys, amps) in states.items()))
     return 0
 
 
@@ -233,8 +242,10 @@ def _cmd_keyrate(args) -> int:
         header = "d,eta_threshold\n"
         lines = (f"{d},{kr.eta_threshold(d)!r}\n" for d in range(2, args.d_max + 1))
     else:
-        q_values = [i * args.q_step for i in range(_q_count(args.q_max, args.q_step))]
-        rows = kr.keyrate_table(_parse_d_list(args.d), q_values, eta=args.eta)
+        n_q = _q_count(args.q_max, args.q_step)
+        rows = itertools.chain.from_iterable(  # a fresh lazy Q grid per dimension, not a list of floats
+            kr.keyrate_table((d,), (i * args.q_step for i in range(n_q)), eta=args.eta) for d in _parse_d_list(args.d)
+        )
         header = "d,Q,r_sifted,R_total" + ("" if args.eta is None else ",eta") + "\n"
         eta = "" if args.eta is None else f",{args.eta!r}"
         lines = (f"{d},{q!r},{r!r},{total!r}{eta}\n" for d, q, r, total in rows)

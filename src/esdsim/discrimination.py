@@ -7,8 +7,7 @@ of dense inputs with one photon in each time-bin 0..d-1; `click_order` fixes
 the order of the d^d click patterns, and `click_codes` is the generated
 click table over that order.  `sample_outcomes` samples the rows of the
 `Measurement` that `measure` returns, and `conclusive_probabilities` and
-`outcome_probabilities` are its closed forms.  `detect_distribution` and
-`DetectionPattern` are the sparse detection model the tests check against.
+`outcome_probabilities` are its closed forms.
 
 An outcome is an integer code: a conclusive outcome is its state index
 (>= 0), the other two are INCONCLUSIVE_CODE and POSTSELECT_FAIL_CODE.
@@ -18,49 +17,24 @@ Device efficiency enters only as the per-port success probability eta of the
 parity readout; a failed device discards the trial (it never produces a wrong
 answer).  A genuinely even parity reading and a device failure are merged
 into the same postselect_fail outcome -- the two are separable only in the
-analytic decomposition that `analytic_outcome_probabilities` reports.
+analytic decomposition that `outcome_probabilities` reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AmbiguousPattern
-from .fock import DEFAULT_TOLERANCE, PureState
-from .optics import build_dft, dense_amplitudes, evolve_axes
+from .optics import build_dft, evolve_axes
 from .states import permutation_table, phi_amplitudes, psi_amplitudes
 
-
-@dataclass(frozen=True)
-class DetectionPattern:
-    """A set of clicked detectors, stored as sorted (port, timebin) pairs."""
-
-    clicks: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "DetectionPattern":
-        return cls(tuple(sorted(set((int(p), int(t)) for p, t in pairs))))
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(f"D[{p},{t}]" for p, t in self.clicks) + "}"
-
-
-def detect_distribution(state: PureState) -> dict[DetectionPattern, float]:
-    """Click-pattern distribution for time-bin-resolved on-off detectors.
-
-    A pattern's probability collects |amplitude|^2 over every basis state
-    whose set of occupied modes equals the pattern (counts >= 1 collapse to
-    one click).  For a normalized input the values sum to 1.
-    """
-    dist: dict[DetectionPattern, float] = {}
-    for basis, amp in state.items():
-        pattern = DetectionPattern(basis.clicks())
-        dist[pattern] = dist.get(pattern, 0.0) + abs(amp) ** 2
-    return dist
+# Amplitudes of at most this magnitude are exact interference zeros left as
+# float dust: `measure` gives their click patterns probability 0, and the
+# protocols and `list-states` drop them too.
+DEFAULT_TOLERANCE = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -68,8 +42,8 @@ def click_order(d: int) -> np.ndarray:
     """The d^d output port tuples in canonical click order, one row each.
 
     Entry t of a row is the port of the time-bin-t photon.  Rows are sorted
-    by their sorted (port, time-bin) click pairs, the order of
-    `DetectionPattern.clicks`; every array over click patterns follows it.
+    by their sorted (port, time-bin) click pairs; every array over click
+    patterns follows this order.
     Entries are bytes: the sort keys port * d + t fit one for d <= 16.
     """
     clicks = np.indices((d,) * d, dtype=np.uint8).reshape(d, -1)
@@ -88,8 +62,8 @@ class Measurement(NamedTuple):
     `pass_prob` (n,) holds the parity projection probabilities,
     `amplitudes` (n, d^d) the evolved amplitudes of the projected inputs
     before renormalization, and `probs` (n, d^d) the click probabilities
-    of the renormalized passed inputs: zero at or below the tolerance, as
-    `PureState` drops such amplitudes, and on inputs that never pass.
+    of the renormalized passed inputs: zero at or below DEFAULT_TOLERANCE
+    in amplitude, and on inputs that never pass.
     """
 
     d: int
@@ -138,22 +112,13 @@ def click_codes(d: int) -> np.ndarray:
     support = measure(sources, d).probs > 1e-12
     shared = np.flatnonzero(support.sum(axis=0) > 1)
     if len(shared):
-        pattern = DetectionPattern.from_pairs(zip(click_order(d)[shared[0]].tolist(), range(d)))
+        clicks = sorted(zip(click_order(d)[shared[0]].tolist(), range(d)))  # (port, time-bin) pairs
+        pattern = "{" + ", ".join(f"D[{port},{t}]" for port, t in clicks) + "}"
         i, j = np.flatnonzero(support[:, shared[0]])[:2].tolist()
         raise AmbiguousPattern(f"pattern {pattern} appears in supports of both {i} and {j} (d={d})")
     codes = np.where(support.any(axis=0), np.argmax(support, axis=0), INCONCLUSIVE_CODE).astype(np.int8)
     codes.setflags(write=False)
     return codes
-
-
-def build_classifier(d: int) -> dict[DetectionPattern, int]:
-    """Pattern -> state-index lookup of `click_codes`, conclusive patterns
-    only; the tests compare the d = 3 table against the published one."""
-    return {
-        DetectionPattern.from_pairs(zip(ports, range(d))): code
-        for ports, code in zip(click_order(d).tolist(), click_codes(d).tolist())
-        if code >= 0
-    }
 
 
 # -- sampling ----------------------------------------------------------------
@@ -185,19 +150,6 @@ def outcome_name(code: int) -> str:
     if code == POSTSELECT_FAIL_CODE:
         return "postselect_fail"
     raise ValueError(f"unknown outcome code {code}")
-
-
-def measurement_input(state: PureState, d: int) -> np.ndarray:
-    """A sparse input holding one photon in each of time-bins 0..d-1 as the
-    dense array, shape (d,) * d, that `measure` takes one row of.
-
-    Raises PortMismatch or OverlappingModes as `dense_amplitudes` does, and
-    ValueError for an input in any other time-bins.
-    """
-    timebins, amps = dense_amplitudes(state, d)
-    if timebins != tuple(range(d)):
-        raise ValueError(f"the measurement needs one photon in each of time-bins 0..{d - 1}, got {timebins}")
-    return amps
 
 
 def sample_outcomes(m: Measurement, rows: np.ndarray, eta: float, uniforms: np.ndarray) -> np.ndarray:
@@ -261,7 +213,3 @@ def outcome_probabilities(m: Measurement, eta: float = 1.0) -> dict[str, float]:
     result["postselect_fail_parity"] = max(0.0, devices_ok * (1.0 - pass_prob))
     return result
 
-
-def analytic_outcome_probabilities(state: PureState, d: int, eta: float = 1.0) -> dict[str, float]:
-    """Closed-form outcome probabilities for `sample_outcomes` on this input."""
-    return outcome_probabilities(measure(measurement_input(state, d)[None], d), eta)

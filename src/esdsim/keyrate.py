@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DomainError, NoRoot
 
@@ -135,10 +135,10 @@ def eta_threshold(d: int) -> float:
 
 
 def keyrate_table(
-    d_values: Iterable[int], q_values: Sequence[float], eta: float | None = None
+    d_values: Iterable[int], q_values: Iterable[float], eta: float | None = None
 ) -> Iterator[tuple[int, float, float, float]]:
     """Evaluate the rate curves on a grid, yielding (d, Q, r_sifted,
-    r_total) for each d and then each Q.
+    r_total) for each d and then each Q; `q_values` is iterated once per d.
 
     `r_sifted` is the raw per-sifted-signal rate; `r_total` is clamped at
     zero as plotted.  With `eta` given, r_total additionally carries the

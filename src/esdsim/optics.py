@@ -1,11 +1,11 @@
 """Port-space mode unitaries and their action on multi-photon states.
 
 The headline object is the d-port discrete Fourier transform, entry
-(j, k) = chi^(j*k)/sqrt(d) with chi = exp(2*pi*i/d).  A unitary acts on a
-Fock state through the substitution a+_(x, in_k) -> sum_j U[j, k] a+_(x, out_j);
-output ports reuse the input labels, and time-bin labels are never touched.
-For inputs with one photon per time-bin, `dense_amplitudes` and `evolve_axes`
-are the exact shortcut: one array axis per photon, one tensordot per axis.
+(j, k) = chi^(j*k)/sqrt(d) with chi = exp(2*pi*i/d).  A unitary acts on each
+photon's port and never touches its time-bin; output ports reuse the input
+labels.  With one photon per time-bin, a state is a dense array with one
+axis per photon, indexed by its port, and `evolve_axes` applies the unitary
+exactly as one product per axis.
 
 `decompose_dft` factors the DFT into two-port beam-splitter elements plus
 phase shifters (triangular Givens scheme); `recompose` is its verification
@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDimension, OverlappingModes, PortMismatch
-from .fock import VACUUM, FockBasisState, ModeLabel, PureState
+from .errors import InvalidDimension
 
 _UNITARITY_TOL = 1e-10
 
@@ -71,80 +69,6 @@ def build_dft(d: int) -> ModeUnitary:
         for k in range(d):
             mat[j, k] = scale * cmath.exp(2j * cmath.pi * ((j * k) % d) / d)
     return ModeUnitary(mat)
-
-
-def apply_mode_unitary(state: PureState, u: ModeUnitary, port_map: Sequence[int]) -> PureState:
-    """Evolve a multi-photon state under a port unitary.
-
-    `port_map[k]` is the physical port bound to matrix index k; outputs reuse
-    the same labels.  Every occupied port of `state` must appear in the map.
-
-    Each basis term is expanded as a creation-operator monomial, each photon
-    is substituted by its output superposition, and collected monomials are
-    converted back to Fock amplitudes with the sqrt(n!) factors at the end.
-    Terms are accumulated in canonical basis order, so results are
-    reproducible bit-for-bit regardless of any outer parallelism.
-    """
-    if len(port_map) != u.dim:
-        raise ValueError(f"port_map has {len(port_map)} entries for a dim-{u.dim} unitary")
-    if len(set(port_map)) != len(port_map):
-        raise ValueError("port_map entries must be distinct")
-    col_of_port = {p: k for k, p in enumerate(port_map)}
-    columns = [[complex(x) for x in u.matrix[:, k]] for k in range(u.dim)]
-    out: dict[FockBasisState, complex] = defaultdict(complex)
-    for basis, amp in state.items():
-        for p in basis.ports():
-            if p not in col_of_port:
-                raise PortMismatch(f"photon occupies port {p}, not covered by port_map {tuple(port_map)}")
-        # polynomial over output creation-operator monomials
-        poly: dict[FockBasisState, complex] = {VACUUM: amp / basis.sqrt_factorial()}
-        for mode, count in basis.items():
-            column = columns[col_of_port[mode.port]]
-            targets = [
-                (ModeLabel(mode.timebin, port_map[row]), entry)
-                for row, entry in enumerate(column)
-                if entry != 0
-            ]
-            for _ in range(count):
-                grown: dict[FockBasisState, complex] = defaultdict(complex)
-                for mono, coeff in poly.items():
-                    for out_mode, entry in targets:
-                        new_mono, _ = mono.with_photon_added(out_mode)
-                        grown[new_mono] += coeff * entry
-                poly = grown
-        for mono, coeff in poly.items():
-            out[mono] += coeff * mono.sqrt_factorial()
-    return PureState(out)
-
-
-def dense_amplitudes(state: PureState, dim: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """A state holding one photon in each occupied time-bin as a dense array.
-
-    Returns (time-bins, amplitudes): axis k of the array is time-bins[k] and
-    is indexed by that photon's port, 0..dim-1.
-
-    Raises PortMismatch for a port outside 0..dim-1 and OverlappingModes for
-    a time-bin holding two or more photons; `apply_mode_unitary` is the
-    general evolution for such inputs.
-    """
-    timebins: tuple[int, ...] = ()
-    entries = []
-    for basis, amp in state.items():
-        photons = sorted((mode.timebin, mode.port) for mode, count in basis.items() for _ in range(count))
-        bins = tuple(timebin for timebin, _ in photons)
-        if len(set(bins)) != len(bins):
-            raise OverlappingModes(f"{basis} puts two or more photons in one time-bin")
-        if entries and bins != timebins:
-            raise ValueError(f"{basis} occupies time-bins {bins}, other terms {timebins}")
-        timebins = bins
-        ports = tuple(port for _, port in photons)
-        if ports and max(ports) >= dim:
-            raise PortMismatch(f"photon occupies port {max(ports)}, outside ports 0..{dim - 1}")
-        entries.append((ports, amp))
-    amps = np.zeros((dim,) * len(timebins), dtype=complex)
-    for ports, amp in entries:
-        amps[ports] = amp
-    return timebins, amps
 
 
 def evolve_axes(u: ModeUnitary, amps: np.ndarray) -> np.ndarray:
@@ -317,14 +241,15 @@ def decompose_dft(d: int) -> ElementNetwork:
     return network
 
 
-def unitaries_equal_up_to_global_phase(a: ModeUnitary, b: ModeUnitary, tol: float = 1e-10) -> bool:
-    """Equality after dividing out the phase at a's largest-magnitude entry."""
-    if a.dim != b.dim:
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
+    """Equality of two arrays of one shape (unitaries, states) after
+    dividing out the phase at a's largest-magnitude entry: every entry of
+    (that phase) * a lies within `tol` of b's."""
+    if a.shape != b.shape:
         return False
-    am, bm = a.matrix, b.matrix
-    idx = np.unravel_index(np.argmax(np.abs(am)), am.shape)
-    if abs(bm[idx]) == 0.0:
+    idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    if abs(b[idx]) == 0.0:
         return False
-    phase = bm[idx] / am[idx]
+    phase = b[idx] / a[idx]
     phase /= abs(phase)
-    return bool(np.abs(phase * am - bm).max() < tol)
+    return bool(np.abs(phase * a - b).max() < tol)

@@ -20,29 +20,25 @@ and the exact sift rate and QBER read, one `Measurement` of all 288 joint
 inputs, `_mdi_outcomes`.
 
 The security-analysis (EDP) picture is implemented as well: conditioning the
-shared four-photon system on each conclusive relay outcome and applying the
-published correction must leave the two parties holding the maximally
-entangled pair.  The system itself is Alice's triple tensored with that same
-`maximally_entangled_pair`, placed on the relay's and Bob's ports.
+shared four-photon system (Alice's triple, keeping its time-bin-a photon,
+and a `maximally_entangled_pair` of whose photons Bob keeps one) on each
+conclusive relay outcome and applying the published correction must leave
+the two parties holding that same maximally entangled pair.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .discrimination import (
-    POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, derive_rng, measure, sample_outcomes
+    DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, derive_rng, measure,
+    sample_outcomes,
 )
-from .fock import DEFAULT_TOLERANCE, FockBasisState, ModeLabel, PureState, apply_phases, partial_project, tensor
-from .states import OMEGA, build_psi, minor_amplitudes, mub_amplitudes, pair_amplitudes, psi_amplitudes
-
-ESD_PORTS = (0, 1, 2)
-BOB_PORTS = (3, 4, 5)
+from .states import OMEGA, minor_amplitudes, mub_amplitudes, pair_amplitudes, psi_amplitudes
 
 COMPUTATIONAL = "computational"
 MUB = "mub"
@@ -70,18 +66,6 @@ class TeleportTarget:
 # phases of a diagonal path rotation, diag(1, w^2, w) for i = 1 and its
 # square for i = 2, w = exp(2 pi i / 3).
 CORRECTION_PHASES = np.array([[1, 1, 1], [1, OMEGA**2, OMEGA], [1, OMEGA, OMEGA**2]])
-
-
-def apply_correction(state: PureState, index: int, ports: Sequence[int]) -> PureState:
-    """Apply the correction for conclusive outcome `index` to whatever
-    photons sit on `ports`."""
-    ports = tuple(ports)
-    phases = CORRECTION_PHASES[index].tolist()
-
-    def phase_of(mode: ModeLabel) -> complex:
-        return phases[ports.index(mode.port)] if mode.port in ports else 1 + 0j
-
-    return apply_phases(state, phase_of)
 
 
 # -- teleportation ------------------------------------------------------------
@@ -203,40 +187,24 @@ def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 # -- EDP security picture ------------------------------------------------------
 
 
-EDP_CHARLIE_PORTS = (0, 1, 2)
-EDP_ALICE_PORTS = (3, 4, 5)
-EDP_BOB_PORTS = (6, 7, 8)
+def maximally_entangled_pair() -> np.ndarray:
+    """(1/sqrt(3)) sum_j |j, j>, indexed [Alice port, Bob port]."""
+    return np.eye(3) / np.sqrt(3)
 
 
-def maximally_entangled_pair(
-    alice_ports: Sequence[int] = EDP_ALICE_PORTS, bob_ports: Sequence[int] = EDP_BOB_PORTS
-) -> PureState:
-    """(1/sqrt(3)) sum_j |a at alice_ports[j], a at bob_ports[j]>."""
-    terms = {
-        FockBasisState({ModeLabel(0, alice_ports[j]): 1, ModeLabel(0, bob_ports[j]): 1}): 1
-        / math.sqrt(3)
-        for j in range(3)
-    }
-    return PureState(terms)
-
-
-def _edp_system() -> PureState:
-    """Alice's triple (keeping the time-bin-a photon) tensored with Bob's
-    maximally entangled pair (keeping one of two time-bin-a photons)."""
-    alice = build_psi(0, ports=EDP_CHARLIE_PORTS, a_ports=EDP_ALICE_PORTS)
-    return tensor(alice, maximally_entangled_pair(EDP_CHARLIE_PORTS, EDP_BOB_PORTS))
-
-
-def edp_shared_state(charlie_outcome: int) -> PureState:
-    """Condition the EDP system on a conclusive relay outcome and apply the
-    receiver's correction; the result is the maximally entangled pair."""
+def edp_shared_state(charlie_outcome: int) -> np.ndarray:
+    """The parties' state, normalized and indexed [Alice port, Bob port],
+    after the relay projects its three photons onto triple
+    `charlie_outcome` and Bob applies that outcome's correction.  The relay
+    holds the time-bin-a photon of Bob's pair (1/sqrt(3)) sum_j |j>|Bob j>
+    and the b and c photons of Alice's psi0, whose time-bin-a photon Alice
+    keeps.  The result equals `maximally_entangled_pair()` up to a global
+    phase."""
     if not 0 <= charlie_outcome <= 2:
         raise ValueError(f"conclusive outcome must be 0..2, got {charlie_outcome}")
-    system = _edp_system()
-    projected = partial_project(
-        system, build_psi(charlie_outcome, EDP_CHARLIE_PORTS), EDP_CHARLIE_PORTS
-    )
-    return apply_correction(projected.normalize(), charlie_outcome, EDP_BOB_PORTS)
+    projected = np.einsum("jbc,abc->aj", psi_amplitudes(charlie_outcome).conj(), psi_amplitudes(0)) / np.sqrt(3)
+    shared = projected * CORRECTION_PHASES[charlie_outcome]
+    return shared / np.linalg.norm(shared)
 
 
 # -- MDI-QKD -------------------------------------------------------------------
@@ -280,8 +248,8 @@ class QkdRunResult:
     qber: float
 
 
-# Flip bits -> flipped ESD ports: bit k of a row's flip bits negates Bob's
-# photon on ESD_PORTS[k].
+# Flip bits -> flipped relay ports: bit k of a row's flip bits negates Bob's
+# photon on relay port k.
 _FLIPS = (np.arange(8)[:, None] >> np.arange(3)) & 1
 
 

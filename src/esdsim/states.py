@@ -3,16 +3,13 @@
 Each family is defined once as a dense amplitude array with one axis per
 photon, in time-bin order, indexed by port position (`psi_amplitudes`,
 `phi_amplitudes`, `minor_amplitudes`, `mub_amplitudes`, `pair_amplitudes`);
-every CLI path reads these arrays, `list-states` included.  The sparse
-builders `build_psi` (on chosen port labels) and `build_phi` (on ports
-0..d-1) are views of them as `PureState`s for the criteria and the tests,
-made by `_as_state`, the inverse of `optics.dense_amplitudes`.
+every protocol and CLI path reads these arrays.
 
 Time-bin letters map a -> 0, b -> 1, c -> 2 (and onward for higher d), so the
-qutrit triple family (`build_psi`) and the general-d determinant family
-(`build_phi`) share one mode representation.
+qutrit triple family (`psi_amplitudes`) and the general-d determinant family
+(`phi_amplitudes`) share one axis convention.
 
-`build_phi` expands the plain (unsigned) d x d determinant of creation
+`phi_amplitudes` expands the plain (unsigned) d x d determinant of creation
 operators: the index-0 member is the fully antisymmetric one-photon-per-port
 state, and member i applies the diagonal phase chi^(i*j) to the component
 whose time-bin-0 photon sits on the j-th port.  At d = 3 this family equals
@@ -27,27 +24,16 @@ import cmath
 import itertools
 import math
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidDimension
-from .fock import FockBasisState, ModeLabel, PureState
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
-
-_QUTRIT_PORTS = (0, 1, 2)
 
 
 def _unit_root(d: int, exponent: int) -> complex:
     return cmath.exp(2j * cmath.pi * (exponent % d) / d)
-
-
-def _check_ports(ports: Sequence[int] | None, n: int) -> tuple[int, ...]:
-    ports = tuple(range(n) if ports is None else ports)
-    if len(ports) != n or len(set(ports)) != n:
-        raise ValueError(f"expected {n} distinct port labels, got {ports!r}")
-    return ports
 
 
 def _check_member(index: int, dim: int) -> None:
@@ -66,18 +52,6 @@ def permutation_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     perms.setflags(write=False)
     signs.setflags(write=False)
     return perms, signs
-
-
-def _as_state(amps: np.ndarray, axis_ports: Sequence[Sequence[int]], first_timebin: int) -> PureState:
-    """The sparse view of a dense array, the inverse of
-    `optics.dense_amplitudes`: axis k holds the photon of time-bin
-    first_timebin + k, and its index j puts it on port axis_ports[k][j]."""
-    nonzero = np.argwhere(amps)
-    bases = (
-        FockBasisState({ModeLabel(first_timebin + k, axis_ports[k][j]): 1 for k, j in enumerate(index)})
-        for index in nonzero.tolist()
-    )
-    return PureState(zip(bases, amps[tuple(nonzero.T)].tolist()))
 
 
 def psi_amplitudes(index: int) -> np.ndarray:
@@ -155,20 +129,3 @@ def pair_amplitudes(x: int) -> np.ndarray:
     amps = np.zeros((3, 3), dtype=complex)
     amps[x, hi], amps[hi, x] = scale, -scale
     return amps
-
-
-def build_psi(index: int, ports: Sequence[int] = _QUTRIT_PORTS, a_ports: Sequence[int] | None = None) -> PureState:
-    """`psi_amplitudes(index)` on the given ports.  `a_ports`, when given,
-    relocates the time-bin-a photon onto different port labels (used when
-    one party keeps that photon)."""
-    amps = psi_amplitudes(index)
-    ports = _check_ports(ports, 3)
-    a_ports = ports if a_ports is None else _check_ports(a_ports, 3)
-    return _as_state(amps, (a_ports, ports, ports), 0)
-
-
-def build_phi(index: int, dim: int) -> PureState:
-    """`phi_amplitudes(index, dim)` on ports 0..d-1."""
-    amps = phi_amplitudes(index, dim)
-    return _as_state(amps, (range(dim),) * dim, 0)
-

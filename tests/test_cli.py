@@ -17,12 +17,10 @@ from hypothesis import strategies as st
 import esdsim
 import esdsim.cli as cli
 import esdsim.discrimination as discrimination
-import esdsim.fock as fock
-import esdsim.optics as optics
 import esdsim.protocols as protocols
 import esdsim.states as states
 from esdsim.cli import run
-from sparse_reference import state_text, state_to_json
+from sparse_reference import build_phi, build_psi, state_text, state_to_json
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -207,8 +205,8 @@ class TestListStatesCommand:
         # sparse states, for every member
         dump = tmp_path / "states.json"
         assert run(["list-states", "--d", str(d), "--dump-state", str(dump)]) == 0
-        named = [(f"psi{i}", states.build_psi(i)) for i in range(9 if d == 3 else 0)]
-        named += [(f"phi{i}", states.build_phi(i, d)) for i in range(d)]
+        named = [(f"psi{i}", build_psi(i)) for i in range(9 if d == 3 else 0)]
+        named += [(f"phi{i}", build_phi(i, d)) for i in range(d)]
         assert capsys.readouterr().out == "".join(f"{name} = {state_text(state)}\n" for name, state in named)
         payload = {name: state_to_json(state) for name, state in named}
         assert read(dump) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -352,10 +350,11 @@ class TestRunMemory:
         }
 
     def test_keyrate_rows_stream(self, tmp_path):
-        # rows are formatted CHUNK_ROWS at a time, so past the Q grid (32 B
-        # per Q value) one chunk of lines is the working memory: about 100 B
-        # per row at 5 * 10^4 rows.  A row object per row and the table
-        # joined into one string took about 400 B per row
+        # the Q grid is generated lazily and rows are formatted CHUNK_ROWS at
+        # a time, so one chunk of lines is the working memory: about 68 B per
+        # row at 5 * 10^4 rows.  The grid as a list of floats added 32 B per
+        # row, and a row object per row with the table joined into one
+        # string took about 400 B per row
         n = 5 * 10**4
         out = tmp_path / "rates.csv"
         tracemalloc.start()
@@ -365,7 +364,7 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         assert read(out).count("\n") == 1 + n
-        assert peak <= 150 * n
+        assert peak <= 80 * n
 
     def test_thresholds_rows_stream(self, tmp_path):
         # one chunk of lines, about 2 MB, is the working memory: about 22 B
@@ -621,12 +620,16 @@ class TestReadmeCommands:
             assert run(argv) == 0, argv
 
 
+def readme_layout_modules():
+    """The modules the README's layout table names, without the package prefix."""
+    section = read(README).split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `esdsim\.(\w+)` \|", section, re.MULTILINE)
+
+
 class TestReadmeLayout:
     def test_names_every_module(self):
-        section = read(README).split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
-        documented = re.findall(r"^\| `esdsim\.(\w+)` \|", section, re.MULTILINE)
         modules = {path.stem for path in Path(esdsim.__file__).parent.glob("*.py")} - {"__init__"}
-        assert sorted(documented) == sorted(modules)
+        assert sorted(readme_layout_modules()) == sorted(modules)
 
 
 class TestSharedParser:
@@ -680,42 +683,26 @@ class TestSharedParser:
 
 
 class TestRuntimePaths:
-    def test_no_sparse_measurement(self, tmp_path, monkeypatch, capsys):
-        # the sparse algebra serves the tests only: no CLI path may build a
-        # basis state, a sparse state or a click pattern object, convert a
-        # sparse state to a dense one, run the polynomial evolution or take a
-        # sparse tensor product
-        banned = {
-            id(fock.FockBasisState): "FockBasisState",
-            id(fock.PureState): "PureState",
-            id(optics.dense_amplitudes): "dense_amplitudes",
-            id(discrimination.DetectionPattern): "DetectionPattern",
-            id(optics.apply_mode_unitary): "apply_mode_unitary",
-            id(fock.tensor): "tensor",
-        }
-
-        def stub(name):
-            def forbidden(*args, **kwargs):
-                raise AssertionError(f"{name} called on a runtime path")
-
-            return forbidden
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] != "esdsim":
-                continue
-            for attr, value in list(vars(module).items()):
-                if id(value) in banned:
-                    monkeypatch.setattr(module, attr, stub(banned[id(value)]))
-                elif hasattr(value, "cache_clear"):
-                    value.cache_clear()
-        for d in range(2, 7):
-            assert run(["discriminate", "--d", str(d), "--state", "phi1", "--trials", "100"]) == 0
-        assert run(["discriminate", "--d", "3", "--state", "psi0", "--trials", "100"]) == 0
-        assert run(["teleport", "--trials", "100"]) == 0
-        assert run(["mdiqkd", "--trials", "100"]) == 0
-        for d in range(2, 7):
-            assert run(["list-states", "--d", str(d), "--dump-state", str(tmp_path / "states.json")]) == 0
-        assert run(["keyrate"]) == 0
-        assert run(["keyrate", "thresholds"]) == 0
-        for d in range(2, 6):
-            assert abs(protocols.generalized_conclusive_probability(d) - 1 / d) < 1e-12
+    def test_no_sparse_measurement(self, tmp_path):
+        # every subcommand, run in a fresh interpreter with every cache cold,
+        # loads the package and the modules of the README layout table and no
+        # other esdsim module: the sparse algebra lives with the tests only
+        argvs = [["discriminate", "--d", str(d), "--state", "phi1", "--trials", "100"] for d in range(2, 7)]
+        argvs += [["discriminate", "--state", "psi0", "--trials", "100"], ["teleport", "--trials", "100"],
+                  ["mdiqkd", "--trials", "100", "--noise", "0.1", "--out", str(tmp_path / "records.csv")]]
+        argvs += [["list-states", "--d", str(d), "--dump-state", str(tmp_path / "states.json")] for d in range(2, 7)]
+        argvs += [["keyrate"], ["keyrate", "thresholds"], ["describe-tritter"]]
+        code = (
+            "import os, sys\n"
+            "from esdsim import cli, protocols\n"
+            "sys.stdout = sys.stderr = open(os.devnull, 'w')\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert cli.run(argv) == 0, argv\n"
+            "for d in range(2, 6):\n"
+            "    assert abs(protocols.generalized_conclusive_probability(d) - 1 / d) < 1e-12\n"
+            "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'esdsim'), file=sys.__stdout__)"
+        )
+        env = {"PYTHONPATH": str(Path(esdsim.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                              timeout=120)
+        assert done.stdout.split() == sorted(["esdsim"] + [f"esdsim.{name}" for name in readme_layout_modules()])

@@ -1,20 +1,27 @@
+"""The sparse Fock algebra of `sparse_reference`, the reference the tests
+compare the dense package against."""
+
 import math
 
 import numpy as np
 import pytest
 
-from esdsim.errors import OverlappingModes
-from esdsim.fock import (
+from sparse_reference import (
     VACUUM,
     FockBasisState,
     ModeLabel,
+    OverlappingModes,
     PureState,
+    apply_creation,
     apply_phases,
     inner_product,
+    occupancy,
     partial_project,
+    state_to_json,
+    superpose,
     tensor,
+    vacuum,
 )
-from sparse_reference import apply_creation, occupancy, state_to_json, superpose, vacuum
 
 
 def single(timebin, port, amp=1.0):

@@ -5,40 +5,24 @@ import numpy as np
 import pytest
 
 import esdsim.discrimination as discrimination
-import esdsim.fock as fock
 import esdsim.protocols as protocols
 from esdsim.discrimination import (
-    INCONCLUSIVE_CODE,
     POSTSELECT_FAIL_CODE,
-    DetectionPattern,
-    analytic_outcome_probabilities,
-    build_classifier,
     click_codes,
-    detect_distribution,
+    derive_rng,
     measure,
+    outcome_name,
+    outcome_probabilities,
     sample_outcomes,
 )
-from esdsim.fock import (
-    ModeLabel,
-    PureState,
-    apply_phases,
-    inner_product,
-    partial_project,
-    states_equal_up_to_global_phase,
-    tensor,
-)
-from esdsim.optics import ModeUnitary, apply_mode_unitary, build_dft, dense_amplitudes
+from esdsim.optics import ModeUnitary, build_dft, equal_up_to_global_phase
 from esdsim.protocols import (
     BASES,
-    BOB_PORTS,
     COMPUTATIONAL,
-    EDP_CHARLIE_PORTS,
-    ESD_PORTS,
     CORRECTION_PHASES,
     MUB,
     NoiseConfig,
     TeleportTarget,
-    apply_correction,
     edp_shared_state,
     generalized_conclusive_probability,
     haar_amplitudes,
@@ -48,17 +32,29 @@ from esdsim.protocols import (
     teleport_analysis,
     teleport_run,
 )
-from esdsim.protocols import _decode_array, _edp_system
-from esdsim.discrimination import derive_rng, outcome_name
-from esdsim.states import build_psi, minor_amplitudes, phi_amplitudes
+from esdsim.protocols import _decode_array
+from esdsim.states import minor_amplitudes, mub_amplitudes, phi_amplitudes, psi_amplitudes
 from sparse_reference import (
+    BOB_PORTS,
+    ESD_PORTS,
+    DetectionPattern,
+    ModeLabel,
+    PureState,
+    apply_mode_unitary,
+    apply_phases,
     build_alice_pair,
+    build_psi,
+    click_code,
+    dense_amplitudes,
+    detect_distribution,
+    inner_product,
     mub_state,
     parity_postselect,
+    partial_project,
     path_state,
-    port_occupancy,
     single_photon,
     target_state,
+    tensor,
 )
 
 
@@ -108,23 +104,17 @@ def qkd_columns(run):
 class TestCorrections:
     def test_identity_leaves_state_alone(self):
         assert np.all(CORRECTION_PHASES[0] == 1)
-        s = mub_state(0, 1, BOB_PORTS)
-        out = apply_correction(s, 0, BOB_PORTS)
-        for b in s.basis_states():
-            assert out.amplitude(b) == s.amplitude(b)
+        s = mub_amplitudes(1)
+        assert np.array_equal(s * CORRECTION_PHASES[0], s)
 
     def test_rotation_product_is_identity(self):
         assert np.abs(CORRECTION_PHASES[1] * CORRECTION_PHASES[2] - 1).max() < 1e-12
-        s = mub_state(0, 1, BOB_PORTS)
-        out = apply_correction(apply_correction(s, 1, BOB_PORTS), 2, BOB_PORTS)
-        for b in s.basis_states():
-            assert abs(out.amplitude(b) - s.amplitude(b)) < 1e-12
+        s = mub_amplitudes(1)
+        assert np.abs(s * CORRECTION_PHASES[1] * CORRECTION_PHASES[2] - s).max() < 1e-12
 
     def test_rotation_1_unwinds_linear_phases(self):
-        # (1/sqrt 3) sum_j w^j |a_Bj>  ->  uniform superposition
-        twisted = mub_state(0, 1, BOB_PORTS)
-        fixed = apply_correction(twisted, 1, BOB_PORTS)
-        assert states_equal_up_to_global_phase(fixed, mub_state(0, 0, BOB_PORTS))
+        # (1/sqrt 3) sum_j w^j |j>  ->  uniform superposition
+        assert equal_up_to_global_phase(mub_amplitudes(1) * CORRECTION_PHASES[1], mub_amplitudes(0), 1e-12)
 
 
 class TestTeleport:
@@ -164,25 +154,33 @@ class TestOutcomeWeights:
         assert all(abs(w - 1 / 9) < 1e-12 for w in weights)
 
 
+def edp_system():
+    """The EDP four-photon system as one array, indexed [Alice's kept
+    time-bin-a photon, the relay's time-bin-a, b and c photons, Bob's
+    photon]: Alice's psi0 tensored with the maximally entangled pair."""
+    pair = maximally_entangled_pair()  # [relay port, Bob port]
+    return np.einsum("abc,jk->ajbck", psi_amplitudes(0), pair)
+
+
 class TestEdp:
     @pytest.mark.parametrize("outcome", [0, 1, 2])
     def test_shared_state_is_maximally_entangled(self, outcome):
         shared = edp_shared_state(outcome)
-        assert states_equal_up_to_global_phase(shared, maximally_entangled_pair(), 1e-12)
+        assert shared.shape == (3, 3)
+        assert equal_up_to_global_phase(shared, maximally_entangled_pair(), 1e-12)
 
     @pytest.mark.parametrize("outcome", [0, 1, 2])
     def test_outcome_weight_is_one_ninth(self, outcome):
-        projected = partial_project(_edp_system(), build_psi(outcome, EDP_CHARLIE_PORTS), EDP_CHARLIE_PORTS)
-        assert abs(projected.norm_sq() - 1 / 9) < 1e-12
+        # the relay's projection onto triple `outcome` over its three photons
+        projected = np.tensordot(edp_system(), psi_amplitudes(outcome).conj(), axes=([1, 2, 3], [0, 1, 2]))
+        assert abs(np.sum(np.abs(projected) ** 2) - 1 / 9) < 1e-12
+        corrected = projected * CORRECTION_PHASES[outcome] / math.sqrt(1 / 9)
+        assert np.abs(corrected - edp_shared_state(outcome)).max() < 1e-15
 
     def test_reduced_occupations_uniform(self):
-        shared = edp_shared_state(1)
-        for ports in ((3, 4, 5), (6, 7, 8)):
-            for port in ports:
-                prob = sum(
-                    abs(amp) ** 2 for b, amp in shared.items() if port_occupancy(b, port) == 1
-                )
-                assert abs(prob - 1 / 3) < 1e-12
+        probs = np.abs(edp_shared_state(1)) ** 2
+        for axis in (0, 1):  # Bob's ports, then Alice's
+            assert np.abs(probs.sum(axis=axis) - 1 / 3).max() < 1e-12
 
 
 class TestEncodings:
@@ -287,7 +285,8 @@ class TestGeneralizedSetup:
 
 def direct_teleport_branches(target):
     """Reference: evolve this target's own joint system and group the evolved
-    terms by the configuration on the measured ports."""
+    terms by the configuration on the measured ports; the receiver's state
+    of a conclusive branch is normalized, before its correction."""
     system = build_teleport_system(target)
     passed, pass_prob = parity_postselect(system, 3, ports=ESD_PORTS)
     unitary = identity_padded(build_dft(3), extra=len(BOB_PORTS))
@@ -298,10 +297,10 @@ def direct_teleport_branches(target):
         groups.setdefault(inside, {})[outside] = amp
     branches = []
     for inside in sorted(groups, key=lambda b: b.sort_key()):
-        code = build_classifier(3).get(DetectionPattern(inside.clicks()), INCONCLUSIVE_CODE)
+        code = click_code(DetectionPattern(inside.clicks()), 3)
         bob = PureState(groups[inside])
         if code >= 0:
-            bob = apply_correction(bob.normalize(), code, BOB_PORTS)
+            bob = bob.normalize()
         branches.append((code, PureState(groups[inside]).norm_sq(), bob))
     return pass_prob, branches
 
@@ -324,7 +323,8 @@ class TestTeleportBranchMaps:
             for (code, prob, receiver), (ref_code, ref_prob, bob) in zip(branches, reference):
                 assert code == ref_code
                 assert abs(prob - ref_prob) < 1e-12
-                state = path_state((receiver / math.sqrt(pass_prob)).tolist(), BOB_PORTS)
+                uncorrected = receiver * CORRECTION_PHASES[code].conj() if code >= 0 else receiver
+                state = path_state((uncorrected / math.sqrt(pass_prob)).tolist(), BOB_PORTS)
                 assert amplitude_distance(state.normalize() if code >= 0 else state, bob) < 1e-12
 
     def test_branch_weights_do_not_depend_on_the_target(self):
@@ -449,7 +449,7 @@ class TestMdiQkdSampling:
             inputs = (BASES[a_b], x, BASES[b_b], y)
             if inputs not in analytic:
                 joint = tensor(alice_send(*inputs[:2]), bob_send(*inputs[2:]))
-                analytic[inputs] = analytic_outcome_probabilities(joint, 3, 0.9)
+                analytic[inputs] = outcome_probabilities(measure(dense_amplitudes(joint, 3)[1][None], 3), 0.9)
             assert analytic[inputs].get(outcome_name(code), 0.0) > 0.0, (trial, inputs, code)
 
     def test_prefix_stable_across_chunks(self, monkeypatch):
@@ -467,9 +467,7 @@ class TestMdiQkdSampling:
 
         protocols._mdi_outcomes.cache_clear()
         protocols._decode_array.cache_clear()
-        monkeypatch.setattr(fock, "tensor", forbidden)
-        monkeypatch.setattr(protocols, "tensor", forbidden)
-        mdi_qkd_run(100, noise=NoiseConfig(0.1))  # the build itself needs no tensor product
+        mdi_qkd_run(100, noise=NoiseConfig(0.1))
         monkeypatch.setattr(discrimination, "evolve_axes", forbidden)
         run = mdi_qkd_run(20000, noise=NoiseConfig(0.1))
         assert run.sifted.any()
@@ -493,7 +491,7 @@ def reference_table(row):
         return 0.0, np.zeros(0), np.zeros(0, dtype=np.int64)
     dist = detect_distribution(apply_mode_unitary(passed, build_dft(3), ESD_PORTS))
     ordered = sorted(dist.items(), key=lambda pair: pair[0].clicks)
-    codes = [build_classifier(3).get(pattern, INCONCLUSIVE_CODE) for pattern, _ in ordered]
+    codes = [click_code(pattern, 3) for pattern, _ in ordered]
     return pass_prob, np.cumsum([prob for _, prob in ordered]), np.array(codes)
 
 

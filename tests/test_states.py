@@ -6,19 +6,8 @@ import numpy as np
 import pytest
 
 from esdsim.errors import IndexOutOfRange, InvalidDimension
-from esdsim.fock import (
-    FockBasisState,
-    ModeLabel,
-    PureState,
-    apply_phases,
-    inner_product,
-)
-from esdsim.optics import dense_amplitudes
-from esdsim.protocols import BOB_PORTS, ESD_PORTS
 from esdsim.states import (
     OMEGA,
-    build_phi,
-    build_psi,
     minor_amplitudes,
     mub_amplitudes,
     pair_amplitudes,
@@ -26,7 +15,22 @@ from esdsim.states import (
     phi_amplitudes,
     psi_amplitudes,
 )
-from sparse_reference import build_alice_pair, build_minor, mub_state, port_occupancy
+from sparse_reference import (
+    BOB_PORTS,
+    ESD_PORTS,
+    FockBasisState,
+    ModeLabel,
+    PureState,
+    apply_phases,
+    build_alice_pair,
+    build_minor,
+    build_phi,
+    build_psi,
+    dense_amplitudes,
+    inner_product,
+    mub_state,
+    port_occupancy,
+)
 
 
 def basis(*modes):
