@@ -33,6 +33,7 @@ from .discrimination import (
     outcome_name,
     outcome_probabilities,
     sample_outcomes,
+    search_keys,
 )
 from .errors import AmbiguousPattern
 from .optics import decompose_dft
@@ -43,7 +44,7 @@ DEFAULT_SEED = 42
 # Largest --d that `discriminate` accepts: the dense measurement holds d^d
 # amplitudes per state and builds the click codes from all d states at
 # once; trials are sampled CHUNK_ROWS at a time.  With 10^6 trials on one
-# core of an Intel Xeon, d = 6 takes 0.50-0.54 s and 55 MB including
+# core of an Intel Xeon, d = 6 takes 0.44-0.54 s and 54 MB including
 # interpreter start, d = 7 2.4 s and 362 MB.
 MAX_DISCRIMINATE_D = 6
 # Largest --d of `list-states` (d = 7: 0.7 s and 71 MB; one d = 8 state is
@@ -54,6 +55,9 @@ MAX_D = {"discriminate": MAX_DISCRIMINATE_D, "list-states": 7, "describe-tritter
 MAX_KEYRATE_ROWS = 10**6
 # Largest --trials of any subcommand; memory grows linearly with it.
 MAX_TRIALS = 10**6
+# Lines per string that the text writers yield: a line costs about 100 B
+# as a str, where a sampled row (CHUNK_ROWS per pass) costs a few bytes.
+TEXT_ROWS = 1 << 10
 
 
 def _write_chunks(path: str | None, chunks: Iterable[str]) -> None:
@@ -69,8 +73,8 @@ def _json_dumps(obj) -> str:
 
 
 def _chunked(lines: Iterator[str]) -> Iterator[str]:
-    """The lines joined CHUNK_ROWS at a time."""
-    while chunk := "".join(itertools.islice(lines, CHUNK_ROWS)):
+    """The lines joined TEXT_ROWS at a time."""
+    while chunk := "".join(itertools.islice(lines, TEXT_ROWS)):
         yield chunk
 
 
@@ -157,10 +161,10 @@ def _cmd_describe_tritter(args) -> int:
 def _cmd_discriminate(args) -> int:
     name, state = _named_state(args.state, args.d)
     m, rng = measure(state[None], args.d), derive_rng(args.seed)
-    codes = np.empty(args.trials, dtype=np.int8)
+    codes, keys = np.empty(args.trials, dtype=np.int8), search_keys(m)
     for start in range(0, args.trials, CHUNK_ROWS):
         u = rng.random((min(CHUNK_ROWS, args.trials - start), args.d + 2))
-        codes[start : start + len(u)] = sample_outcomes(m, np.zeros(len(u), dtype=np.int64), args.eta, u)
+        codes[start : start + len(u)] = sample_outcomes(m, keys, np.zeros(len(u), dtype=np.int64), args.eta, u)
     counts = _outcome_counts(codes)
     report = {
         "state": name,
@@ -192,14 +196,14 @@ def _cmd_teleport(args) -> int:
 
 
 def _qkd_csv_rows(result) -> Iterator[str]:
-    """The CSV rows after the header, CHUNK_ROWS rows per string.  Every
+    """The CSV rows after the header, TEXT_ROWS rows per string.  Every
     column after `trial` is a function of (bases, values, outcome, sifted,
     Bob's symbol), so each distinct tuple is formatted once, in the first
-    chunk that holds it; keys are computed one chunk at a time."""
+    block that holds it; keys are computed one block at a time."""
     shape = (2, 2, 3, 3, 3 - POSTSELECT_FAIL_CODE, 2, 3)
     suffixes = [""] * math.prod(shape)
-    for start in range(0, len(result.outcomes), CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
+    for start in range(0, len(result.outcomes), TEXT_ROWS):
+        rows = slice(start, start + TEXT_ROWS)
         codes = result.outcomes[rows] - POSTSELECT_FAIL_CODE
         columns = (*result.bases[rows].T, *result.values[rows].T, codes, result.sifted[rows], result.bob_symbols[rows])
         keys = np.ravel_multi_index(columns, shape)

@@ -6,8 +6,8 @@ click pattern to the state index.  `measure` runs the pipeline on a batch
 of dense inputs with one photon in each time-bin 0..d-1; `click_order` fixes
 the order of the d^d click patterns, and `click_codes` is the generated
 click table over that order.  `sample_outcomes` samples the rows of the
-`Measurement` that `measure` returns, and `conclusive_probabilities` and
-`outcome_probabilities` are its closed forms.
+`Measurement` that `measure` returns through its `search_keys`, and
+`conclusive_probabilities` and `outcome_probabilities` are its closed forms.
 
 An outcome is an integer code: a conclusive outcome is its state index
 (>= 0), the other two are INCONCLUSIVE_CODE and POSTSELECT_FAIL_CODE.
@@ -152,9 +152,22 @@ def outcome_name(code: int) -> str:
     raise ValueError(f"unknown outcome code {code}")
 
 
-def sample_outcomes(m: Measurement, rows: np.ndarray, eta: float, uniforms: np.ndarray) -> np.ndarray:
+def search_keys(m: Measurement) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What `sample_outcomes` searches in `m`, built once per run: a key row
+    + 1j * running probability per support pattern of every row (numpy
+    orders complex numbers by real, then imaginary part), each key's
+    outcome code, the end of each row's keys and each row's total."""
+    support = m.probs > 0
+    key_row, key_pattern = np.nonzero(support)
+    cumulative = np.cumsum(m.probs, axis=1)
+    keys, codes = key_row + 1j * cumulative[support], click_codes(m.d)[key_pattern]
+    return keys, codes, np.cumsum(np.count_nonzero(support, axis=1)), cumulative[:, -1].copy()
+
+
+def sample_outcomes(m: Measurement, search: tuple, rows: np.ndarray, eta: float, uniforms: np.ndarray) -> np.ndarray:
     """The int8 outcome codes of n trials, trial i on input `rows[i]` of
-    `m`, from an (n, d + 2) block of uniforms in [0, 1).
+    `m`, from an (n, d + 2) block of uniforms in [0, 1); `search` is
+    `search_keys(m)`.
 
     Columns 0..d-1 are the parity devices (a value >= eta discards the
     trial), column d is the parity projection (a value >= pass_prob discards
@@ -171,16 +184,10 @@ def sample_outcomes(m: Measurement, rows: np.ndarray, eta: float, uniforms: np.n
     passed = np.flatnonzero(devices_ok & (uniforms[:, d] < m.pass_prob[rows]))
     if not len(passed):
         return codes
-    # One search over the (row, running probability) keys of every support
-    # pattern, as complex numbers: numpy orders them by real, then imaginary part.
-    support = m.probs > 0
-    key_row, key_pattern = np.nonzero(support)
-    row_end = np.cumsum(np.count_nonzero(support, axis=1))
-    cumulative = np.cumsum(m.probs, axis=1)
+    keys, key_codes, row_end, totals = search
     r = rows[passed]
-    queries = r + 1j * (uniforms[passed, d + 1] * cumulative[r, -1])
-    pick = np.searchsorted(key_row + 1j * cumulative[support], queries, side="right")
-    codes[passed] = click_codes(d)[key_pattern[np.minimum(pick, row_end[r] - 1)]]
+    pick = np.searchsorted(keys, r + 1j * (uniforms[passed, d + 1] * totals[r]), side="right")
+    codes[passed] = key_codes[np.minimum(pick, row_end[r] - 1)]
     return codes
 
 

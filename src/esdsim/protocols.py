@@ -6,10 +6,11 @@ measurement on those three photons, and announces the conclusive outcome i;
 the other party recovers the input with the diagonal path rotation in row i
 of `CORRECTION_PHASES` (the identity for i = 0).  Outcomes are the integer
 codes of `discrimination`.  Each of the 18 detection branches is a fixed 3x3
-map from the target's amplitudes to the receiver's corrected amplitudes, and
-one product, `_receivers`, applies all of them: `teleport_run` samples a
-branch per row of Haar-random targets, and `teleport_analysis` lists every
-branch of one target as arrays.
+map M from the target's amplitudes to the receiver's corrected amplitudes,
+with M^dagger M = I/54, so a branch's probability does not depend on the
+target: `teleport_run` draws each row's branch from one constant table and
+applies that branch's map alone, and `teleport_analysis` applies every map
+to one target and lists the branches as arrays.
 
 MDI-QKD: Alice encodes a value into a two-photon path-entangled pair, Bob
 into a single photon (path basis or its MUB), an untrusted relay measures the
@@ -36,7 +37,7 @@ import numpy as np
 
 from .discrimination import (
     DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, derive_rng, measure,
-    sample_outcomes,
+    sample_outcomes, search_keys,
 )
 from .states import OMEGA, minor_amplitudes, mub_amplitudes, pair_amplitudes, psi_amplitudes
 
@@ -92,8 +93,8 @@ class TeleportAnalysis(NamedTuple):
         return dict(zip(self.codes[conclusive].tolist(), self.fidelities[conclusive].tolist()))
 
 
-# Rows that `teleport_run` and `mdi_qkd_run` sample, and the CLI formats,
-# per pass; bounds their working memory.
+# Rows that `teleport_run`, `mdi_qkd_run` and the CLI's `discriminate`
+# sample per pass; bounds their working memory.
 CHUNK_ROWS = 1 << 14
 
 
@@ -107,14 +108,16 @@ def haar_amplitudes(uniforms: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
+def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcome codes and maps (branch x receiver port x target port) of the
     detection branches: the output ports of the three measured photons, in
     canonical click order.  A map takes the target's amplitudes to the
     receiver's unnormalized amplitudes, the branch's correction applied.
     The receiver keeps psi0's time-bin-a photon, which never enters the
-    DFT, so `measure` gets one row per (receiver port, target port).  Both
-    arrays are cached for the process, so they are read-only.
+    DFT, so `measure` gets one row per (receiver port, target port).  The
+    third array is the cumulative table of the branch weights ||M||_F^2 / 3,
+    each 1/54: the weight of every unit target, as M^dagger M = I/54.  All
+    three are cached for the process, so they are read-only.
     """
     inputs = np.eye(3)[None, :, :, None, None] * psi_amplitudes(0)[:, None, None]  # receiver, target port, a, b, c
     amps = measure(inputs.reshape(9, 3, 3, 3), 3).amplitudes
@@ -122,17 +125,10 @@ def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
     codes = click_codes(3)[support]
     phases = np.where(codes[:, None] >= 0, CORRECTION_PHASES[np.maximum(codes, 0)], 1)
     matrices = phases[:, :, None] * amps[:, support].T.reshape(-1, 3, 3)
-    for array in (codes, matrices):
+    cumulative = np.cumsum(np.sum(np.abs(matrices) ** 2, axis=(1, 2)) / 3)
+    for array in (codes, matrices, cumulative):
         array.setflags(write=False)
-    return codes, matrices
-
-
-def _receivers(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The branches' outcome codes and, for each row of an (n, 3) array of
-    target amplitudes, every branch's corrected, unnormalized receiver
-    amplitudes, (n, branches, 3)."""
-    codes, matrices = _teleport_branch_maps()
-    return codes, (alphas @ matrices.reshape(-1, 3).T).reshape(len(alphas), len(codes), 3)
+    return codes, matrices, cumulative
 
 
 def _fidelity(alphas: np.ndarray, receiver: np.ndarray) -> np.ndarray:
@@ -142,12 +138,13 @@ def _fidelity(alphas: np.ndarray, receiver: np.ndarray) -> np.ndarray:
 
 
 def teleport_analysis(target: TeleportTarget) -> TeleportAnalysis:
-    """Deterministic enumeration of every detection branch of one run: the
-    one-target case of `_receivers`.  Every branch map M has M^dagger M =
+    """Deterministic enumeration of every detection branch of one run, every
+    branch map applied to the target.  Every branch map M has M^dagger M =
     I/54, so each of the 18 branches has probability 1/18 given a pass, and
     the pass probability is 1/3, for any target."""
     alphas = np.array(target.alphas)
-    codes, (receivers,) = _receivers(alphas[None])
+    codes, matrices, _ = _teleport_branch_maps()
+    receivers = matrices @ alphas
     weights = np.sum(np.abs(receivers) ** 2, axis=1)
     pass_prob = float(weights.sum())
     return TeleportAnalysis(pass_prob, codes, weights / pass_prob, receivers, _fidelity(alphas, receivers))
@@ -155,17 +152,17 @@ def teleport_analysis(target: TeleportTarget) -> TeleportAnalysis:
 
 def _sample_teleport(alphas: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One run per row of target amplitudes and of an (n, 2) block of
-    uniforms (parity projection, branch by inverse CDF in canonical order).
+    uniforms, by the constant branch table C of `_teleport_branch_maps`
+    with total W = C[-1]: column 0 passes the parity projection iff u < W,
+    and column 1 picks the first branch with C > u * W, else the last; a
+    pick within an ulp of an edge of C follows C, whatever the target.
     Returns outcome codes and, on conclusive rows, the fidelity of the
     chosen branch's corrected receiver amplitudes with the target (NaN
-    elsewhere).
-    """
-    branch_codes, receiver = _receivers(alphas)
-    n_branches = len(branch_codes)
-    cumulative = np.cumsum(np.sum(np.abs(receiver) ** 2, axis=2), axis=1)
-    pick = np.minimum(np.sum(cumulative <= uniforms[:, 1:] * cumulative[:, -1:], axis=1), n_branches - 1)
-    codes = np.where(uniforms[:, 0] < cumulative[:, -1], branch_codes[pick], POSTSELECT_FAIL_CODE)
-    chosen = receiver[np.arange(len(alphas)), pick]
+    elsewhere)."""
+    branch_codes, matrices, cumulative = _teleport_branch_maps()
+    pick = np.minimum(np.searchsorted(cumulative, uniforms[:, 1] * cumulative[-1], side="right"), len(cumulative) - 1)
+    codes = np.where(uniforms[:, 0] < cumulative[-1], branch_codes[pick], POSTSELECT_FAIL_CODE)
+    chosen = np.einsum("nij,nj->ni", matrices[pick], alphas)
     return codes, np.where(codes >= 0, _fidelity(alphas, chosen), np.nan)
 
 
@@ -174,7 +171,9 @@ def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     Haar-random targets, from one block of uniforms derive_rng(seed).random((n,
     8)) drawn in fixed-size chunks; row i is trial i, so a run is a prefix of
     any longer run.  Columns: 0-5 the target (`haar_amplitudes`), 6 the
-    parity projection, 7 the detection branch."""
+    parity projection (passed iff u < W) and 7 the branch (the first whose
+    running weight exceeds u * W, else the last), both from one constant
+    branch table of total W; a pick within an ulp of an edge follows it."""
     rng = derive_rng(seed)
     codes, fidelities = np.empty(n_trials, dtype=np.int8), np.empty(n_trials)
     for start in range(0, n_trials, CHUNK_ROWS):
@@ -324,7 +323,7 @@ def mdi_qkd_run(
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     noise = noise or NoiseConfig()
-    rng = derive_rng(seed)
+    rng, keys = derive_rng(seed), search_keys(_mdi_outcomes())
     mub, values = np.empty((n_trials, 2), dtype=np.int8), np.empty((n_trials, 2), dtype=np.int8)
     outcome_codes = np.empty(n_trials, dtype=np.int8)
     for start in range(0, n_trials, CHUNK_ROWS):
@@ -335,7 +334,7 @@ def mdi_qkd_run(
         flip_bits = (u[:, 4:7] < noise.phase_flip_p) @ np.array([1, 2, 4])
         choices = (mub[rows, 0], values[rows, 0], mub[rows, 1], values[rows, 1])
         inputs = np.ravel_multi_index(choices, (2, 3, 2, 3))
-        outcome_codes[rows] = sample_outcomes(_mdi_outcomes(), inputs * 8 + flip_bits, eta, u[:, 7:12])
+        outcome_codes[rows] = sample_outcomes(_mdi_outcomes(), keys, inputs * 8 + flip_bits, eta, u[:, 7:12])
 
     sifted = (mub[:, 0] == mub[:, 1]) & (outcome_codes >= 0)
     bob_symbols = _decode_array()[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]

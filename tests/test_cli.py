@@ -60,7 +60,7 @@ class TestKeyrateCommand:
                 yield capsys.readouterr().out
 
         whole = list(outputs())
-        monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "TEXT_ROWS", 7)
         assert list(outputs()) == whole
 
     def test_q_grid_stops_at_q_max(self, capsys):
@@ -164,7 +164,7 @@ class TestMdiqkdCommand:
 
         whole = csv(100, "whole.csv")
         monkeypatch.setattr(protocols, "CHUNK_ROWS", 7)
-        monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "TEXT_ROWS", 7)
         assert csv(100, "chunked.csv") == whole
         head = csv(30, "head.csv")
         assert whole.startswith(head) and head.count("\n") == 31
@@ -329,32 +329,37 @@ class TestGoldenOutputs:
 
 class TestRunMemory:
     def test_mdiqkd_columns_and_csv_stay_small(self):
-        # int8 columns (bool for `sifted`) take 7 B per trial, and the CSV
-        # keys are computed one chunk at a time; at 2 * 10^5 trials one
-        # chunk's sampling and formatting adds about 17 B per trial.  Keys
-        # over the whole run come to about 43 B per trial, and int64
-        # columns with them to about 92 B
+        # int8 columns (bool for `sifted`) take 7 B per trial; at 2 * 10^5
+        # trials one chunk of sampling brings the run to about 22 B per
+        # trial.  Draining the CSV keeps the columns and keys and formats
+        # one block of TEXT_ROWS lines at a time, about 8 B per trial in
+        # all; blocks of 2^14 lines took about 25 B, keys over the whole
+        # run about 43 B, and int64 columns with them about 92 B
         n = 2 * 10**5
         protocols.mdi_qkd_run(10, noise=protocols.NoiseConfig(0.1))  # builds the cached outcome array
         tracemalloc.start()
         try:
             result = protocols.mdi_qkd_run(n, eta=0.9, noise=protocols.NoiseConfig(0.1), seed=3)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             for _ in cli._qkd_csv_rows(result):
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
+            drain_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * n
+        assert run_peak <= 32 * n
+        assert drain_peak <= 12 * n
         assert {column.dtype for column in (result.bases, result.values, result.outcomes, result.bob_symbols)} == {
             np.dtype(np.int8)
         }
 
     def test_keyrate_rows_stream(self, tmp_path):
-        # the Q grid is generated lazily and rows are formatted CHUNK_ROWS at
-        # a time, so one chunk of lines is the working memory: about 68 B per
-        # row at 5 * 10^4 rows.  The grid as a list of floats added 32 B per
-        # row, and a row object per row with the table joined into one
-        # string took about 400 B per row
+        # the Q grid is generated lazily and rows are formatted TEXT_ROWS at
+        # a time, so one block of lines is the working memory: about 9 B per
+        # row at 5 * 10^4 rows.  Blocks of 2^14 lines took about 68 B per
+        # row, the grid as a list of floats added 32 B per row, and a row
+        # object per row with the table joined into one string took about
+        # 400 B per row
         n = 5 * 10**4
         out = tmp_path / "rates.csv"
         tracemalloc.start()
@@ -364,12 +369,13 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         assert read(out).count("\n") == 1 + n
-        assert peak <= 80 * n
+        assert peak <= 24 * n
 
     def test_thresholds_rows_stream(self, tmp_path):
-        # one chunk of lines, about 2 MB, is the working memory: about 22 B
-        # per row at 10^5 rows, against about 130 B for the whole table as a
-        # list of lines and one string
+        # one block of TEXT_ROWS lines, about 0.1 MB, is the working memory:
+        # about 1.4 B per row at 10^5 rows, against about 22 B for blocks of
+        # 2^14 lines and about 130 B for the whole table as a list of lines
+        # and one string
         n = 10**5
         out = tmp_path / "thresholds.csv"
         tracemalloc.start()
@@ -379,12 +385,28 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         assert read(out).count("\n") == 1 + n
-        assert peak <= 40 * n
+        assert peak <= 6 * n
+
+    def test_teleport_working_set(self):
+        # a chunk forms only the chosen branch's receiver per row: about
+        # 35 B per trial at 2 * 10^5 trials, with the 9 B per trial of the
+        # codes and fidelities.  Every branch's receiver per row, an
+        # (n, 18, 3) complex array per chunk, took about 136 B
+        n = 2 * 10**5
+        protocols.teleport_run(10)  # builds the cached branch maps
+        tracemalloc.start()
+        try:
+            protocols.teleport_run(n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n
 
     def test_outcome_codes_are_int8(self):
         m = discrimination.measure(states.psi_amplitudes(1)[None], 3)
         uniforms = discrimination.derive_rng(1).random((50, 5))
-        codes = discrimination.sample_outcomes(m, np.zeros(50, dtype=np.int64), 0.9, uniforms)
+        rows = np.zeros(50, dtype=np.int64)
+        codes = discrimination.sample_outcomes(m, discrimination.search_keys(m), rows, 0.9, uniforms)
         assert discrimination.click_codes(3).dtype == codes.dtype == protocols.teleport_run(50)[0].dtype == np.int8
 
 

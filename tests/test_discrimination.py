@@ -26,6 +26,7 @@ from esdsim.discrimination import (
     outcome_name,
     outcome_probabilities,
     sample_outcomes,
+    search_keys,
 )
 from esdsim.errors import AmbiguousPattern
 from esdsim.optics import build_dft
@@ -203,7 +204,7 @@ class TestBuildClassifier:
 def sampled_codes(amps, eta, n, seed):
     """Outcome codes of n trials of one d = 3 input, from one uniform block."""
     m = measure(amps[None], 3)
-    return sample_outcomes(m, np.zeros(n, dtype=np.int64), eta, derive_rng(seed).random((n, 5)))
+    return sample_outcomes(m, search_keys(m), np.zeros(n, dtype=np.int64), eta, derive_rng(seed).random((n, 5)))
 
 
 UNIFORM_MIXTURE = sum(psi_amplitudes(i) for i in range(3)) / math.sqrt(3)
@@ -350,7 +351,7 @@ class TestVectorizedSampler:
     @example(TIE_AND_CLAMP)
     def test_matches_scalar_reference(self, case):
         m, rows, eta, uniforms = case
-        codes = sample_outcomes(m, rows, eta, uniforms)
+        codes = sample_outcomes(m, search_keys(m), rows, eta, uniforms)
         assert codes.tolist() == [scalar_sample(m, row, eta, u) for row, u in zip(rows.tolist(), uniforms.tolist())]
 
     @settings(max_examples=40, deadline=None)
@@ -381,8 +382,9 @@ class TestVectorizedSampler:
             assert np.abs(conclusive_probabilities(phis) - np.eye(d)).max() <= 1e-12
 
     def test_uniform_block_shape_is_checked(self):
+        m = measure(psi_amplitudes(0)[None], 3)
         with pytest.raises(ValueError):
-            sample_outcomes(measure(psi_amplitudes(0)[None], 3), np.zeros(4, dtype=np.int64), 1.0, np.zeros((4, 3)))
+            sample_outcomes(m, search_keys(m), np.zeros(4, dtype=np.int64), 1.0, np.zeros((4, 3)))
 
 
 # -- dense measurement path ------------------------------------------------------

@@ -1,3 +1,4 @@
+import bisect
 import math
 from functools import lru_cache
 
@@ -14,6 +15,7 @@ from esdsim.discrimination import (
     outcome_name,
     outcome_probabilities,
     sample_outcomes,
+    search_keys,
 )
 from esdsim.optics import ModeUnitary, build_dft, equal_up_to_global_phase
 from esdsim.protocols import (
@@ -331,7 +333,7 @@ class TestTeleportBranchMaps:
         # every map has M^dagger M = I/54, so for any normalized target each
         # of the 18 branches has weight 1/54: probability 1/18 given a pass,
         # and the pass probability is 18/54 = 1/3
-        _, matrices = protocols._teleport_branch_maps()
+        _, matrices, _ = protocols._teleport_branch_maps()
         assert len(matrices) == 18
         gram = np.swapaxes(matrices.conj(), 1, 2) @ matrices
         assert np.abs(gram - np.eye(3) / 54).max() <= 1e-15
@@ -432,6 +434,63 @@ class TestTeleportRun:
             assert abs(tail - 1 / 4) < 4 * sigma
 
 
+def per_target_sample(alphas, uniforms):
+    """Reference: the per-target teleport sampler that the constant branch
+    table replaced.  Every branch's receiver for every row, the running sum
+    of the row's own branch weights, the count of sums at or below u times
+    the row's total, clamped to the last branch."""
+    branch_codes, matrices, _ = protocols._teleport_branch_maps()
+    receivers = (alphas @ matrices.reshape(-1, 3).T).reshape(len(alphas), len(branch_codes), 3)
+    cumulative = np.cumsum(np.sum(np.abs(receivers) ** 2, axis=2), axis=1)
+    pick = np.minimum(np.sum(cumulative <= uniforms[:, 1:] * cumulative[:, -1:], axis=1), len(branch_codes) - 1)
+    codes = np.where(uniforms[:, 0] < cumulative[:, -1], branch_codes[pick], POSTSELECT_FAIL_CODE)
+    chosen = receivers[np.arange(len(alphas)), pick]
+    return codes, np.where(codes >= 0, protocols._fidelity(alphas, chosen), np.nan)
+
+
+class TestConstantBranchTable:
+    def test_table(self):
+        # each branch weighs 1/54 for every unit target, so the table is
+        # the running sum of 18 equal weights and its total is 1/3
+        _, matrices, table = protocols._teleport_branch_maps()
+        assert np.abs(table - np.arange(1, 19) / 54).max() <= 1e-15
+        gram = np.swapaxes(matrices.conj(), 1, 2) @ matrices
+        assert np.abs(np.trace(gram, axis1=1, axis2=2) / 3 - np.diff(table, prepend=0.0)).max() <= 1e-15
+
+    def test_matches_per_target_reference(self):
+        n = 25_000
+        for seed in (0, 1, 3, 7):
+            codes, fidelities = teleport_run(n, seed=seed)
+            u = derive_rng(seed).random((n, 8))
+            ref_codes, ref_fidelities = per_target_sample(haar_amplitudes(u[:, :6]), u[:, 6:])
+            np.testing.assert_array_equal(codes, ref_codes)
+            conclusive = codes >= 0
+            assert np.abs(fidelities[conclusive] - ref_fidelities[conclusive]).max() <= 1e-15
+            assert np.isnan(fidelities[~conclusive]).all()
+
+    def test_edge_uniforms_follow_the_table(self):
+        # column 6 at 0, at the table's total W and an ulp either side of
+        # it; column 7 at 0, an ulp either side of each table edge (as a
+        # fraction of W) and on it, and at the largest uniform 1 - 2^-53,
+        # where u * W is one ulp below W.  No uniform reaches W, so 1.0,
+        # outside their range, shows the clamp to the last branch
+        branch_codes, _, table = protocols._teleport_branch_maps()
+        total = table[-1]
+        passes = [0.0, np.nextafter(total, 0.0), total, np.nextafter(total, 1.0)]
+        near_edges = [x for e in table / total for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)) if x < 1]
+        picks = [0.0, 1 - 2**-53, 1.0] + near_edges
+        uniforms = np.array([(p, q) for p in passes for q in picks])
+        targets = np.vstack([np.eye(3), haar_amplitudes(derive_rng(11).random((5, 6)))])
+        for alpha in targets:
+            alphas = np.repeat(alpha[None], len(uniforms), axis=0)
+            codes, fidelities = protocols._sample_teleport(alphas, uniforms)
+            for (p, q), code in zip(uniforms.tolist(), codes.tolist()):
+                branch = min(bisect.bisect_right(table.tolist(), q * total), len(table) - 1)
+                assert code == (branch_codes[branch] if p < total else POSTSELECT_FAIL_CODE), (p, q)
+            assert (codes[uniforms[:, 0] < total] >= 0).all() and (codes[uniforms[:, 0] >= total] < 0).all()
+            assert np.all(np.abs(fidelities[codes >= 0] - 1) < 1e-12)
+
+
 class TestMdiQkdSampling:
     def test_prefix_stable(self):
         noise = NoiseConfig(0.2)
@@ -527,7 +586,8 @@ class TestMdiOutcomeArray:
         uniforms[:50, 4] = 1.0  # the top edge, where the pick is clamped to the last pattern
         # one call over all 288 rows, interleaved: trial k is uniform k // 288 on row k % 288
         rows = np.arange(288 * len(uniforms)) % 288
-        codes = sample_outcomes(protocols._mdi_outcomes(), rows, 0.85, np.repeat(uniforms, 288, axis=0))
+        m = protocols._mdi_outcomes()
+        codes = sample_outcomes(m, search_keys(m), rows, 0.85, np.repeat(uniforms, 288, axis=0))
         for row in range(288):
             np.testing.assert_array_equal(codes[row::288], reference_codes(reference_table(row), 0.85, uniforms))
 
