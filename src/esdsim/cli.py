@@ -37,7 +37,7 @@ from .discrimination import (
 )
 from .errors import AmbiguousPattern
 from .optics import decompose_dft
-from .protocols import BASES, CHUNK_ROWS, NoiseConfig, mdi_qkd_run, teleport_run
+from .protocols import BASES, CHUNK_ROWS, mdi_qkd_run, teleport_run
 from .states import phi_amplitudes, psi_amplitudes
 
 DEFAULT_SEED = 42
@@ -217,7 +217,7 @@ def _qkd_csv_rows(result) -> Iterator[str]:
 
 
 def _cmd_mdiqkd(args) -> int:
-    result = mdi_qkd_run(args.trials, eta=args.eta, noise=NoiseConfig(args.noise), seed=args.seed)
+    result = mdi_qkd_run(args.trials, eta=args.eta, noise=args.noise, seed=args.seed)
     header = "trial,alice_basis,alice_value,bob_basis,bob_value,outcome,sifted,alice_symbol,bob_symbol\n"
     _write_chunks(args.out, itertools.chain((header,), _qkd_csv_rows(result)))
     summary = {

@@ -17,7 +17,6 @@ is written as it is evaluated.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NoRoot
@@ -50,11 +49,9 @@ def r_d(d: int, q: float) -> float:
     return math.log2(d) - 2.0 * shannon_entropy(q) - 2.0 * q * math.log2(d - 1)
 
 
-def rate_per_signal(d: int, q: float, clamp: bool = True) -> float:
-    """Rate per total signal R = r_d / (2d); clamped at zero for tabulation,
-    raw when `clamp` is false (root finding needs the signed value)."""
-    raw = r_d(d, q) / (2.0 * d)
-    return max(0.0, raw) if clamp else raw
+def rate_per_signal(d: int, q: float) -> float:
+    """Rate per total signal R = r_d / (2d), raw (may be negative)."""
+    return r_d(d, q) / (2.0 * d)
 
 
 _SCAN_STEP = 1e-3
@@ -73,7 +70,7 @@ def crossover_q(d1: int, d2: int) -> float:
         raise DomainError("crossover of a curve with itself is undefined")
 
     def gap(q: float) -> float:
-        return rate_per_signal(d1, q, clamp=False) - rate_per_signal(d2, q, clamp=False)
+        return rate_per_signal(d1, q) - rate_per_signal(d2, q)
 
     lo = _SCAN_STEP
     g_lo = gap(lo)
@@ -102,28 +99,24 @@ def crossover_q(d1: int, d2: int) -> float:
     return 0.5 * (a + b)
 
 
-class SiftedSetup(Enum):
-    """Which relay measurement feeds the sifted-rate model."""
+def sifted_rate(setup: str, d: int, eta: float = 1.0) -> float:
+    """Sifted signal rate, basis-match factor excluded, of the relay
+    measurement named `setup`.
 
-    PROPOSED_ESD = "proposed_esd"
-    BELL_FILTER = "bell_filter"
-
-
-def sifted_rate(setup: SiftedSetup | str, d: int, eta: float = 1.0) -> float:
-    """Sifted signal rate, basis-match factor excluded.
-
-    The single-state linear-optics filter yields 1/d^2 regardless of device
-    efficiency; the proposed measurement yields eta^d / d (d parity devices,
-    success probability eta each, conclusive fraction 1/d).
+    The single-state linear-optics filter, "bell_filter", yields 1/d^2
+    regardless of device efficiency; the proposed measurement,
+    "proposed_esd", yields eta^d / d (d parity devices, success probability
+    eta each, conclusive fraction 1/d).  Any other name raises ValueError.
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    setup = SiftedSetup(setup)
-    if setup is SiftedSetup.BELL_FILTER:
+    if setup == "bell_filter":
         return 1.0 / d**2
-    return eta**d / d
+    if setup == "proposed_esd":
+        return eta**d / d
+    raise ValueError(f"unknown sifted-rate setup {setup!r} (use 'proposed_esd' or 'bell_filter')")
 
 
 def eta_threshold(d: int) -> float:
@@ -147,7 +140,7 @@ def keyrate_table(
     for d in d_values:
         for q in q_values:
             r = r_d(d, q)
-            total = max(0.0, r / (2.0 * d))  # rate_per_signal(d, q) from the same r
+            total = max(0.0, r / (2.0 * d))  # rate_per_signal(d, q), clamped, from the same r
             if eta is not None:
                 total *= eta**d
             yield d, q, r, total

@@ -1,4 +1,5 @@
-"""Port-space mode unitaries and their action on multi-photon states.
+"""Port-space mode unitaries, as plain matrices, and their action on
+multi-photon states.
 
 The headline object is the d-port discrete Fourier transform, entry
 (j, k) = chi^(j*k)/sqrt(d) with chi = exp(2*pi*i/d).  A unitary acts on each
@@ -16,51 +17,21 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidDimension
 
-_UNITARITY_TOL = 1e-10
 
+@lru_cache(maxsize=None)
+def build_dft(d: int) -> np.ndarray:
+    """The d-port discrete Fourier transform, entry (j,k) = chi^(jk)/sqrt(d).
 
-class ModeUnitary:
-    """An n x n complex matrix acting on port labels at fixed time-bin.
-
-    Unitarity is checked entrywise at construction (tolerance 1e-10).
+    Checked for unitarity entrywise (tolerance 1e-10) once per d; cached
+    for the process, so the array is read-only.
     """
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix: np.ndarray | Sequence[Sequence[complex]]):
-        mat = np.array(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))
-        if dev.max() > _UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary (max deviation {dev.max():.3e})")
-        mat.setflags(write=False)
-        object.__setattr__(self, "_matrix", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModeUnitary is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    def __repr__(self) -> str:
-        return f"ModeUnitary(dim={self.dim})"
-
-
-def build_dft(d: int) -> ModeUnitary:
-    """The d-port discrete Fourier transform, entry (j,k) = chi^(jk)/sqrt(d)."""
     if d < 2:
         raise InvalidDimension(f"DFT needs d >= 2, got {d}")
     scale = 1.0 / math.sqrt(d)
@@ -68,27 +39,31 @@ def build_dft(d: int) -> ModeUnitary:
     for j in range(d):
         for k in range(d):
             mat[j, k] = scale * cmath.exp(2j * cmath.pi * ((j * k) % d) / d)
-    return ModeUnitary(mat)
+    dev = np.abs(mat.conj().T @ mat - np.eye(d)).max()
+    if dev > 1e-10:
+        raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
+    mat.setflags(write=False)
+    return mat
 
 
-def evolve_axes(u: ModeUnitary, amps: np.ndarray) -> np.ndarray:
-    """Apply `u` to every axis but the first of a batch of dense amplitude
-    arrays: axis 0 indexes independent states, every later axis one photon,
-    indexed by its port.  Each step is the product `np.tensordot` forms,
-    and drops the previous result before allocating the next."""
+def evolve_axes(u: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Apply the port unitary `u` to every axis but the first of a batch of
+    dense amplitude arrays: axis 0 indexes independent states, every later
+    axis one photon, indexed by its port.  Each step is the product
+    `np.tensordot` forms, and drops the previous result before allocating
+    the next."""
     for axis in range(1, amps.ndim):
         rows = np.moveaxis(amps, axis, 0)
         shape, rows = rows.shape, rows.reshape(len(rows), -1)
         del amps
-        amps = np.moveaxis(np.dot(u.matrix, rows).reshape(shape), 0, axis)
+        amps = np.moveaxis(np.dot(u, rows).reshape(shape), 0, axis)
     return amps
 
 
 # -- element networks --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BeamSplitter:
+class BeamSplitter(NamedTuple):
     """Two-port coupler.  `transmissivity` is the cross-port probability |t|^2;
     the embedded 2x2 block on ports (i, j) is
 
@@ -100,40 +75,20 @@ class BeamSplitter:
     transmissivity: float
     phase: float = 0.0
 
-    def __post_init__(self):
-        i, j = self.ports
-        if i == j or i < 0 or j < 0:
-            raise ValueError(f"beam splitter needs two distinct non-negative ports, got {self.ports}")
-        if not 0.0 <= self.transmissivity <= 1.0:
-            raise ValueError(f"transmissivity {self.transmissivity} outside [0, 1]")
 
-
-@dataclass(frozen=True)
-class PhaseShifter:
+class PhaseShifter(NamedTuple):
     port: int
     phase: float
-
-    def __post_init__(self):
-        if self.port < 0:
-            raise ValueError(f"negative port {self.port}")
 
 
 Element = BeamSplitter | PhaseShifter
 
 
-@dataclass(frozen=True)
-class ElementNetwork:
+class ElementNetwork(NamedTuple):
     """An ordered run of two-port couplers and phase shifters on `dim` ports."""
 
     dim: int
     elements: tuple[Element, ...]
-
-    def __post_init__(self):
-        for el in self.elements:
-            ports = el.ports if isinstance(el, BeamSplitter) else (el.port,)
-            for p in ports:
-                if p >= self.dim:
-                    raise ValueError(f"element port {p} outside dim {self.dim}")
 
     def beam_splitters(self) -> list[BeamSplitter]:
         return [el for el in self.elements if isinstance(el, BeamSplitter)]
@@ -156,12 +111,23 @@ class ElementNetwork:
 
 
 def element_matrix(element: Element, dim: int) -> np.ndarray:
+    """The element embedded in the dim x dim identity.  Raises ValueError
+    for a port outside 0..dim-1, a beam splitter on one port twice, or a
+    transmissivity outside [0, 1]."""
+    ports = element.ports if isinstance(element, BeamSplitter) else (element.port,)
+    for p in ports:
+        if not 0 <= p < dim:
+            raise ValueError(f"element port {p} outside 0..{dim - 1}")
     mat = np.eye(dim, dtype=complex)
     if isinstance(element, PhaseShifter):
         mat[element.port, element.port] = cmath.exp(1j * element.phase)
         return mat
     i, j = element.ports
     t = element.transmissivity
+    if i == j:
+        raise ValueError(f"beam splitter needs two distinct ports, got {element.ports}")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"transmissivity {t} outside [0, 1]")
     bar = math.sqrt(1.0 - t)
     cross = math.sqrt(t)
     mat[i, i] = bar
@@ -171,12 +137,12 @@ def element_matrix(element: Element, dim: int) -> np.ndarray:
     return mat
 
 
-def recompose(network: ElementNetwork) -> ModeUnitary:
+def recompose(network: ElementNetwork) -> np.ndarray:
     """Ordered product of the network's element matrices."""
     mat = np.eye(network.dim, dtype=complex)
     for el in network.elements:
         mat = mat @ element_matrix(el, network.dim)
-    return ModeUnitary(mat)
+    return mat
 
 
 def _factor_two_port(block: np.ndarray) -> tuple[float, float, float, float]:
@@ -205,7 +171,7 @@ def decompose_dft(d: int) -> ElementNetwork:
     exactly (not merely up to a global phase).
     """
     target = build_dft(d)
-    u = target.matrix.copy()
+    u = target.copy()
     rotations: list[tuple[int, int, np.ndarray]] = []
     for col in range(d - 1):
         for row in range(d - 1, col, -1):
@@ -231,7 +197,7 @@ def decompose_dft(d: int) -> ElementNetwork:
         if abs(theta) > 1e-14:
             elements.append(PhaseShifter(port, theta))
     network = ElementNetwork(d, tuple(elements))
-    err = np.abs(recompose(network).matrix - target.matrix).max()
+    err = np.abs(recompose(network) - target).max()
     if err > 1e-10:
         raise AssertionError(f"decomposition self-check failed for d={d}: error {err:.3e}")
     if d == 3:

@@ -29,9 +29,8 @@ the two parties holding that same maximally entangled pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,24 +42,6 @@ from .states import OMEGA, minor_amplitudes, mub_amplitudes, pair_amplitudes, ps
 
 COMPUTATIONAL = "computational"
 MUB = "mub"
-
-
-@dataclass(frozen=True)
-class TeleportTarget:
-    """An arbitrary normalized path-encoded qutrit, amplitudes (a0, a1, a2)."""
-
-    alphas: tuple[complex, complex, complex]
-
-    def __post_init__(self):
-        if len(self.alphas) != 3:
-            raise ValueError("target needs exactly three amplitudes")
-        norm_sq = sum(abs(a) ** 2 for a in self.alphas)
-        if not abs(norm_sq - 1.0) <= 1e-12:
-            raise ValueError(f"target is not normalized (norm^2 = {norm_sq})")
-
-    @classmethod
-    def haar_random(cls, rng: np.random.Generator) -> "TeleportTarget":
-        return cls(tuple(complex(a) for a in haar_amplitudes(rng.random((1, 6)))[0]))
 
 
 # Receiver's correction for conclusive outcome i: row i holds the per-port
@@ -137,12 +118,20 @@ def _fidelity(alphas: np.ndarray, receiver: np.ndarray) -> np.ndarray:
     return np.abs(overlap) ** 2 / np.sum(np.abs(receiver) ** 2, axis=-1)
 
 
-def teleport_analysis(target: TeleportTarget) -> TeleportAnalysis:
+def teleport_analysis(alphas: Sequence[complex] | np.ndarray) -> TeleportAnalysis:
     """Deterministic enumeration of every detection branch of one run, every
-    branch map applied to the target.  Every branch map M has M^dagger M =
-    I/54, so each of the 18 branches has probability 1/18 given a pass, and
-    the pass probability is 1/3, for any target."""
-    alphas = np.array(target.alphas)
+    branch map applied to the target, the normalized path-encoded qutrit
+    with amplitudes `alphas` = (a0, a1, a2).  Every branch map M has
+    M^dagger M = I/54, so each of the 18 branches has probability 1/18 given
+    a pass, and the pass probability is 1/3, for any target.  Raises
+    ValueError unless there are three amplitudes whose squared norm lies
+    within 1e-12 of 1 (so none is infinite or NaN)."""
+    alphas = np.asarray(alphas)
+    if alphas.shape != (3,):
+        raise ValueError("target needs exactly three amplitudes")
+    norm_sq = float(np.sum(np.abs(alphas) ** 2))
+    if not abs(norm_sq - 1.0) <= 1e-12:
+        raise ValueError(f"target is not normalized (norm^2 = {norm_sq})")
     codes, matrices, _ = _teleport_branch_maps()
     receivers = matrices @ alphas
     weights = np.sum(np.abs(receivers) ** 2, axis=1)
@@ -150,20 +139,28 @@ def teleport_analysis(target: TeleportTarget) -> TeleportAnalysis:
     return TeleportAnalysis(pass_prob, codes, weights / pass_prob, receivers, _fidelity(alphas, receivers))
 
 
-def _sample_teleport(alphas: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One run per row of target amplitudes and of an (n, 2) block of
-    uniforms, by the constant branch table C of `_teleport_branch_maps`
-    with total W = C[-1]: column 0 passes the parity projection iff u < W,
-    and column 1 picks the first branch with C > u * W, else the last; a
-    pick within an ulp of an edge of C follows C, whatever the target.
-    Returns outcome codes and, on conclusive rows, the fidelity of the
-    chosen branch's corrected receiver amplitudes with the target (NaN
-    elsewhere)."""
+def _sample_teleport(uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One run per row of an (n, 8) block of uniforms, by the constant
+    branch table C of `_teleport_branch_maps` with total W = C[-1]: column
+    6 passes the parity projection iff u < W, and column 7 picks the first
+    branch with C > u * W, else the last; a pick within an ulp of an edge
+    of C follows C, whatever the target.  Returns int8 outcome codes and,
+    on conclusive rows, the fidelity of the chosen branch's corrected
+    receiver amplitudes with the target of columns 0-5
+    (`haar_amplitudes`), NaN elsewhere.  Only conclusive rows form their
+    target, receiver and fidelity."""
     branch_codes, matrices, cumulative = _teleport_branch_maps()
-    pick = np.minimum(np.searchsorted(cumulative, uniforms[:, 1] * cumulative[-1], side="right"), len(cumulative) - 1)
-    codes = np.where(uniforms[:, 0] < cumulative[-1], branch_codes[pick], POSTSELECT_FAIL_CODE)
-    chosen = np.einsum("nij,nj->ni", matrices[pick], alphas)
-    return codes, np.where(codes >= 0, _fidelity(alphas, chosen), np.nan)
+    total = cumulative[-1]
+    passed = np.flatnonzero(uniforms[:, 6] < total)
+    pick = np.minimum(np.searchsorted(cumulative, uniforms[passed, 7] * total, side="right"), len(cumulative) - 1)
+    codes = np.full(len(uniforms), POSTSELECT_FAIL_CODE, dtype=np.int8)
+    codes[passed] = branch_codes[pick]
+    conclusive = branch_codes[pick] >= 0
+    rows, pick = passed[conclusive], pick[conclusive]
+    alphas = haar_amplitudes(uniforms[rows, :6])
+    fidelities = np.full(len(uniforms), np.nan)
+    fidelities[rows] = _fidelity(alphas, np.einsum("nij,nj->ni", matrices[pick], alphas))
+    return codes, fidelities
 
 
 def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +175,7 @@ def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     codes, fidelities = np.empty(n_trials, dtype=np.int8), np.empty(n_trials)
     for start in range(0, n_trials, CHUNK_ROWS):
         u = rng.random((min(CHUNK_ROWS, n_trials - start), 8))
-        rows = slice(start, start + len(u))
-        codes[rows], fidelities[rows] = _sample_teleport(haar_amplitudes(u[:, :6]), u[:, 6:])
+        codes[start : start + len(u)], fidelities[start : start + len(u)] = _sample_teleport(u)
     return codes, fidelities
 
 
@@ -209,26 +205,10 @@ def edp_shared_state(charlie_outcome: int) -> np.ndarray:
 # -- MDI-QKD -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Toy channel on Bob's photon: each relay input port independently
-    picks up a pi phase flip with probability `phase_flip_p`.
-
-    Diagonal in the path basis, so it leaves path-encoded trials untouched
-    and shows up as sifted-key errors only through MUB-encoded rounds."""
-
-    phase_flip_p: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.phase_flip_p <= 1.0:
-            raise ValueError(f"phase_flip_p must lie in [0, 1], got {self.phase_flip_p}")
-
-
 BASES = (COMPUTATIONAL, MUB)
 
 
-@dataclass(frozen=True, eq=False)
-class QkdRunResult:
+class QkdRunResult(NamedTuple):
     """One run as columns, row i for trial i.
 
     `bases` and `values` have one column per party, Alice's first; a basis
@@ -298,18 +278,21 @@ def _decode_array() -> np.ndarray:
     return decode
 
 
-def mdi_qkd_run(
-    n_trials: int,
-    eta: float = 1.0,
-    noise: NoiseConfig | None = None,
-    seed: int = 0,
-) -> QkdRunResult:
+def _check_probability(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def mdi_qkd_run(n_trials: int, eta: float = 1.0, noise: float = 0.0, seed: int = 0) -> QkdRunResult:
     """Simulate the prepare-and-measure protocol.
 
     Each trial draws both parties' bases and values uniformly, feeds the
     joint three-photon state to the relay measurement with per-port device
     efficiency eta, sifts matched-basis conclusive trials, and decodes Bob's
-    symbol from (outcome index, Bob value).
+    symbol from (outcome index, Bob value).  The toy channel on Bob's photon
+    gives each relay input port a pi phase flip with probability `noise`;
+    diagonal in the path basis, it leaves path-encoded trials untouched and
+    shows up as sifted-key errors only through MUB-encoded rounds.
 
     All trials come from one block of uniforms, derive_rng(seed).random((n,
     12)), drawn in chunks of CHUNK_ROWS rows; row i is trial i, so a run's
@@ -320,9 +303,8 @@ def mdi_qkd_run(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    noise = noise or NoiseConfig()
+    _check_probability("eta", eta)
+    _check_probability("noise", noise)
     rng, keys = derive_rng(seed), search_keys(_mdi_outcomes())
     mub, values = np.empty((n_trials, 2), dtype=np.int8), np.empty((n_trials, 2), dtype=np.int8)
     outcome_codes = np.empty(n_trials, dtype=np.int8)
@@ -331,7 +313,7 @@ def mdi_qkd_run(
         rows = slice(start, start + len(u))
         mub[rows] = u[:, 0:2] >= 0.5
         values[rows] = (3 * u[:, 2:4]).astype(np.int8)
-        flip_bits = (u[:, 4:7] < noise.phase_flip_p) @ np.array([1, 2, 4])
+        flip_bits = (u[:, 4:7] < noise) @ np.array([1, 2, 4])
         choices = (mub[rows, 0], values[rows, 0], mub[rows, 1], values[rows, 1])
         inputs = np.ravel_multi_index(choices, (2, 3, 2, 3))
         outcome_codes[rows] = sample_outcomes(_mdi_outcomes(), keys, inputs * 8 + flip_bits, eta, u[:, 7:12])
@@ -351,14 +333,14 @@ class QkdExpectation(NamedTuple):
     qber: float
 
 
-def mdi_qkd_expectation(eta: float = 1.0, noise: NoiseConfig | None = None) -> QkdExpectation:
+def mdi_qkd_expectation(eta: float = 1.0, noise: float = 0.0) -> QkdExpectation:
     """The exact sift rate and QBER that `mdi_qkd_run` samples: a sum over
     the 288 rows of `_mdi_outcomes`, each weighted by its input's
-    probability (1/36) p^k (1 - p)^(3 - k), k the number of phase flips."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    p = (noise or NoiseConfig()).phase_flip_p
-    weights = np.prod(np.where(_FLIPS == 1, p, 1 - p), axis=1)  # per flip bits
+    probability (1/36) p^k (1 - p)^(3 - k), p = `noise` and k the number of
+    phase flips."""
+    _check_probability("eta", eta)
+    _check_probability("noise", noise)
+    weights = np.prod(np.where(_FLIPS == 1, noise, 1 - noise), axis=1)  # per flip bits
     a_basis, x, b_basis, y, _ = np.unravel_index(np.arange(288), (2, 3, 2, 3, 8))
     matched = (a_basis == b_basis)[:, None]
     errors = _decode_array()[a_basis[:, None], np.arange(3), y[:, None]] != x[:, None]

@@ -29,7 +29,6 @@ import numpy as np
 
 from esdsim.discrimination import DEFAULT_TOLERANCE, INCONCLUSIVE_CODE, click_codes, click_order
 from esdsim.errors import IndexOutOfRange
-from esdsim.protocols import TeleportTarget
 from esdsim.states import minor_amplitudes, mub_amplitudes, pair_amplitudes, phi_amplitudes, psi_amplitudes
 
 
@@ -369,8 +368,7 @@ def parity_postselect(state: PureState, d: int, ports: Sequence[int] | None = No
 
 
 def apply_mode_unitary(state: PureState, u, port_map: Sequence[int]) -> PureState:
-    """Evolve a multi-photon state under a port unitary (an
-    `optics.ModeUnitary`).
+    """Evolve a multi-photon state under a port unitary `u`, a square matrix.
 
     `port_map[k]` is the physical port bound to matrix index k; outputs reuse
     the same labels, and time-bin labels are never touched.  Every occupied
@@ -381,12 +379,12 @@ def apply_mode_unitary(state: PureState, u, port_map: Sequence[int]) -> PureStat
     a+_(x, in_k) -> sum_j U[j, k] a+_(x, out_j), and collected monomials are
     converted back to Fock amplitudes with the sqrt(n!) factors at the end.
     """
-    if len(port_map) != u.dim:
-        raise ValueError(f"port_map has {len(port_map)} entries for a dim-{u.dim} unitary")
+    if len(port_map) != len(u):
+        raise ValueError(f"port_map has {len(port_map)} entries for a dim-{len(u)} unitary")
     if len(set(port_map)) != len(port_map):
         raise ValueError("port_map entries must be distinct")
     col_of_port = {p: k for k, p in enumerate(port_map)}
-    columns = [[complex(x) for x in u.matrix[:, k]] for k in range(u.dim)]
+    columns = [[complex(x) for x in u[:, k]] for k in range(len(u))]
     out: dict[FockBasisState, complex] = defaultdict(complex)
     for basis, amp in state.items():
         for p in basis.ports():
@@ -564,9 +562,10 @@ def path_state(amps: Sequence[complex], ports: Sequence[int]) -> PureState:
     return PureState(zip((FockBasisState({ModeLabel(0, port): 1}) for port in ports), amps))
 
 
-def target_state(target: TeleportTarget, ports: Sequence[int]) -> PureState:
-    """The teleportation target as a time-bin-a photon on the given ports."""
-    return path_state(target.alphas, ports)
+def target_state(alphas: Sequence[complex], ports: Sequence[int]) -> PureState:
+    """The teleportation target with amplitudes `alphas` as a time-bin-a
+    photon on the given ports."""
+    return path_state(alphas, ports)
 
 
 # -- text and JSON forms -----------------------------------------------------------

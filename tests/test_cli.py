@@ -336,10 +336,10 @@ class TestRunMemory:
         # all; blocks of 2^14 lines took about 25 B, keys over the whole
         # run about 43 B, and int64 columns with them about 92 B
         n = 2 * 10**5
-        protocols.mdi_qkd_run(10, noise=protocols.NoiseConfig(0.1))  # builds the cached outcome array
+        protocols.mdi_qkd_run(10, noise=0.1)  # builds the cached outcome array
         tracemalloc.start()
         try:
-            result = protocols.mdi_qkd_run(n, eta=0.9, noise=protocols.NoiseConfig(0.1), seed=3)
+            result = protocols.mdi_qkd_run(n, eta=0.9, noise=0.1, seed=3)
             run_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             for _ in cli._qkd_csv_rows(result):
@@ -722,9 +722,12 @@ class TestRuntimePaths:
             "    assert cli.run(argv) == 0, argv\n"
             "for d in range(2, 6):\n"
             "    assert abs(protocols.generalized_conclusive_probability(d) - 1 / d) < 1e-12\n"
-            "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'esdsim'), file=sys.__stdout__)"
+            "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'esdsim'), file=sys.__stdout__)\n"
+            "print('dataclasses' in sys.modules, file=sys.__stdout__)"
         )
         env = {"PYTHONPATH": str(Path(esdsim.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                               timeout=120)
-        assert done.stdout.split() == sorted(["esdsim"] + [f"esdsim.{name}" for name in readme_layout_modules()])
+        modules, dataclasses_loaded = done.stdout.splitlines()
+        assert modules.split() == sorted(["esdsim"] + [f"esdsim.{name}" for name in readme_layout_modules()])
+        assert dataclasses_loaded == "False"  # src/ defines its values as NamedTuples and arrays

@@ -4,7 +4,6 @@ import pytest
 
 from esdsim.errors import DomainError, NoRoot
 from esdsim.keyrate import (
-    SiftedSetup,
     crossover_q,
     eta_threshold,
     keyrate_table,
@@ -85,8 +84,7 @@ class TestRatePerSignal:
         assert r3_total > r2_total
 
     def test_clamping(self):
-        assert rate_per_signal(2, 0.4) == 0.0
-        assert rate_per_signal(2, 0.4, clamp=False) < 0.0
+        assert rate_per_signal(2, 0.4) < 0.0
 
 
 class TestCrossover:
@@ -94,7 +92,7 @@ class TestCrossover:
         # the error rate below which the qutrit curve is the highest of all
         q = crossover_q(3, 4)
         assert abs(q - 0.0294) < 5e-4
-        gap = rate_per_signal(3, q, clamp=False) - rate_per_signal(4, q, clamp=False)
+        gap = rate_per_signal(3, q) - rate_per_signal(4, q)
         assert abs(gap) < 1e-4
 
     def test_qutrit_always_above_qubit(self):
@@ -109,16 +107,18 @@ class TestCrossover:
 
 class TestSiftedRate:
     def test_filter_baseline(self):
-        assert sifted_rate(SiftedSetup.BELL_FILTER, 3) == 1 / 9
+        assert sifted_rate("bell_filter", 3) == 1 / 9
         assert sifted_rate("bell_filter", 5, eta=0.5) == 1 / 25
 
     def test_proposed_setup(self):
-        assert abs(sifted_rate(SiftedSetup.PROPOSED_ESD, 3, 1.0) - 1 / 3) < 1e-15
+        assert abs(sifted_rate("proposed_esd", 3, 1.0) - 1 / 3) < 1e-15
         assert abs(sifted_rate("proposed_esd", 3, 0.66) - 0.66**3 / 3) < 1e-15
 
     def test_validation(self):
         with pytest.raises(DomainError):
             sifted_rate("proposed_esd", 3, 1.5)
+        with pytest.raises(ValueError, match="unknown sifted-rate setup"):
+            sifted_rate("filter", 3)
 
 
 class TestEtaThreshold:
@@ -163,7 +163,7 @@ class TestKeyrateTable:
         q_values = [i * 0.002 for i in range(61)]
         rows = keyrate_table([2, 3, 4, 5, 7], q_values, eta=eta)
         expected = [
-            (d, q, r_d(d, q), rate_per_signal(d, q) * (1.0 if eta is None else eta**d))
+            (d, q, r_d(d, q), max(0.0, rate_per_signal(d, q)) * (1.0 if eta is None else eta**d))
             for d in [2, 3, 4, 5, 7]
             for q in q_values
         ]

@@ -17,14 +17,12 @@ from esdsim.discrimination import (
     sample_outcomes,
     search_keys,
 )
-from esdsim.optics import ModeUnitary, build_dft, equal_up_to_global_phase
+from esdsim.optics import build_dft, equal_up_to_global_phase
 from esdsim.protocols import (
     BASES,
     COMPUTATIONAL,
     CORRECTION_PHASES,
     MUB,
-    NoiseConfig,
-    TeleportTarget,
     edp_shared_state,
     generalized_conclusive_probability,
     haar_amplitudes,
@@ -81,9 +79,14 @@ def bob_send(basis, value):
 
 def identity_padded(u, extra):
     """`u` block-embedded with an identity on `extra` more ports."""
-    mat = np.eye(u.dim + extra, dtype=complex)
-    mat[: u.dim, : u.dim] = u.matrix
-    return ModeUnitary(mat)
+    mat = np.eye(len(u) + extra, dtype=complex)
+    mat[: len(u), : len(u)] = u
+    return mat
+
+
+def haar_target(rng):
+    """One Haar-random target from a row of six uniforms."""
+    return haar_amplitudes(rng.random((1, 6)))[0]
 
 
 def build_teleport_system(target):
@@ -121,7 +124,7 @@ class TestCorrections:
 
 class TestTeleport:
     def test_basis_state_target(self):
-        analysis = teleport_analysis(TeleportTarget((1.0, 0.0, 0.0)))
+        analysis = teleport_analysis((1.0, 0.0, 0.0))
         assert abs(analysis.pass_prob - 1 / 3) < 1e-12
         for fid in analysis.outcome_fidelities().values():
             assert abs(fid - 1) < 1e-12
@@ -129,7 +132,7 @@ class TestTeleport:
     def test_haar_targets_unit_fidelity_all_outcomes(self):
         rng = np.random.default_rng(123)
         for _ in range(20):
-            analysis = teleport_analysis(TeleportTarget.haar_random(rng))
+            analysis = teleport_analysis(haar_target(rng))
             assert abs(analysis.conclusive_probability() - 1 / 3) < 1e-12
             fids = analysis.outcome_fidelities()
             assert set(fids) == {0, 1, 2}  # all three corrections exercised
@@ -139,20 +142,22 @@ class TestTeleport:
     def test_target_validation(self):
         for alphas in [(1.0, 1.0, 0.0), (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0)]:
             with pytest.raises(ValueError):
-                TeleportTarget(alphas)
+                teleport_analysis(alphas)
+        with pytest.raises(ValueError, match="three amplitudes"):
+            teleport_analysis((0.6, 0.8))
 
 
 class TestOutcomeWeights:
     def test_nine_equal_weights_any_target(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            weights = conditional_outcome_weights(TeleportTarget.haar_random(rng))
+            weights = conditional_outcome_weights(haar_target(rng))
             assert len(weights) == 9
             assert all(abs(w - 1 / 9) < 1e-12 for w in weights)
             assert abs(sum(weights) - 1) < 1e-12
 
     def test_basis_target_special_case(self):
-        weights = conditional_outcome_weights(TeleportTarget((0.0, 0.0, 1.0)))
+        weights = conditional_outcome_weights((0.0, 0.0, 1.0))
         assert all(abs(w - 1 / 9) < 1e-12 for w in weights)
 
 
@@ -238,7 +243,7 @@ class TestMdiQkd:
         assert abs(run.sift_rate - expected) < 3 * sigma
 
     def test_toy_noise_generates_errors(self):
-        run = mdi_qkd_run(20000, eta=1.0, noise=NoiseConfig(0.1), seed=9)
+        run = mdi_qkd_run(20000, eta=1.0, noise=0.1, seed=9)
         assert run.qber > 0.0
         # path-encoded rounds stay clean; errors come from MUB rounds only
         rows = run.sifted & (run.bases[:, 0] == BASES.index(COMPUTATIONAL))
@@ -246,16 +251,17 @@ class TestMdiQkd:
         np.testing.assert_array_equal(run.values[rows, 0], run.bob_symbols[rows])
 
     def test_deterministic_given_seed(self):
-        run1 = mdi_qkd_run(300, eta=0.8, noise=NoiseConfig(0.05), seed=3)
-        run2 = mdi_qkd_run(300, eta=0.8, noise=NoiseConfig(0.05), seed=3)
+        run1 = mdi_qkd_run(300, eta=0.8, noise=0.05, seed=3)
+        run2 = mdi_qkd_run(300, eta=0.8, noise=0.05, seed=3)
         for a, b in zip(qkd_columns(run1), qkd_columns(run2)):
             np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             mdi_qkd_run(0)
-        with pytest.raises(ValueError):
-            NoiseConfig(1.5)
+        for noise in (1.5, math.nan):
+            with pytest.raises(ValueError):
+                mdi_qkd_run(10, noise=noise)
 
 
 class TestGeneralizedSetup:
@@ -314,8 +320,8 @@ def amplitude_distance(x, y):
 class TestTeleportBranchMaps:
     def test_maps_match_direct_evolution(self):
         rng = np.random.default_rng(77)
-        targets = [TeleportTarget.haar_random(rng) for _ in range(20)]
-        targets += [TeleportTarget((1.0, 0.0, 0.0)), TeleportTarget((0.0, 0.6, 0.8j))]
+        targets = [haar_target(rng) for _ in range(20)]
+        targets += [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8j)]
         for target in targets:
             pass_prob, reference = direct_teleport_branches(target)
             analysis = teleport_analysis(target)
@@ -338,19 +344,19 @@ class TestTeleportBranchMaps:
         gram = np.swapaxes(matrices.conj(), 1, 2) @ matrices
         assert np.abs(gram - np.eye(3) / 54).max() <= 1e-15
         rng = np.random.default_rng(5)
-        for target in [TeleportTarget((0.0, 1.0, 0.0))] + [TeleportTarget.haar_random(rng) for _ in range(10)]:
+        for target in [(0.0, 1.0, 0.0)] + [haar_target(rng) for _ in range(10)]:
             analysis = teleport_analysis(target)
             assert abs(analysis.pass_prob - 1 / 3) < 1e-12
             assert np.abs(analysis.probabilities - 1 / 18).max() < 1e-12
 
     def test_analysis_evolves_nothing_per_target(self, monkeypatch):
-        teleport_analysis(TeleportTarget((1.0, 0.0, 0.0)))  # the maps are built on first use
+        teleport_analysis((1.0, 0.0, 0.0))  # the maps are built on first use
 
         def forbidden(*args):
             raise AssertionError("teleport_analysis must not evolve per target")
 
         monkeypatch.setattr(discrimination, "evolve_axes", forbidden)
-        analysis = teleport_analysis(TeleportTarget.haar_random(np.random.default_rng(4)))
+        analysis = teleport_analysis(haar_target(np.random.default_rng(4)))
         assert abs(analysis.conclusive_probability() - 1 / 3) < 1e-12
 
 
@@ -360,7 +366,7 @@ class TestReadOnlyCaches:
 
     def test_teleport_branch_maps(self):
         before = teleport_run(2000, seed=3)
-        analysis = teleport_analysis(TeleportTarget((1.0, 0.0, 0.0)))
+        analysis = teleport_analysis((1.0, 0.0, 0.0))
         for array in (analysis.codes, *protocols._teleport_branch_maps()):
             with pytest.raises(ValueError):
                 array[...] = 0
@@ -368,12 +374,12 @@ class TestReadOnlyCaches:
             np.testing.assert_array_equal(column, again)
 
     def test_mdi_outcomes(self):
-        before = mdi_qkd_run(2000, eta=0.9, noise=NoiseConfig(0.1), seed=3)
+        before = mdi_qkd_run(2000, eta=0.9, noise=0.1, seed=3)
         m = protocols._mdi_outcomes()
-        for array in (m.pass_prob, m.amplitudes, m.probs, _decode_array(), click_codes(3)):
+        for array in (m.pass_prob, m.amplitudes, m.probs, _decode_array(), click_codes(3), build_dft(3)):
             with pytest.raises(ValueError):
                 array[...] = 0
-        after = mdi_qkd_run(2000, eta=0.9, noise=NoiseConfig(0.1), seed=3)
+        after = mdi_qkd_run(2000, eta=0.9, noise=0.1, seed=3)
         for column, again in zip(qkd_columns(before), qkd_columns(after)):
             np.testing.assert_array_equal(column, again)
 
@@ -383,8 +389,7 @@ class TestTeleportRun:
         # each row's code and fidelity is a branch of its own target's analysis
         codes, fidelities = teleport_run(40, seed=8)
         alphas = haar_amplitudes(derive_rng(8).random((40, 8))[:, :6])
-        for code, fidelity, row in zip(codes.tolist(), fidelities.tolist(), alphas.tolist()):
-            target = TeleportTarget(tuple(row))
+        for code, fidelity, target in zip(codes.tolist(), fidelities.tolist(), alphas.tolist()):
             analysis = teleport_analysis(target)
             if code == POSTSELECT_FAIL_CODE:
                 assert math.isnan(fidelity) and analysis.pass_prob < 1
@@ -480,10 +485,12 @@ class TestConstantBranchTable:
         near_edges = [x for e in table / total for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)) if x < 1]
         picks = [0.0, 1 - 2**-53, 1.0] + near_edges
         uniforms = np.array([(p, q) for p in passes for q in picks])
-        targets = np.vstack([np.eye(3), haar_amplitudes(derive_rng(11).random((5, 6)))])
-        for alpha in targets:
-            alphas = np.repeat(alpha[None], len(uniforms), axis=0)
-            codes, fidelities = protocols._sample_teleport(alphas, uniforms)
+        # each target's columns 0-5: basis target k has only the radius
+        # column 2k nonzero, then five Haar-random targets
+        targets = np.vstack([np.eye(6)[0::2] / 2, derive_rng(11).random((5, 6))])
+        for target in targets:
+            block = np.hstack([np.repeat(target[None], len(uniforms), axis=0), uniforms])
+            codes, fidelities = protocols._sample_teleport(block)
             for (p, q), code in zip(uniforms.tolist(), codes.tolist()):
                 branch = min(bisect.bisect_right(table.tolist(), q * total), len(table) - 1)
                 assert code == (branch_codes[branch] if p < total else POSTSELECT_FAIL_CODE), (p, q)
@@ -493,7 +500,7 @@ class TestConstantBranchTable:
 
 class TestMdiQkdSampling:
     def test_prefix_stable(self):
-        noise = NoiseConfig(0.2)
+        noise = 0.2
         long = mdi_qkd_run(50, eta=0.85, noise=noise, seed=6)
         short = mdi_qkd_run(20, eta=0.85, noise=noise, seed=6)
         for whole, prefix in zip(qkd_columns(long), qkd_columns(short)):
@@ -512,7 +519,7 @@ class TestMdiQkdSampling:
             assert analytic[inputs].get(outcome_name(code), 0.0) > 0.0, (trial, inputs, code)
 
     def test_prefix_stable_across_chunks(self, monkeypatch):
-        noise = NoiseConfig(0.3)
+        noise = 0.3
         long = mdi_qkd_run(120, eta=0.9, noise=noise, seed=4)
         monkeypatch.setattr(protocols, "CHUNK_ROWS", 7)
         for n in (50, 120):
@@ -526,9 +533,9 @@ class TestMdiQkdSampling:
 
         protocols._mdi_outcomes.cache_clear()
         protocols._decode_array.cache_clear()
-        mdi_qkd_run(100, noise=NoiseConfig(0.1))
+        mdi_qkd_run(100, noise=0.1)
         monkeypatch.setattr(discrimination, "evolve_axes", forbidden)
-        run = mdi_qkd_run(20000, noise=NoiseConfig(0.1))
+        run = mdi_qkd_run(20000, noise=0.1)
         assert run.sifted.any()
 
 
@@ -596,15 +603,18 @@ class TestMdiQkdExpectation:
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.7, 0.3])
     def test_closed_forms(self, eta):
         for p in (0.0, 0.05, 0.1, 0.1389, 0.3, 0.5, 0.8, 1.0):
-            exact = mdi_qkd_expectation(eta, NoiseConfig(p))
+            exact = mdi_qkd_expectation(eta, p)
             assert abs(exact.sift_rate - eta**3 / 6) < 1e-12
             assert abs(exact.qber - 4 * p * (1 - p) / 3) < 1e-12
+        for p in (1.5, math.nan):
+            with pytest.raises(ValueError):
+                mdi_qkd_expectation(eta, p)
 
     @pytest.mark.parametrize("eta, p", [(1.0, 0.0), (0.9, 0.1), (0.7, 0.3), (0.8, 0.5)])
     def test_sampled_runs_agree(self, eta, p):
         n = 200_000
-        exact = mdi_qkd_expectation(eta, NoiseConfig(p))
-        run = mdi_qkd_run(n, eta=eta, noise=NoiseConfig(p), seed=31)
+        exact = mdi_qkd_expectation(eta, p)
+        run = mdi_qkd_run(n, eta=eta, noise=p, seed=31)
         z_sift = (run.sift_rate - exact.sift_rate) / math.sqrt(exact.sift_rate * (1 - exact.sift_rate) / n)
         assert abs(z_sift) <= 5
         n_sifted = int(run.sifted.sum())
