@@ -48,7 +48,9 @@ DEFAULT_SEED = 42
 # interpreter start, d = 7 2.4 s and 362 MB.
 MAX_DISCRIMINATE_D = 6
 # Largest --d of `list-states` (d = 7: 0.7 s and 71 MB; one d = 8 state is
-# 8^8 complex amplitudes, 268 MB) and `describe-tritter` (d = 64: 0.7 s; d = 128: 11 s).
+# 8^8 complex amplitudes, 268 MB) and `describe-tritter` (one core of an
+# Intel Xeon, including interpreter start: d = 64 0.4 s and 37 MB; the
+# d = 128 decomposition and its JSON 1.1 s).
 MAX_D = {"discriminate": MAX_DISCRIMINATE_D, "list-states": 7, "describe-tritter": 64}
 # Largest number of rows in one `keyrate` table (Q values times dimensions,
 # or dimensions in thresholds mode).

@@ -10,7 +10,7 @@ exactly as one product per axis.
 
 `decompose_dft` factors the DFT into two-port beam-splitter elements plus
 phase shifters (triangular Givens scheme); `recompose` is its verification
-inverse.
+inverse, applying each element as its 1x1 or 2x2 block on its ports' columns.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidDimension
+from .states import unit_root
 
 
 @lru_cache(maxsize=None)
@@ -35,10 +36,7 @@ def build_dft(d: int) -> np.ndarray:
     if d < 2:
         raise InvalidDimension(f"DFT needs d >= 2, got {d}")
     scale = 1.0 / math.sqrt(d)
-    mat = np.empty((d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            mat[j, k] = scale * cmath.exp(2j * cmath.pi * ((j * k) % d) / d)
+    mat = np.array([[scale * unit_root(d, j * k) for k in range(d)] for j in range(d)])
     dev = np.abs(mat.conj().T @ mat - np.eye(d)).max()
     if dev > 1e-10:
         raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
@@ -94,54 +92,42 @@ class ElementNetwork(NamedTuple):
         return [el for el in self.elements if isinstance(el, BeamSplitter)]
 
     def to_json(self) -> dict:
-        items = []
-        for el in self.elements:
-            if isinstance(el, BeamSplitter):
-                items.append(
-                    {
-                        "type": "beam_splitter",
-                        "ports": list(el.ports),
-                        "transmissivity": el.transmissivity,
-                        "phase": el.phase,
-                    }
-                )
-            else:
-                items.append({"type": "phase_shifter", "port": el.port, "phase": el.phase})
-        return {"dim": self.dim, "elements": items}
+        elements = [{"type": _JSON_TYPES[type(el)], **el._asdict()} for el in self.elements]
+        return {"dim": self.dim, "elements": elements}
 
 
-def element_matrix(element: Element, dim: int) -> np.ndarray:
-    """The element embedded in the dim x dim identity.  Raises ValueError
-    for a port outside 0..dim-1, a beam splitter on one port twice, or a
-    transmissivity outside [0, 1]."""
-    ports = element.ports if isinstance(element, BeamSplitter) else (element.port,)
+_JSON_TYPES = {BeamSplitter: "beam_splitter", PhaseShifter: "phase_shifter"}
+
+
+def _element_block(element: Element, dim: int) -> tuple[list[int], np.ndarray]:
+    """The element's ports and its 1x1 or 2x2 block on them.  Raises
+    ValueError for a port outside 0..dim-1, a beam splitter on one port
+    twice, or a transmissivity outside [0, 1]."""
+    ports = list(element.ports) if isinstance(element, BeamSplitter) else [element.port]
     for p in ports:
         if not 0 <= p < dim:
             raise ValueError(f"element port {p} outside 0..{dim - 1}")
-    mat = np.eye(dim, dtype=complex)
     if isinstance(element, PhaseShifter):
-        mat[element.port, element.port] = cmath.exp(1j * element.phase)
-        return mat
-    i, j = element.ports
+        return ports, np.array([[cmath.exp(1j * element.phase)]])
     t = element.transmissivity
-    if i == j:
+    if ports[0] == ports[1]:
         raise ValueError(f"beam splitter needs two distinct ports, got {element.ports}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmissivity {t} outside [0, 1]")
-    bar = math.sqrt(1.0 - t)
-    cross = math.sqrt(t)
-    mat[i, i] = bar
-    mat[i, j] = cross * cmath.exp(1j * element.phase)
-    mat[j, i] = -cross * cmath.exp(-1j * element.phase)
-    mat[j, j] = bar
-    return mat
+    bar, cross = math.sqrt(1.0 - t), math.sqrt(t)
+    return ports, np.array(
+        [[bar, cross * cmath.exp(1j * element.phase)], [-cross * cmath.exp(-1j * element.phase), bar]]
+    )
 
 
 def recompose(network: ElementNetwork) -> np.ndarray:
-    """Ordered product of the network's element matrices."""
+    """Ordered product of the network's elements.  Each element's block
+    right-multiplies only the columns of its ports, which is the product
+    with the element embedded in the identity at O(dim) per element."""
     mat = np.eye(network.dim, dtype=complex)
     for el in network.elements:
-        mat = mat @ element_matrix(el, network.dim)
+        ports, block = _element_block(el, network.dim)
+        mat[:, ports] = mat[:, ports] @ block
     return mat
 
 
@@ -165,14 +151,14 @@ def decompose_dft(d: int) -> ElementNetwork:
     """Factor the d-port DFT into nearest-neighbour couplers plus phases.
 
     Lower-triangular entries are nulled by complex Givens rotations on
-    adjacent port pairs; the conjugate of each rotation becomes a beam
-    splitter preceded by per-port phase shifters, and the residual diagonal
-    becomes a final phase layer.  The recomposition reproduces the DFT
-    exactly (not merely up to a global phase).
+    adjacent port pairs; the conjugate of each rotation becomes, as soon as
+    it is found, a beam splitter preceded by per-port phase shifters, and
+    the residual diagonal becomes a final phase layer.  The recomposition
+    reproduces the DFT exactly (not merely up to a global phase).
     """
     target = build_dft(d)
     u = target.copy()
-    rotations: list[tuple[int, int, np.ndarray]] = []
+    elements: list[Element] = []
     for col in range(d - 1):
         for row in range(d - 1, col, -1):
             a = u[row - 1, col]
@@ -182,16 +168,13 @@ def decompose_dft(d: int) -> ElementNetwork:
             r = math.hypot(abs(a), abs(b))
             giv = np.array([[a.conjugate() / r, b.conjugate() / r], [-b / r, a / r]], dtype=complex)
             u[row - 1 : row + 1, :] = giv @ u[row - 1 : row + 1, :]
-            rotations.append((row - 1, row, giv))
-    elements: list[Element] = []
-    for i, j, giv in rotations:
-        g1, g2, t, phi = _factor_two_port(giv.conj().T)
-        if abs(g1) > 1e-14:
-            elements.append(PhaseShifter(i, g1))
-        if abs(g2) > 1e-14:
-            elements.append(PhaseShifter(j, g2))
-        if t > 1e-14:
-            elements.append(BeamSplitter((i, j), t, phi))
+            g1, g2, t, phi = _factor_two_port(giv.conj().T)
+            if abs(g1) > 1e-14:
+                elements.append(PhaseShifter(row - 1, g1))
+            if abs(g2) > 1e-14:
+                elements.append(PhaseShifter(row, g2))
+            if t > 1e-14:
+                elements.append(BeamSplitter((row - 1, row), t, phi))
     for port in range(d):
         theta = cmath.phase(u[port, port])
         if abs(theta) > 1e-14:

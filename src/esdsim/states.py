@@ -29,11 +29,13 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidDimension
 
-OMEGA = cmath.exp(2j * cmath.pi / 3)
 
-
-def _unit_root(d: int, exponent: int) -> complex:
+def unit_root(d: int, exponent: int) -> complex:
+    """chi^exponent with chi = exp(2*pi*i/d), the exponent reduced mod d."""
     return cmath.exp(2j * cmath.pi * (exponent % d) / d)
+
+
+OMEGA = unit_root(3, 1)
 
 
 def _check_member(index: int, dim: int) -> None:
@@ -70,7 +72,7 @@ def psi_amplitudes(index: int) -> np.ndarray:
     amps = np.zeros((3, 3, 3), dtype=complex)
     scale = 1.0 / math.sqrt(6)
     for j in range(3):
-        phase = _unit_root(3, 2 * i * j) * scale
+        phase = unit_root(3, 2 * i * j) * scale
         for sign, (db, dc) in zip((1, -1), bc_offsets):
             amps[j, (j + db) % 3, (j + dc) % 3] = sign * phase
     return amps
@@ -85,7 +87,7 @@ def phi_amplitudes(index: int, dim: int) -> np.ndarray:
     """
     _check_member(index, dim)
     perms, signs = permutation_table(dim)
-    roots = np.array([_unit_root(dim, index * port) for port in range(dim)])
+    roots = np.array([unit_root(dim, index * port) for port in range(dim)])
     amps = np.zeros((dim,) * dim, dtype=complex)
     amps[tuple(perms.T)] = signs * roots[perms[:, 0]] * (1.0 / math.sqrt(math.factorial(dim)))
     return amps
@@ -115,7 +117,7 @@ def mub_amplitudes(k: int) -> np.ndarray:
     if not 0 <= k <= 2:
         raise IndexOutOfRange(f"MUB index must be 0..2, got {k}")
     scale = 1.0 / math.sqrt(3)
-    return np.array([_unit_root(3, k * j) * scale for j in range(3)])
+    return np.array([unit_root(3, k * j) * scale for j in range(3)])
 
 
 def pair_amplitudes(x: int) -> np.ndarray:

@@ -309,6 +309,18 @@ class TestGoldenOutputs:
             7: "8908ee18529f1db751b15070f4083ed78a62c7dc9b3354025ecd7ceb15c0871e",
         }
 
+    def test_describe_tritter(self, capsys):
+        digests = {}
+        for d in (2, 3, 16, 64):
+            assert run(["describe-tritter", "--d", str(d)]) == 0
+            digests[d] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == {
+            2: "e3f16169d541f43dfa380c34f88388f463c31733e501776cd6752289fecfef46",
+            3: "946729f1d7d7cc5ab70b6b57ac0d81ee930431a84b7ee1c6ab5bdc26312e19bc",
+            16: "f5722ba8a0bbdf1f5e2290908717f2f272f2df3a2ed3703e64080377fa075f9a",
+            64: "a905c3f29e4db9faaa3ac4f3cbe90b667712300252dd8b38d7ce8eb9f271ff59",
+        }
+
     def test_mdiqkd_noise_edges(self, tmp_path, capsys):
         # high noise with the summary on stdout, and the noise-free defaults
         # with the CSV on stdout and the summary on stderr

@@ -201,6 +201,45 @@ class TestElementNetwork:
             recompose(ElementNetwork(2, (PhaseShifter(2, 0.1),)))
 
 
+def embedded(element, dim):
+    """The element embedded in the dim x dim identity, entry by entry."""
+    mat = np.eye(dim, dtype=complex)
+    if isinstance(element, PhaseShifter):
+        mat[element.port, element.port] = cmath.exp(1j * element.phase)
+        return mat
+    (i, j), t = element.ports, element.transmissivity
+    mat[i, i] = mat[j, j] = math.sqrt(1.0 - t)
+    mat[i, j] = math.sqrt(t) * cmath.exp(1j * element.phase)
+    mat[j, i] = -math.sqrt(t) * cmath.exp(-1j * element.phase)
+    return mat
+
+
+class TestRecompose:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_product_of_embedded_elements(self, d):
+        rng = np.random.default_rng(d)
+
+        def splitter(i, j, t):
+            return BeamSplitter((i, j), t, float(rng.uniform(-math.pi, math.pi)))
+
+        # every kind at least once: a phase shifter, adjacent and (for d > 2)
+        # non-adjacent pairs in either order, and t = 0, t = 1 and interior t
+        elements = [PhaseShifter(d - 1, 0.7), splitter(0, 1, 0.0), splitter(1, 0, 1.0), splitter(0, 1, 0.3)]
+        if d > 2:
+            elements += [splitter(0, d - 1, 0.6), splitter(d - 1, 0, 1.0), splitter(2, 0, 0.0)]
+        for _ in range(40):
+            if rng.random() < 0.3:
+                elements.append(PhaseShifter(int(rng.integers(d)), float(rng.uniform(-math.pi, math.pi))))
+            else:
+                i, j = (int(p) for p in rng.choice(d, size=2, replace=False))
+                elements.append(splitter(i, j, float(rng.choice([0.0, 1.0, rng.random()]))))
+        elements = [elements[k] for k in rng.permutation(len(elements))]
+        expected = np.eye(d, dtype=complex)
+        for el in elements:
+            expected = expected @ embedded(el, d)
+        assert np.abs(recompose(ElementNetwork(d, tuple(elements))) - expected).max() < 1e-12
+
+
 class TestDecomposeDft:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_recomposition_matches_dft(self, d):
