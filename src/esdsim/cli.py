@@ -1,13 +1,17 @@
 """Command-line entry point.
 
 Subcommands: list-states, describe-tritter, discriminate, teleport, mdiqkd,
-keyrate.  Outputs are byte-identical across repeated runs with the same
+keyrate; each is one `COMMANDS` entry of help, options with their domains
+and handler.  Outputs are byte-identical across repeated runs with the same
 configuration.  Exit codes: 0 success, 2 configuration error, 3 internal
 assertion (e.g. a non-disjoint generated click table).
 
 `run(argv)` is the in-process entry point: it returns the exit code and may
-be called any number of times.  It builds its argument parser once per
-process, on first use.
+be called any number of times.  It builds the parser of the subcommand that
+argv[0] names, once per process; the full parser only for the program's
+help and usage, an unknown command and arguments left over.  Handlers import
+numpy and the layer modules on first call, so `import esdsim.cli` and
+`keyrate` (plain `math`) load no numpy.
 """
 
 from __future__ import annotations
@@ -19,26 +23,10 @@ import math
 import re
 import sys
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import keyrate as kr
-from .discrimination import (
-    DEFAULT_TOLERANCE,
-    POSTSELECT_FAIL_CODE,
-    click_order,
-    derive_rng,
-    measure,
-    outcome_name,
-    outcome_probabilities,
-    sample_outcomes,
-    search_keys,
-)
 from .errors import AmbiguousPattern
-from .optics import decompose_dft
-from .protocols import BASES, CHUNK_ROWS, mdi_qkd_run, teleport_run
-from .states import phi_amplitudes, psi_amplitudes
 
 DEFAULT_SEED = 42
 # Largest --d that `discriminate` accepts: the dense measurement holds d^d
@@ -80,12 +68,10 @@ def _chunked(lines: Iterator[str]) -> Iterator[str]:
         yield chunk
 
 
-def _parse_d_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _named_state(name: str, d: int) -> tuple[str, np.ndarray]:
+def _named_state(name: str, d: int):
     """The canonical lowercase name of a --state and its dense amplitudes."""
+    from .states import phi_amplitudes, psi_amplitudes
+
     match = re.fullmatch(r"(psi|phi)(0|[1-9][0-9]*)", name, re.ASCII | re.IGNORECASE)
     if match is None:
         raise ValueError(f"unknown state name {name!r} (use psi0..psi8 or phi0..phi{d - 1})")
@@ -97,9 +83,12 @@ def _named_state(name: str, d: int) -> tuple[str, np.ndarray]:
     return f"psi{index}", psi_amplitudes(index)
 
 
-def _outcome_counts(codes: np.ndarray) -> dict[str, int]:
+def _outcome_counts(codes) -> dict[str, int]:
     """Counts of the codes that occur, in code order, one pass per code:
     np.unique would sort the int8 codes, which is about 30x slower."""
+    import numpy as np
+    from .discrimination import POSTSELECT_FAIL_CODE, outcome_name
+
     counts = ((code, int(np.count_nonzero(codes == code))) for code in range(POSTSELECT_FAIL_CODE, int(codes.max()) + 1))
     return {outcome_name(code): n for code, n in counts if n}
 
@@ -113,6 +102,9 @@ def _listed_terms(d: int) -> Iterator[tuple[str, list[list[int]], list[complex]]
     and the amplitudes.  Terms follow `click_order(d)`, which orders them by
     their modes sorted by (port, time-bin); amplitudes at or below
     DEFAULT_TOLERANCE are dropped."""
+    import numpy as np
+    from .discrimination import DEFAULT_TOLERANCE, click_order
+
     order = click_order(d)
     flat = np.ravel_multi_index(order.T, (d,) * d)
     for name in [f"psi{i}" for i in range(9 if d == 3 else 0)] + [f"phi{i}" for i in range(d)]:
@@ -127,6 +119,8 @@ def _state_text(keys: list[list[int]], amps: list[complex], labels: list[str]) -
     """One line of the listing: per term the amplitude to 8 decimals, real
     when its imaginary part is at or below DEFAULT_TOLERANCE, and the modes;
     terms two spaces apart."""
+    from .discrimination import DEFAULT_TOLERANCE
+
     amp_texts = (f"{a.real:+.8f}" if abs(a.imag) <= DEFAULT_TOLERANCE else f"({a.real:+.8f}{a.imag:+.8f}j)" for a in amps)
     return "  ".join(f"{text} |{' '.join(labels[k] for k in row)}>" for text, row in zip(amp_texts, keys))
 
@@ -155,12 +149,17 @@ def _cmd_list_states(args) -> int:
 
 
 def _cmd_describe_tritter(args) -> int:
-    network = decompose_dft(args.d)
-    _write_chunks(args.out, (_json_dumps(network.to_json()),))
+    from .optics import decompose_dft
+
+    _write_chunks(args.out, (_json_dumps(decompose_dft(args.d).to_json()),))
     return 0
 
 
 def _cmd_discriminate(args) -> int:
+    import numpy as np
+    from .discrimination import derive_rng, measure, outcome_probabilities, sample_outcomes, search_keys
+    from .protocols import CHUNK_ROWS
+
     name, state = _named_state(args.state, args.d)
     m, rng = measure(state[None], args.d), derive_rng(args.seed)
     codes, keys = np.empty(args.trials, dtype=np.int8), search_keys(m)
@@ -168,31 +167,22 @@ def _cmd_discriminate(args) -> int:
         u = rng.random((min(CHUNK_ROWS, args.trials - start), args.d + 2))
         codes[start : start + len(u)] = sample_outcomes(m, keys, np.zeros(len(u), dtype=np.int64), args.eta, u)
     counts = _outcome_counts(codes)
-    report = {
-        "state": name,
-        "d": args.d,
-        "eta": args.eta,
-        "seed": args.seed,
-        "trials": args.trials,
-        "counts": counts,
-        "empirical": {k: v / args.trials for k, v in counts.items()},
-        "analytic": outcome_probabilities(m, args.eta),
-    }
+    report = {"state": name, "d": args.d, "eta": args.eta, "seed": args.seed, "trials": args.trials, "counts": counts,
+              "empirical": {k: v / args.trials for k, v in counts.items()},
+              "analytic": outcome_probabilities(m, args.eta)}
     _write_chunks(args.out, (_json_dumps(report),))
     return 0
 
 
 def _cmd_teleport(args) -> int:
+    from .protocols import teleport_run
+
     codes, fidelities = teleport_run(args.trials, args.seed)
     conclusive = codes >= 0
     n_conclusive = int(conclusive.sum())
-    report = {
-        "trials": args.trials,
-        "seed": args.seed,
-        "counts": _outcome_counts(codes),
-        "conclusive_fraction": n_conclusive / args.trials,
-        "mean_conclusive_fidelity": float(fidelities[conclusive].mean()) if n_conclusive else None,
-    }
+    report = {"trials": args.trials, "seed": args.seed, "counts": _outcome_counts(codes),
+              "conclusive_fraction": n_conclusive / args.trials,
+              "mean_conclusive_fidelity": float(fidelities[conclusive].mean()) if n_conclusive else None}
     _write_chunks(args.out, (_json_dumps(report),))
     return 0
 
@@ -202,6 +192,10 @@ def _qkd_csv_rows(result) -> Iterator[str]:
     column after `trial` is a function of (bases, values, outcome, sifted,
     Bob's symbol), so each distinct tuple is formatted once, in the first
     block that holds it; keys are computed one block at a time."""
+    import numpy as np
+    from .discrimination import POSTSELECT_FAIL_CODE, outcome_name
+    from .protocols import BASES
+
     shape = (2, 2, 3, 3, 3 - POSTSELECT_FAIL_CODE, 2, 3)
     suffixes = [""] * math.prod(shape)
     for start in range(0, len(result.outcomes), TEXT_ROWS):
@@ -219,38 +213,47 @@ def _qkd_csv_rows(result) -> Iterator[str]:
 
 
 def _cmd_mdiqkd(args) -> int:
+    from .protocols import mdi_qkd_run
+
     result = mdi_qkd_run(args.trials, eta=args.eta, noise=args.noise, seed=args.seed)
     header = "trial,alice_basis,alice_value,bob_basis,bob_value,outcome,sifted,alice_symbol,bob_symbol\n"
     _write_chunks(args.out, itertools.chain((header,), _qkd_csv_rows(result)))
-    summary = {
-        "trials": args.trials,
-        "eta": args.eta,
-        "noise": args.noise,
-        "seed": args.seed,
-        "sift_rate": result.sift_rate,
-        "qber": result.qber,
-    }
+    summary = {"trials": args.trials, "eta": args.eta, "noise": args.noise, "seed": args.seed,
+               "sift_rate": result.sift_rate, "qber": result.qber}
     # With no --out the CSV owns stdout, so the summary goes to stderr.
-    summary_stream = sys.stdout if args.out is not None else sys.stderr
-    summary_stream.write(_json_dumps(summary))
+    (sys.stdout if args.out is not None else sys.stderr).write(_json_dumps(summary))
     return 0
 
 
-def _q_count(q_max: float, q_step: float) -> int:
-    """Number of grid values i * q_step up to q_max, allowing 1e-9 of a step
-    for the rounding of the quotient; MAX_KEYRATE_ROWS + 1 at most, so that
-    an overflowing quotient stays an int."""
-    return math.floor(min(q_max / q_step + 1e-9, MAX_KEYRATE_ROWS)) + 1
-
-
 def _cmd_keyrate(args) -> int:
+    # cross-option checks, before the first row: rows are written as they are evaluated
     if args.mode == "thresholds":
+        if args.d_max < 2:
+            raise ValueError("--d-max must be >= 2")
+        if args.d_max - 1 > MAX_KEYRATE_ROWS:
+            raise ValueError(f"--d-max {args.d_max} gives more than {MAX_KEYRATE_ROWS} rows")
         header = "d,eta_threshold\n"
         lines = (f"{d},{kr.eta_threshold(d)!r}\n" for d in range(2, args.d_max + 1))
     else:
-        n_q = _q_count(args.q_max, args.q_step)
+        if not (math.isfinite(args.q_step) and args.q_step > 0.0):
+            raise ValueError("--q-step must be a positive number")
+        if not (math.isfinite(args.q_max) and args.q_max >= 0.0):
+            raise ValueError("--q-max must be a non-negative number")
+        # i * q_step up to q_max, with 1e-9 of a step for rounding; capped so an overflow stays an int
+        n_q = math.floor(min(args.q_max / args.q_step + 1e-9, MAX_KEYRATE_ROWS)) + 1
+        if n_q > MAX_KEYRATE_ROWS:
+            raise ValueError(f"--q-max / --q-step gives more than {MAX_KEYRATE_ROWS} Q values")
+        if (n_q - 1) * args.q_step >= 1.0:
+            raise ValueError(f"the Q grid reaches {(n_q - 1) * args.q_step!r}; error rates must lie in [0, 1)")
+        d_values = [int(part) for part in args.d.split(",") if part.strip()]
+        if not d_values:
+            raise ValueError("--d must list at least one dimension")
+        if not all(2 <= d <= sys.float_info.max for d in d_values):  # the rates need d as a float
+            raise ValueError(f"--d values must lie in [2, {sys.float_info.max:.1e}]")
+        if n_q * len(d_values) > MAX_KEYRATE_ROWS:
+            raise ValueError(f"--d and --q-max / --q-step give more than {MAX_KEYRATE_ROWS} rows")
         rows = itertools.chain.from_iterable(  # a fresh lazy Q grid per dimension, not a list of floats
-            kr.keyrate_table((d,), (i * args.q_step for i in range(n_q)), eta=args.eta) for d in _parse_d_list(args.d)
+            kr.keyrate_table((d,), (i * args.q_step for i in range(n_q)), eta=args.eta) for d in d_values
         )
         header = "d,Q,r_sifted,R_total" + ("" if args.eta is None else ",eta") + "\n"
         eta = "" if args.eta is None else f",{args.eta!r}"
@@ -259,125 +262,121 @@ def _cmd_keyrate(args) -> int:
     return 0
 
 
-# -- parser --------------------------------------------------------------------
+# -- subcommand table ----------------------------------------------------------
+
+
+class Command(NamedTuple):
+    help: str
+    options: tuple  # of _option triples, in help order
+    handler: Callable[[argparse.Namespace], int]
+
+
+def _option(flag: str, *domain: tuple[Callable[..., bool], str], **kwargs) -> tuple:
+    """One argparse argument as (flag, keywords, domain): (holds, message)
+    pairs that `run` checks in order on a value other than None."""
+    return flag, kwargs, domain
+
+
+def _dimension(command: str) -> tuple:
+    limit = MAX_D[command]
+    return _option("--d", (lambda d: d >= 2, "--d must be >= 2"),
+                   (lambda d: d <= limit, f"--d {{}} exceeds the limit of {limit} for {command}"),
+                   type=int, default=3, help="dimension")
+
+
+_OUT = _option("--out", metavar="PATH", help="write output here instead of stdout")
+_ETA_DOMAIN = (lambda eta: 0.0 <= eta <= 1.0, "--eta must lie in [0, 1]")
+_TRIALS = _option("--trials", (lambda n: 1 <= n <= MAX_TRIALS, f"--trials must lie in [1, {MAX_TRIALS}]"),
+                  type=int, default=1000, help="number of sampled trials")
+_ETA = _option("--eta", _ETA_DOMAIN, type=float, default=1.0, help="parity-device success probability")
+_SEED = _option("--seed", (lambda seed: 0 <= seed < 2**64, "--seed must lie in [0, 2**64)"),
+                type=int, default=DEFAULT_SEED, help="base RNG seed, 0 <= seed < 2**64")
+
+COMMANDS = {
+    "list-states": Command("print state-family basis expansions", (
+        _dimension("list-states"), _option("--dump-state", metavar="PATH", help="also write the states as JSON"),
+    ), _cmd_list_states),
+    "describe-tritter": Command("element decomposition of the d-port DFT", (
+        _dimension("describe-tritter"), _option("--out", metavar="PATH", help="write JSON here instead of stdout"),
+    ), _cmd_describe_tritter),
+    "discriminate": Command("sample the discrimination measurement", (
+        _dimension("discriminate"),
+        _option("--state", default="psi0", help="psi0..psi8 (d=3) or phi0..phi{d-1}, any letter case, no sign,"
+                " space or leading zero; the report names it in lowercase"),
+        _TRIALS, _ETA, _SEED, _OUT,
+    ), _cmd_discriminate),
+    "teleport": Command("teleport Haar-random targets", (_TRIALS, _SEED, _OUT), _cmd_teleport),
+    "mdiqkd": Command("simulate the key-distribution protocol", (
+        _TRIALS, _ETA,
+        _option("--noise", (lambda p: 0.0 <= p <= 1.0, "--noise must lie in [0, 1]"), type=float, default=0.0,
+                help="phase-flip probability per port"),
+        _SEED, _option("--out", metavar="PATH", help="write the per-trial CSV here"),
+    ), _cmd_mdiqkd),
+    "keyrate": Command("rate tables and efficiency thresholds", (
+        _option("mode", nargs="?", default="table", choices=("table", "thresholds")),
+        _option("--d", default="2,3,4,5", help="comma-separated dimensions"),
+        _option("--q-max", type=float, default=0.12, help="largest error rate in the grid"),
+        _option("--q-step", type=float, default=0.002, help="error-rate grid step"),
+        _option("--eta", _ETA_DOMAIN, type=float, default=None, help="apply the eta^d factor to R"),
+        _option("--d-max", type=int, default=10, help="for thresholds mode"),
+        _OUT,
+    ), _cmd_keyrate),
+}
+_FORMAT = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
+
+
+def _add_options(parser: argparse.ArgumentParser, command: Command) -> argparse.ArgumentParser:
+    for flag, kwargs, _ in command.options:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, equal to the one `_build_parser` holds."""
+    return _add_options(argparse.ArgumentParser(prog=f"esdsim {name}", **_FORMAT), COMMANDS[name])
 
 
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="esdsim",
-        description="Entangled-state discrimination, teleportation, and MDI-QKD simulator",
-    )
+    description = "Entangled-state discrimination, teleportation, and MDI-QKD simulator"
+    parser = argparse.ArgumentParser(prog="esdsim", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
-
-    p = sub.add_parser("list-states", help="print state-family basis expansions", **fmt)
-    p.add_argument("--d", type=int, default=3, help="dimension")
-    p.add_argument("--dump-state", metavar="PATH", help="also write the states as JSON")
-    p.set_defaults(func=_cmd_list_states)
-
-    p = sub.add_parser("describe-tritter", help="element decomposition of the d-port DFT", **fmt)
-    p.add_argument("--d", type=int, default=3, help="dimension")
-    p.add_argument("--out", metavar="PATH", help="write JSON here instead of stdout")
-    p.set_defaults(func=_cmd_describe_tritter)
-
-    p = sub.add_parser("discriminate", help="sample the discrimination measurement", **fmt)
-    p.add_argument("--d", type=int, default=3, help="dimension")
-    p.add_argument(
-        "--state",
-        default="psi0",
-        help="psi0..psi8 (d=3) or phi0..phi{d-1}, any letter case, no sign, space or leading zero;"
-        " the report names it in lowercase",
-    )
-    p.add_argument("--trials", type=int, default=1000, help="number of sampled trials")
-    p.add_argument("--eta", type=float, default=1.0, help="parity-device success probability")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed, 0 <= seed < 2**64")
-    p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    p.set_defaults(func=_cmd_discriminate)
-
-    p = sub.add_parser("teleport", help="teleport Haar-random targets", **fmt)
-    p.add_argument("--trials", type=int, default=1000, help="number of sampled trials")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed, 0 <= seed < 2**64")
-    p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    p.set_defaults(func=_cmd_teleport)
-
-    p = sub.add_parser("mdiqkd", help="simulate the key-distribution protocol", **fmt)
-    p.add_argument("--trials", type=int, default=1000, help="number of sampled trials")
-    p.add_argument("--eta", type=float, default=1.0, help="parity-device success probability")
-    p.add_argument("--noise", type=float, default=0.0, help="phase-flip probability per port")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base RNG seed, 0 <= seed < 2**64")
-    p.add_argument("--out", metavar="PATH", help="write the per-trial CSV here")
-    p.set_defaults(func=_cmd_mdiqkd)
-
-    p = sub.add_parser("keyrate", help="rate tables and efficiency thresholds", **fmt)
-    p.add_argument("mode", nargs="?", default="table", choices=("table", "thresholds"))
-    p.add_argument("--d", default="2,3,4,5", help="comma-separated dimensions")
-    p.add_argument("--q-max", type=float, default=0.12, help="largest error rate in the grid")
-    p.add_argument("--q-step", type=float, default=0.002, help="error-rate grid step")
-    p.add_argument("--eta", type=float, default=None, help="apply the eta^d factor to R")
-    p.add_argument("--d-max", type=int, default=10, help="for thresholds mode")
-    p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    p.set_defaults(func=_cmd_keyrate)
-
+    for name, command in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=command.help, **_FORMAT), command)
     return parser
 
 
+def _parse(argv: list[str]) -> tuple[Command, argparse.Namespace]:
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return command, args
+    # No command, help, an unknown command or arguments left over: the full
+    # parser reports them, with the usage line of the whole program.
+    args = _build_parser().parse_args(argv)
+    return COMMANDS[args.command], args
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _validate(args)
-        return args.func(args)
+        for flag, _, domain in command.options:
+            value = getattr(args, flag.lstrip("-").replace("-", "_"))
+            for holds, message in domain:
+                if value is not None and not holds(value):
+                    raise ValueError(message.format(value))
+        return command.handler(args)
     except AmbiguousPattern as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _validate(args) -> None:
-    if not 1 <= getattr(args, "trials", 1) <= MAX_TRIALS:
-        raise ValueError(f"--trials must lie in [1, {MAX_TRIALS}]")
-    eta = getattr(args, "eta", None)
-    if eta is not None and not 0.0 <= eta <= 1.0:
-        raise ValueError("--eta must lie in [0, 1]")
-    noise = getattr(args, "noise", None)
-    if noise is not None and not 0.0 <= noise <= 1.0:
-        raise ValueError("--noise must lie in [0, 1]")
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < 2**64:
-        raise ValueError("--seed must lie in [0, 2**64)")
-    d = getattr(args, "d", None)
-    if isinstance(d, int) and d < 2:
-        raise ValueError("--d must be >= 2")
-    if args.command in MAX_D and d > MAX_D[args.command]:
-        raise ValueError(f"--d {d} exceeds the limit of {MAX_D[args.command]} for {args.command}")
-    if args.command == "keyrate" and args.mode == "table":
-        if not (math.isfinite(args.q_step) and args.q_step > 0.0):
-            raise ValueError("--q-step must be a positive number")
-        if not (math.isfinite(args.q_max) and args.q_max >= 0.0):
-            raise ValueError("--q-max must be a non-negative number")
-        n_q = _q_count(args.q_max, args.q_step)
-        if n_q > MAX_KEYRATE_ROWS:
-            raise ValueError(f"--q-max / --q-step gives more than {MAX_KEYRATE_ROWS} Q values")
-        if (n_q - 1) * args.q_step >= 1.0:  # checked here, as the rows are written while they are evaluated
-            raise ValueError(f"the Q grid reaches {(n_q - 1) * args.q_step!r}; error rates must lie in [0, 1)")
-        d_values = _parse_d_list(args.d)
-        if not d_values:
-            raise ValueError("--d must list at least one dimension")
-        if not all(2 <= d <= sys.float_info.max for d in d_values):  # the rates need d as a float
-            raise ValueError(f"--d values must lie in [2, {sys.float_info.max:.1e}]")
-        if n_q * len(d_values) > MAX_KEYRATE_ROWS:
-            raise ValueError(f"--d and --q-max / --q-step give more than {MAX_KEYRATE_ROWS} rows")
-    if args.command == "keyrate" and args.mode == "thresholds":
-        if args.d_max < 2:
-            raise ValueError("--d-max must be >= 2")
-        if args.d_max - 1 > MAX_KEYRATE_ROWS:
-            raise ValueError(f"--d-max {args.d_max} gives more than {MAX_KEYRATE_ROWS} rows")
 
 
 def main() -> None:

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import esdsim
 import esdsim.cli as cli
 import esdsim.discrimination as discrimination
+import esdsim.optics as optics
 import esdsim.protocols as protocols
 import esdsim.states as states
 from esdsim.cli import run
@@ -28,6 +31,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+def child_env():
+    """This environment with the package source first on PYTHONPATH."""
+    paths = [str(Path(esdsim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 class TestKeyrateCommand:
@@ -173,7 +182,7 @@ class TestMdiqkdCommand:
         # a plain np.unique imports numpy.ma lazily, which costs more than a
         # small run itself
         def loads_numpy_ma(code):
-            env = {"PYTHONPATH": str(Path(esdsim.__file__).parents[1])}
+            env = child_env()
             done = subprocess.run([sys.executable, "-c", f"{code}; import sys; print('numpy.ma' in sys.modules)"],
                                   env=env, capture_output=True, text=True, check=True)
             return done.stdout.split()[-1] == "True"
@@ -475,7 +484,7 @@ class TestErrorPaths:
             raise AssertionError("nothing may be built past the dimension limit")
 
         monkeypatch.setattr(cli, "_named_state", forbidden)
-        monkeypatch.setattr(cli, "measure", forbidden)
+        monkeypatch.setattr(discrimination, "measure", forbidden)
         assert run(["discriminate", "--d", str(cli.MAX_DISCRIMINATE_D + 1), "--state", "phi1"]) == 2
         assert f"limit of {cli.MAX_DISCRIMINATE_D}" in capsys.readouterr().err
 
@@ -484,8 +493,8 @@ class TestErrorPaths:
         def forbidden(*args):
             raise AssertionError("nothing may be built past the dimension limit")
 
-        for name in ("psi_amplitudes", "phi_amplitudes", "decompose_dft"):
-            monkeypatch.setattr(cli, name, forbidden)
+        for module, name in ((states, "psi_amplitudes"), (states, "phi_amplitudes"), (optics, "decompose_dft")):
+            monkeypatch.setattr(module, name, forbidden)
         assert run([command, "--d", str(cli.MAX_D[command] + 1)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"limit of {cli.MAX_D[command]} for {command}" in captured.err
@@ -504,8 +513,8 @@ class TestErrorPaths:
         def forbidden(*args, **kwargs):
             raise AssertionError("nothing may run past the trial limit")
 
-        for name in ("_named_state", "teleport_run", "mdi_qkd_run"):
-            monkeypatch.setattr(cli, name, forbidden)
+        for module, name in ((cli, "_named_state"), (protocols, "teleport_run"), (protocols, "mdi_qkd_run")):
+            monkeypatch.setattr(module, name, forbidden)
         too_many = str(cli.MAX_TRIALS + 1)
         for command in ("discriminate", "teleport", "mdiqkd"):
             assert run([command, "--trials", too_many]) == 2
@@ -537,8 +546,8 @@ class TestSeedRange:
         def forbidden(*args, **kwargs):
             raise AssertionError("nothing may be built for a seed outside the range")
 
-        for name in ("measure", "teleport_run", "mdi_qkd_run"):
-            monkeypatch.setattr(cli, name, forbidden)
+        for module, name in ((discrimination, "measure"), (protocols, "teleport_run"), (protocols, "mdi_qkd_run")):
+            monkeypatch.setattr(module, name, forbidden)
         out = tmp_path / "out"
         argv = [command, "--trials", "10", "--seed", str(seed), "--out", str(out)]
         if command == "discriminate":
@@ -667,6 +676,11 @@ class TestReadmeLayout:
 
 
 class TestSharedParser:
+    @staticmethod
+    def clear_parsers():
+        cli._build_parser.cache_clear()
+        cli._command_parser.cache_clear()
+
     def readme_outputs(self, directory, capsys, fresh_parser):
         """Every README command's streams and files, each run on the parser
         left by the runs before it or on a newly built one."""
@@ -674,46 +688,73 @@ class TestSharedParser:
         streams = []
         for argv in readme_commands(directory):
             if fresh_parser:
-                cli._build_parser.cache_clear()
+                self.clear_parsers()
             assert run(argv) == 0, argv
             streams.append(capsys.readouterr())
         return streams, {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
     def test_reused_parser_matches_fresh_ones(self, tmp_path, capsys):
-        cli._build_parser.cache_clear()
+        self.clear_parsers()
         assert run(["no-such-command"]) == 2
         assert run(["--help"]) == 0
         assert run(["teleport", "--help"]) == 0
         assert "--trials" in capsys.readouterr().out
         shared = self.readme_outputs(tmp_path / "shared", capsys, fresh_parser=False)
+        # one parser per subcommand, and the full parser once, for the help and the unknown command
+        assert cli._command_parser.cache_info().misses == len(cli.COMMANDS)
         assert cli._build_parser.cache_info().misses == 1
         assert shared == self.readme_outputs(tmp_path / "fresh", capsys, fresh_parser=True)
 
     def test_built_once(self, capsys):
-        cli._build_parser.cache_clear()
+        self.clear_parsers()
         assert run(["keyrate", "thresholds", "--d-max", "3"]) == 0
         assert run(["keyrate", "--d", "3", "--q-max", "0.01", "--q-step", "0.01"]) == 0
+        assert (cli._command_parser.cache_info().misses, cli._build_parser.cache_info().misses) == (1, 0)
+        # the full parser reports what names no subcommand, and arguments left over
         assert run(["no-such-command"]) == 2
-        assert cli._build_parser.cache_info().misses == 1
+        assert run([]) == 2
+        assert run(["keyrate", "table", "extra"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "esdsim: error: unrecognized arguments: extra"
+        assert (cli._command_parser.cache_info().misses, cli._build_parser.cache_info().misses) == (1, 1)
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_command_parser_is_the_full_parsers_subparser(self, name):
+        subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        full, own = subparsers.choices[name], cli._command_parser(name)
+        assert (own.prog, own.format_help()) == (full.prog, full.format_help())
+        assert vars(own.parse_args([])) == vars(full.parse_args([]))
 
     def test_import_builds_nothing(self):
-        # the parser is built on the first `run`, and the commands that
+        # the parsers are built on the first `run`, and the commands that
         # sample nothing never import numpy.random
         def run_code(code):
-            env = {"PYTHONPATH": str(Path(esdsim.__file__).parents[1])}
-            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-            return done.stdout.split()[-2:]
+            done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True,
+                                  check=True)
+            return done.stdout.split()[-3:]
 
-        if run_code("import sys, numpy; print('numpy.random' in sys.modules, 0)")[0] == "True":
+        if run_code("import sys, numpy; print('numpy.random' in sys.modules, 0, 0)")[0] == "True":
             pytest.skip("importing numpy alone loads numpy.random")
         assert run_code(
             "import sys, esdsim.cli as cli\n"
-            "info = cli._build_parser.cache_info()\n"
-            "assert info.misses == info.currsize == 0, info\n"
+            "for cache in (cli._build_parser, cli._command_parser):\n"
+            "    info = cache.cache_info()\n"
+            "    assert info.misses == info.currsize == 0, info\n"
             "for argv in (['keyrate'], ['keyrate', 'thresholds'], ['list-states'], ['describe-tritter']):\n"
             "    assert cli.run(argv) == 0\n"
-            "print('numpy.random' in sys.modules, cli._build_parser.cache_info().misses)"
-        ) == ["False", "1"]
+            "print('numpy.random' in sys.modules, cli._command_parser.cache_info().misses,"
+            " cli._build_parser.cache_info().misses)"
+        ) == ["False", "3", "0"]
+
+
+class TestMain:
+    @pytest.mark.parametrize("argv, code", [(["keyrate", "thresholds", "--d-max", "3"], 0), (["no-such-command"], 2)])
+    def test_exit_code_of_sys_argv(self, argv, code, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["esdsim", *argv])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == code
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines] == (["d", "2", "3"] if code == 0 else [])
 
 
 class TestRuntimePaths:
@@ -737,9 +778,36 @@ class TestRuntimePaths:
             "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'esdsim'), file=sys.__stdout__)\n"
             "print('dataclasses' in sys.modules, file=sys.__stdout__)"
         )
-        env = {"PYTHONPATH": str(Path(esdsim.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True,
                               timeout=120)
         modules, dataclasses_loaded = done.stdout.splitlines()
         assert modules.split() == sorted(["esdsim"] + [f"esdsim.{name}" for name in readme_layout_modules()])
         assert dataclasses_loaded == "False"  # src/ defines its values as NamedTuples and arrays
+
+    # A fresh interpreter per subcommand: the esdsim modules it loads, and
+    # whether it loads numpy.  None stands for a bare `import esdsim.cli`.
+    @pytest.mark.parametrize("argv, layers, numpy_loaded", [
+        (None, [], False),
+        (["keyrate"], [], False),
+        (["keyrate", "thresholds"], [], False),
+        (["describe-tritter"], ["optics", "states"], True),
+        (["list-states"], ["discrimination", "optics", "states"], True),
+        (["discriminate", "--trials", "10"], ["discrimination", "optics", "protocols", "states"], True),
+        (["teleport", "--trials", "10"], ["discrimination", "optics", "protocols", "states"], True),
+        (["mdiqkd", "--trials", "10"], ["discrimination", "optics", "protocols", "states"], True),
+    ])
+    def test_loads_only_its_layers(self, argv, layers, numpy_loaded):
+        code = (
+            "import os, sys\n"
+            "import esdsim.cli as cli\n"
+            "sys.stdout = sys.stderr = open(os.devnull, 'w')\n"
+            f"assert {argv!r} is None or cli.run({argv!r}) == 0\n"
+            "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'esdsim'), file=sys.__stdout__)\n"
+            "print('numpy' in sys.modules, file=sys.__stdout__)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True,
+                              timeout=120)
+        modules, numpy_line = done.stdout.splitlines()
+        core = ["esdsim", "esdsim.cli", "esdsim.errors", "esdsim.keyrate"]
+        assert modules.split() == sorted(core + [f"esdsim.{name}" for name in layers])
+        assert numpy_line == str(numpy_loaded)

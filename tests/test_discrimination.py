@@ -179,7 +179,8 @@ class TestBuildClassifier:
             "from sparse_reference import suppression_law\n"
             "print(np.array_equal(click_codes(7), suppression_law(7)))"
         )
-        env = {"PYTHONPATH": os.pathsep.join([str(Path(esdsim.__file__).parents[1]), str(Path(__file__).parent)])}
+        paths = [str(Path(esdsim.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                               timeout=120)
         assert done.stdout.split() == ["True"]
