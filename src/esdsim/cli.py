@@ -32,8 +32,8 @@ DEFAULT_SEED = 42
 # Largest --d that `discriminate` accepts: the dense measurement holds d^d
 # amplitudes per state and builds the click codes from all d states at
 # once; trials are sampled CHUNK_ROWS at a time.  With 10^6 trials on one
-# core of an Intel Xeon, d = 6 takes 0.44-0.54 s and 54 MB including
-# interpreter start, d = 7 2.4 s and 362 MB.
+# core of an Intel Xeon, d = 6 takes 0.54 s and 48 MB including
+# interpreter start, d = 7 1.8 s and 356 MB (BENCH_22.json).
 MAX_DISCRIMINATE_D = 6
 # Largest --d of `list-states` (d = 7: 0.7 s and 71 MB; one d = 8 state is
 # 8^8 complex amplitudes, 268 MB) and `describe-tritter` (one core of an
@@ -157,14 +157,12 @@ def _cmd_describe_tritter(args) -> int:
 
 def _cmd_discriminate(args) -> int:
     import numpy as np
-    from .discrimination import derive_rng, measure, outcome_probabilities, sample_outcomes, search_keys
-    from .protocols import CHUNK_ROWS
+    from .discrimination import measure, outcome_probabilities, sample_outcomes, search_keys, uniform_chunks
 
     name, state = _named_state(args.state, args.d)
-    m, rng = measure(state[None], args.d), derive_rng(args.seed)
+    m = measure(state[None], args.d)
     codes, keys = np.empty(args.trials, dtype=np.int8), search_keys(m)
-    for start in range(0, args.trials, CHUNK_ROWS):
-        u = rng.random((min(CHUNK_ROWS, args.trials - start), args.d + 2))
+    for start, u in uniform_chunks(args.seed, args.trials, args.d + 2):
         codes[start : start + len(u)] = sample_outcomes(m, keys, np.zeros(len(u), dtype=np.int64), args.eta, u)
     counts = _outcome_counts(codes)
     report = {"state": name, "d": args.d, "eta": args.eta, "seed": args.seed, "trials": args.trials, "counts": counts,

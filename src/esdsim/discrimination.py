@@ -8,6 +8,7 @@ the order of the d^d click patterns, and `click_codes` is the generated
 click table over that order.  `sample_outcomes` samples the rows of the
 `Measurement` that `measure` returns through its `search_keys`, and
 `conclusive_probabilities` and `outcome_probabilities` are its closed forms.
+`uniform_chunks` draws every run's uniforms, small runs without numpy.random.
 
 An outcome is an integer code: a conclusive outcome is its state index
 (>= 0), the other two are INCONCLUSIVE_CODE and POSTSELECT_FAIL_CODE.
@@ -22,8 +23,9 @@ analytic decomposition that `outcome_probabilities` reports.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -124,14 +126,62 @@ def click_codes(d: int) -> np.ndarray:
 # -- sampling ----------------------------------------------------------------
 
 
+# Rows per block of `uniform_chunks`; bounds every sampling run's memory.
+CHUNK_ROWS = 1 << 14
+# Runs of at most this many uniforms, while numpy.random is unloaded, are
+# computed by `_philox_uniforms` (fresh: 2.8 ms at 2^15, 13 ms to import
+# numpy.random and draw; even near 2^17), others by numpy's C Philox, 5-10x
+# faster; 2^15 leaves perfbench's qkd-mc (6e4) on the C side (BENCH_22.json).
+KERNEL_MAX_UNIFORMS = 1 << 15
+# Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11).
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
 def derive_rng(seed: int) -> np.random.Generator:
-    """Counter-based Philox generator keyed by the seed.  A run draws one
-    block of uniforms from it, row i for trial i, so a trial's outcome
-    depends only on (seed, i).  Raises ValueError for a seed outside
-    [0, 2**64), the range of the Philox key word it fills."""
+    """numpy's Philox4x64-10 keyed by (seed, 0), seed in [0, 2**64): the stream of `_philox_uniforms`."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def _philox_uniforms(seed: int, offset: int, count: int) -> np.ndarray:
+    """Uniforms offset .. offset + count - 1 of derive_rng(seed).random(): word
+    w is word w % 4 of Philox4x64-10 on counter (w // 4 + 1, 0, 0, 0), key
+    (seed, 0), a uniform (word >> 11) * 2**-53; products from 32-bit halves."""
+    first, n = offset // 4, (offset + count + 3) // 4 - offset // 4
+    evens, odds = np.zeros((2, n), dtype=np.uint64), np.zeros((2, n), dtype=np.uint64)  # counter words 0, 2 and 1, 3
+    evens[0] = np.arange(first + 1, first + n + 1, dtype=np.uint64)
+    m_lo, m_hi = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+    for r in range(10):  # in place, so that at most six arrays of this size are alive
+        key = np.array([[r * _PHILOX_W[1] % 2**64], [(seed + r * _PHILOX_W[0]) % 2**64]], dtype=np.uint64)
+        lo, hi = evens * _PHILOX_M, evens >> 32
+        evens &= 0xFFFFFFFF
+        mid = evens * m_lo >> 32
+        evens *= m_hi
+        mid += evens  # (x_lo * m_lo >> 32) + x_lo * m_hi, x_lo the low half of evens
+        np.multiply(hi, m_lo, out=evens)
+        evens += mid & 0xFFFFFFFF
+        evens >>= 32
+        mid >>= 32
+        hi *= m_hi
+        hi += mid + evens  # the high word of the product
+        hi ^= odds[::-1] ^ key  # key's words swapped, as hi[::-1] is the new evens
+        evens, odds = hi[::-1], lo[::-1]
+    words = np.stack([evens, odds], axis=2).transpose(1, 0, 2).reshape(-1)[offset % 4 : offset % 4 + count]
+    words >>= 11
+    return words * 2.0**-53
+
+
+def uniform_chunks(seed: int, n_rows: int, cols: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Row i of derive_rng(seed).random((n_rows, cols)), as (start, block)
+    pairs of at most CHUNK_ROWS rows in order: row i depends only on (seed,
+    i); small runs use the kernel while numpy.random is unloaded.  Raises
+    ValueError at the call for a seed outside [0, 2**64), the key's range."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = derive_rng(seed) if n_rows * cols > KERNEL_MAX_UNIFORMS or "numpy.random" in sys.modules else None
+    def block(start: int, n: int) -> np.ndarray:
+        return rng.random((n, cols)) if rng else _philox_uniforms(seed, start * cols, n * cols).reshape(n, cols)
+    return ((start, block(start, min(CHUNK_ROWS, n_rows - start))) for start in range(0, n_rows, CHUNK_ROWS))
 
 
 # Integer outcome codes of `click_codes` and the samplers: a conclusive

@@ -35,8 +35,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .discrimination import (
-    DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, derive_rng, measure,
-    sample_outcomes, search_keys,
+    DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, measure,
+    sample_outcomes, search_keys, uniform_chunks,
 )
 from .states import OMEGA, minor_amplitudes, mub_amplitudes, pair_amplitudes, psi_amplitudes
 
@@ -72,11 +72,6 @@ class TeleportAnalysis(NamedTuple):
     def outcome_fidelities(self) -> dict[int, float]:
         conclusive = self.codes >= 0
         return dict(zip(self.codes[conclusive].tolist(), self.fidelities[conclusive].tolist()))
-
-
-# Rows that `teleport_run`, `mdi_qkd_run` and the CLI's `discriminate`
-# sample per pass; bounds their working memory.
-CHUNK_ROWS = 1 << 14
 
 
 def haar_amplitudes(uniforms: np.ndarray) -> np.ndarray:
@@ -171,10 +166,8 @@ def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     parity projection (passed iff u < W) and 7 the branch (the first whose
     running weight exceeds u * W, else the last), both from one constant
     branch table of total W; a pick within an ulp of an edge follows it."""
-    rng = derive_rng(seed)
-    codes, fidelities = np.empty(n_trials, dtype=np.int8), np.empty(n_trials)
-    for start in range(0, n_trials, CHUNK_ROWS):
-        u = rng.random((min(CHUNK_ROWS, n_trials - start), 8))
+    chunks, codes, fidelities = uniform_chunks(seed, n_trials, 8), np.empty(n_trials, dtype=np.int8), np.empty(n_trials)
+    for start, u in chunks:
         codes[start : start + len(u)], fidelities[start : start + len(u)] = _sample_teleport(u)
     return codes, fidelities
 
@@ -305,11 +298,10 @@ def mdi_qkd_run(n_trials: int, eta: float = 1.0, noise: float = 0.0, seed: int =
         raise ValueError("n_trials must be >= 1")
     _check_probability("eta", eta)
     _check_probability("noise", noise)
-    rng, keys = derive_rng(seed), search_keys(_mdi_outcomes())
+    chunks, keys = uniform_chunks(seed, n_trials, 12), search_keys(_mdi_outcomes())
     mub, values = np.empty((n_trials, 2), dtype=np.int8), np.empty((n_trials, 2), dtype=np.int8)
     outcome_codes = np.empty(n_trials, dtype=np.int8)
-    for start in range(0, n_trials, CHUNK_ROWS):
-        u = rng.random((min(CHUNK_ROWS, n_trials - start), 12))
+    for start, u in chunks:
         rows = slice(start, start + len(u))
         mub[rows] = u[:, 0:2] >= 0.5
         values[rows] = (3 * u[:, 2:4]).astype(np.int8)

@@ -172,7 +172,7 @@ class TestMdiqkdCommand:
             return read(out)
 
         whole = csv(100, "whole.csv")
-        monkeypatch.setattr(protocols, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(discrimination, "CHUNK_ROWS", 7)
         monkeypatch.setattr(cli, "TEXT_ROWS", 7)
         assert csv(100, "chunked.csv") == whole
         head = csv(30, "head.csv")
@@ -254,11 +254,35 @@ class TestDeterminism:
         assert read(e) == read(f)
 
 
+def on_both_uniform_sources(monkeypatch):
+    """Yield twice: first with every run's uniforms drawn by numpy's C
+    Philox, then with every run's uniforms computed by the kernel, as in a
+    fresh process that has not loaded numpy.random.  The unused source fails."""
+    def unused(*args):
+        raise AssertionError("a run drew its uniforms from the other source")
+
+    kernel = discrimination._philox_uniforms
+    monkeypatch.setattr(discrimination, "KERNEL_MAX_UNIFORMS", 0)
+    monkeypatch.setattr(discrimination, "_philox_uniforms", unused)
+    yield
+    monkeypatch.setattr(discrimination, "KERNEL_MAX_UNIFORMS", 10**12)
+    monkeypatch.setattr(discrimination, "_philox_uniforms", kernel)
+    monkeypatch.setattr(discrimination, "derive_rng", unused)
+    monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
+    yield
+
+
 class TestGoldenOutputs:
     """sha256 digests of discrete outputs, pinned so that rewrites of the
-    samplers or the CSV writer stay byte-exact."""
+    samplers or the CSV writer stay byte-exact.  Every sampling command runs
+    on both sources of uniforms."""
 
-    def test_digests(self, tmp_path, capsys):
+    def test_digests(self, tmp_path, capsys, monkeypatch):
+        for _ in on_both_uniform_sources(monkeypatch):
+            self.check_digests(tmp_path)
+
+    @staticmethod
+    def check_digests(tmp_path):
         csv = tmp_path / "records.csv"
         run(["mdiqkd", "--trials", "2000", "--eta", "0.9", "--noise", "0.1", "--seed", "3", "--out", str(csv)])
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
@@ -306,17 +330,18 @@ class TestGoldenOutputs:
             6: ("8b69fe71ff4a4e9b", "2680ab49d72c2cbb"),
         }
 
-    def test_teleport_reports(self, tmp_path):
+    def test_teleport_reports(self, tmp_path, monkeypatch):
         # whole reports, so that the last digit of the mean fidelity is pinned too
-        digests = {}
-        for seed in (3, 7):
-            report = tmp_path / f"teleport{seed}.json"
-            assert run(["teleport", "--trials", "2000", "--seed", str(seed), "--out", str(report)]) == 0
-            digests[seed] = hashlib.sha256(report.read_bytes()).hexdigest()
-        assert digests == {
-            3: "4fc465d0ddb9f02d3dbe41bb299b7b87ee96d1dcc9d3247d3c45ca0f0a585bc6",
-            7: "8908ee18529f1db751b15070f4083ed78a62c7dc9b3354025ecd7ceb15c0871e",
-        }
+        for _ in on_both_uniform_sources(monkeypatch):
+            digests = {}
+            for seed in (3, 7):
+                report = tmp_path / f"teleport{seed}.json"
+                assert run(["teleport", "--trials", "2000", "--seed", str(seed), "--out", str(report)]) == 0
+                digests[seed] = hashlib.sha256(report.read_bytes()).hexdigest()
+            assert digests == {
+                3: "4fc465d0ddb9f02d3dbe41bb299b7b87ee96d1dcc9d3247d3c45ca0f0a585bc6",
+                7: "8908ee18529f1db751b15070f4083ed78a62c7dc9b3354025ecd7ceb15c0871e",
+            }
 
     def test_describe_tritter(self, capsys):
         digests = {}
@@ -330,7 +355,12 @@ class TestGoldenOutputs:
             64: "a905c3f29e4db9faaa3ac4f3cbe90b667712300252dd8b38d7ce8eb9f271ff59",
         }
 
-    def test_mdiqkd_noise_edges(self, tmp_path, capsys):
+    def test_mdiqkd_noise_edges(self, tmp_path, capsys, monkeypatch):
+        for _ in on_both_uniform_sources(monkeypatch):
+            self.check_mdiqkd_noise_edges(tmp_path, capsys)
+
+    @staticmethod
+    def check_mdiqkd_noise_edges(tmp_path, capsys):
         # high noise with the summary on stdout, and the noise-free defaults
         # with the CSV on stdout and the summary on stderr
         def sha(text):
@@ -784,30 +814,45 @@ class TestRuntimePaths:
         assert modules.split() == sorted(["esdsim"] + [f"esdsim.{name}" for name in readme_layout_modules()])
         assert dataclasses_loaded == "False"  # src/ defines its values as NamedTuples and arrays
 
-    # A fresh interpreter per subcommand: the esdsim modules it loads, and
-    # whether it loads numpy.  None stands for a bare `import esdsim.cli`.
-    @pytest.mark.parametrize("argv, layers, numpy_loaded", [
-        (None, [], False),
-        (["keyrate"], [], False),
-        (["keyrate", "thresholds"], [], False),
-        (["describe-tritter"], ["optics", "states"], True),
-        (["list-states"], ["discrimination", "optics", "states"], True),
-        (["discriminate", "--trials", "10"], ["discrimination", "optics", "protocols", "states"], True),
-        (["teleport", "--trials", "10"], ["discrimination", "optics", "protocols", "states"], True),
-        (["mdiqkd", "--trials", "10"], ["discrimination", "optics", "protocols", "states"], True),
-    ])
-    def test_loads_only_its_layers(self, argv, layers, numpy_loaded):
+    @staticmethod
+    def fresh_run(argv):
+        """The esdsim modules that `cli.run(argv)` loads in a fresh
+        interpreter, and whether it loads numpy and numpy.random; argv None
+        stands for a bare `import esdsim.cli`."""
         code = (
             "import os, sys\n"
             "import esdsim.cli as cli\n"
             "sys.stdout = sys.stderr = open(os.devnull, 'w')\n"
             f"assert {argv!r} is None or cli.run({argv!r}) == 0\n"
             "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'esdsim'), file=sys.__stdout__)\n"
-            "print('numpy' in sys.modules, file=sys.__stdout__)"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules, file=sys.__stdout__)"
         )
         done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True,
                               timeout=120)
-        modules, numpy_line = done.stdout.splitlines()
+        modules, flags = done.stdout.splitlines()
+        return modules.split(), *(flag == "True" for flag in flags.split())
+
+    # A fresh interpreter per subcommand: the esdsim modules it loads, and
+    # whether it loads numpy.  None of these runs loads numpy.random: a
+    # sampling run of at most KERNEL_MAX_UNIFORMS uniforms computes them
+    # (1000 discriminate trials draw 5000, 500 teleport trials 4000 and 2000
+    # mdiqkd trials 24000).
+    @pytest.mark.parametrize("argv, layers, numpy_loaded", [
+        (None, [], False),
+        (["keyrate"], [], False),
+        (["keyrate", "thresholds"], [], False),
+        (["describe-tritter"], ["optics", "states"], True),
+        (["list-states"], ["discrimination", "optics", "states"], True),
+        (["discriminate", "--trials", "1000"], ["discrimination", "optics", "states"], True),
+        (["teleport", "--trials", "500"], ["discrimination", "optics", "protocols", "states"], True),
+        (["mdiqkd", "--trials", "2000"], ["discrimination", "optics", "protocols", "states"], True),
+    ])
+    def test_loads_only_its_layers(self, argv, layers, numpy_loaded):
+        assert 2000 * 12 <= discrimination.KERNEL_MAX_UNIFORMS
         core = ["esdsim", "esdsim.cli", "esdsim.errors", "esdsim.keyrate"]
-        assert modules.split() == sorted(core + [f"esdsim.{name}" for name in layers])
-        assert numpy_line == str(numpy_loaded)
+        assert self.fresh_run(argv) == (sorted(core + [f"esdsim.{name}" for name in layers]), numpy_loaded, False)
+
+    def test_loads_numpy_random_above_the_kernel_limit(self):
+        # 5000 mdiqkd trials draw 60000 uniforms, past KERNEL_MAX_UNIFORMS
+        assert 5000 * 12 > discrimination.KERNEL_MAX_UNIFORMS
+        assert self.fresh_run(["mdiqkd", "--trials", "5000"])[2]

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 import esdsim
 import esdsim.discrimination as discrimination
+import esdsim.protocols as protocols
 from esdsim import cli
 from esdsim.discrimination import (
     INCONCLUSIVE_CODE,
     POSTSELECT_FAIL_CODE,
     Measurement,
+    _philox_uniforms,
     click_codes,
     click_order,
     conclusive_probabilities,
@@ -27,10 +29,11 @@ from esdsim.discrimination import (
     outcome_probabilities,
     sample_outcomes,
     search_keys,
+    uniform_chunks,
 )
 from esdsim.errors import AmbiguousPattern
 from esdsim.optics import build_dft
-from esdsim.protocols import mdi_qkd_expectation, mdi_qkd_run
+from esdsim.protocols import mdi_qkd_expectation, mdi_qkd_run, teleport_run
 from esdsim.states import phi_amplitudes, psi_amplitudes
 from sparse_reference import (
     DetectionPattern,
@@ -233,12 +236,93 @@ class TestSampling:
         np.testing.assert_array_equal(sampled_codes(UNIFORM_MIXTURE, 0.9, 50, 7),
                                       sampled_codes(UNIFORM_MIXTURE, 0.9, 50, 7))
 
-    def test_seed_range(self):
-        # a Philox key word holds [0, 2**64); no seed outside it aliases one inside
-        for seed in (-1, -5, 2**64, 2**64 + 5):
-            with pytest.raises(ValueError):
-                derive_rng(seed)
-        assert derive_rng(0).random() != derive_rng(2**64 - 1).random()
+    def test_seed_range(self, without_numpy_random):
+        # a Philox key word holds [0, 2**64); no seed outside it aliases one
+        # inside, on the kernel path and on numpy's.  The call itself raises.
+        for rows in (1, discrimination.KERNEL_MAX_UNIFORMS + 1):
+            for seed in (-1, -5, 2**64, 2**64 + 5):
+                with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                    uniform_chunks(seed, rows, 1)
+            assert next(uniform_chunks(0, rows, 1))[1][0] != next(uniform_chunks(2**64 - 1, rows, 1))[1][0]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_protocols_check_the_seed_on_the_kernel_path(self, seed, monkeypatch, without_numpy_random):
+        # before any other work: mdi_qkd_run never reaches its outcome table
+        monkeypatch.setattr(protocols, "_mdi_outcomes", lambda: pytest.fail("outcome table reached"))
+        with pytest.raises(ValueError, match="seed must lie"):
+            teleport_run(10, seed=seed)
+        with pytest.raises(ValueError, match="seed must lie"):
+            mdi_qkd_run(10, seed=seed)
+
+
+@pytest.fixture
+def without_numpy_random(monkeypatch):
+    """sys.modules as in a fresh process, which has not loaded numpy.random,
+    so that runs of at most KERNEL_MAX_UNIFORMS uniforms take the kernel."""
+    monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
+
+
+def philox_reference(seed, n):
+    """The first n uniforms of numpy's C Philox4x64-10 keyed (seed, 0)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))).random(n)
+
+
+class TestPhiloxKernel:
+    """`_philox_uniforms` computes numpy's Philox uniforms bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_seeds(self, seed):
+        np.testing.assert_array_equal(_philox_uniforms(seed, 0, 1000), philox_reference(seed, 1000))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_word_offsets_around_block_edges(self, seed):
+        # a block holds 4 words: every offset mod 4 and lengths that end
+        # before, on and past the next block edges
+        reference = philox_reference(seed, 32)
+        for offset in range(12):
+            for length in range(1, 10):
+                np.testing.assert_array_equal(_philox_uniforms(seed, offset, length),
+                                              reference[offset : offset + length])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 5000), st.integers(1, 40))
+    @example(2**64 - 1, 4999, 40)
+    def test_matches_numpy(self, seed, offset, length):
+        np.testing.assert_array_equal(_philox_uniforms(seed, offset, length),
+                                      philox_reference(seed, offset + length)[offset:])
+
+
+class TestUniformChunks:
+    """Both sources of `uniform_chunks` give row i of
+    derive_rng(seed).random((n, cols)); the kernel runs up to the limit."""
+
+    @pytest.mark.parametrize("cols", [4, 5, 8, 12])
+    @pytest.mark.parametrize("chunk_rows, limit", [
+        (discrimination.CHUNK_ROWS, discrimination.KERNEL_MAX_UNIFORMS),
+        # 7-row chunks start at every word offset mod 4; a smaller limit
+        # keeps the number of kernel calls small
+        (7, 1000),
+    ])
+    def test_same_block_on_both_paths(self, cols, chunk_rows, limit, monkeypatch, without_numpy_random):
+        numpy_seeds = []
+        monkeypatch.setattr(discrimination, "derive_rng", lambda seed: numpy_seeds.append(seed) or derive_rng(seed))
+        monkeypatch.setattr(discrimination, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(discrimination, "KERNEL_MAX_UNIFORMS", limit)
+        n = limit // cols  # the longest run on the kernel path; one row more is on numpy's
+        reference = derive_rng(9).random((n + 1, cols))
+        for rows, seeds in ((n, []), (n + 1, [9])):
+            numpy_seeds.clear()
+            chunks = list(uniform_chunks(9, rows, cols))
+            assert numpy_seeds == seeds
+            assert [start for start, _ in chunks] == list(range(0, rows, chunk_rows))
+            np.testing.assert_array_equal(np.vstack([block for _, block in chunks]), reference[:rows])
+
+    def test_loaded_numpy_random_draws_every_run(self, monkeypatch):
+        # once numpy.random is loaded, its C Philox is the faster source at any size
+        monkeypatch.setitem(sys.modules, "numpy.random", np.random)
+        monkeypatch.setattr(discrimination, "_philox_uniforms", lambda *args: pytest.fail("kernel ran"))
+        (start, block), = uniform_chunks(9, 1, 4)
+        np.testing.assert_array_equal(block, derive_rng(9).random((1, 4)))
 
 
 class TestMcTrial:

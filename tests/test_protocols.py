@@ -403,7 +403,7 @@ class TestTeleportRun:
 
     def test_prefix_stable_across_chunks(self, monkeypatch):
         long = teleport_run(50, seed=6)
-        monkeypatch.setattr(protocols, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(discrimination, "CHUNK_ROWS", 7)
         short = teleport_run(20, seed=6)
         for whole, prefix in zip(long, short):
             np.testing.assert_array_equal(whole[:20], prefix)
@@ -521,7 +521,7 @@ class TestMdiQkdSampling:
     def test_prefix_stable_across_chunks(self, monkeypatch):
         noise = 0.3
         long = mdi_qkd_run(120, eta=0.9, noise=noise, seed=4)
-        monkeypatch.setattr(protocols, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(discrimination, "CHUNK_ROWS", 7)
         for n in (50, 120):
             short = mdi_qkd_run(n, eta=0.9, noise=noise, seed=4)
             for whole, prefix in zip(qkd_columns(long), qkd_columns(short)):
