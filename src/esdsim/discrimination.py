@@ -8,7 +8,8 @@ the order of the d^d click patterns, and `click_codes` is the generated
 click table over that order.  `sample_outcomes` samples the rows of the
 `Measurement` that `measure` returns through its `search_keys`, and
 `conclusive_probabilities` and `outcome_probabilities` are its closed forms.
-`uniform_chunks` draws every run's uniforms, small runs without numpy.random.
+`uniform_chunks` draws every run's uniforms, a per-process budget of them
+without numpy.random.
 
 An outcome is an integer code: a conclusive outcome is its state index
 (>= 0), the other two are INCONCLUSIVE_CODE and POSTSELECT_FAIL_CODE.
@@ -128,14 +129,27 @@ def click_codes(d: int) -> np.ndarray:
 
 # Rows per block of `uniform_chunks`; bounds every sampling run's memory.
 CHUNK_ROWS = 1 << 14
-# Runs of at most this many uniforms, while numpy.random is unloaded, are
-# computed by `_philox_uniforms` (fresh: 2.8 ms at 2^15, 13 ms to import
-# numpy.random and draw; even near 2^17), others by numpy's C Philox, 5-10x
-# faster; 2^15 leaves perfbench's qkd-mc (6e4) on the C side (BENCH_22.json).
-KERNEL_MAX_UNIFORMS = 1 << 15
-# Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11).
+# Uniforms that `_philox_uniforms` may compute in one process while
+# numpy.random is unloaded, charged by `uniform_chunks`: the measured
+# break-even, the largest power of two at which the kernel's first call is no
+# slower than importing numpy.random and drawing them with its C Philox
+# (fresh processes: 14.9 against 17.3 ms at 2^18; BENCH_23.json
+# `kernel_vs_import`).  A run past what is left loads numpy.random.
+KERNEL_BUDGET = 1 << 18
+# The least a kernel run is charged: each call has a fixed cost, 0.3-0.4 ms
+# warm, the time of 9000-20000 more uniforms (BENCH_23.json
+# `warm_kernel_fixed_cost`), so that many small runs also spend at most about
+# one import's time in the kernel.
+KERNEL_RUN_FLOOR = 1 << 14
+_kernel_spent = 0
+# Philox4x64-10 round multipliers (Salmon et al., SC'11), one row per counter
+# word 0 and 2, and key increments in the order the rounds XOR them into
+# those rows: key word 1, then key word 0.
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_W = np.array([[0xBB67AE8584CAA73B], [0x9E3779B97F4A7C15]], dtype=np.uint64)
+# Counters per block of `_philox_uniforms`: its scratch arrays stay this long
+# (768 KB in all), and longer runs reuse them block after block.
+_PHILOX_BLOCK = 1 << 13
 
 
 def derive_rng(seed: int) -> np.random.Generator:
@@ -146,39 +160,62 @@ def derive_rng(seed: int) -> np.random.Generator:
 def _philox_uniforms(seed: int, offset: int, count: int) -> np.ndarray:
     """Uniforms offset .. offset + count - 1 of derive_rng(seed).random(): word
     w is word w % 4 of Philox4x64-10 on counter (w // 4 + 1, 0, 0, 0), key
-    (seed, 0), a uniform (word >> 11) * 2**-53; products from 32-bit halves."""
+    (seed, 0), a uniform (word >> 11) * 2**-53.  Counters run in blocks of
+    _PHILOX_BLOCK through six preallocated scratch arrays, products from
+    32-bit halves; no round allocates, which takes 7% off qkd-mc's run
+    (BENCH_23.json `kernel_rewrite_claim`)."""
     first, n = offset // 4, (offset + count + 3) // 4 - offset // 4
-    evens, odds = np.zeros((2, n), dtype=np.uint64), np.zeros((2, n), dtype=np.uint64)  # counter words 0, 2 and 1, 3
-    evens[0] = np.arange(first + 1, first + n + 1, dtype=np.uint64)
+    out = np.empty((n, 4))
+    scratch = np.empty((6, 2, min(n, _PHILOX_BLOCK)), dtype=np.uint64)
+    keys = _PHILOX_W * np.arange(10, dtype=np.uint64)[:, None, None] + np.array([[0], [seed]], dtype=np.uint64)
     m_lo, m_hi = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
-    for r in range(10):  # in place, so that at most six arrays of this size are alive
-        key = np.array([[r * _PHILOX_W[1] % 2**64], [(seed + r * _PHILOX_W[0]) % 2**64]], dtype=np.uint64)
-        lo, hi = evens * _PHILOX_M, evens >> 32
-        evens &= 0xFFFFFFFF
-        mid = evens * m_lo >> 32
-        evens *= m_hi
-        mid += evens  # (x_lo * m_lo >> 32) + x_lo * m_hi, x_lo the low half of evens
-        np.multiply(hi, m_lo, out=evens)
-        evens += mid & 0xFFFFFFFF
-        evens >>= 32
-        mid >>= 32
-        hi *= m_hi
-        hi += mid + evens  # the high word of the product
-        hi ^= odds[::-1] ^ key  # key's words swapped, as hi[::-1] is the new evens
-        evens, odds = hi[::-1], lo[::-1]
-    words = np.stack([evens, odds], axis=2).transpose(1, 0, 2).reshape(-1)[offset % 4 : offset % 4 + count]
-    words >>= 11
-    return words * 2.0**-53
+    for start in range(0, n, _PHILOX_BLOCK):
+        evens, odds, lo, hi, t, u = scratch[:, :, : min(n - start, _PHILOX_BLOCK)]  # counter words 0, 2 and 1, 3
+        evens[0] = np.arange(first + start + 1, first + start + len(evens[0]) + 1, dtype=np.uint64)
+        evens[1] = 0
+        odds.fill(0)
+        for key in keys:
+            np.multiply(evens, _PHILOX_M, out=lo)
+            np.right_shift(evens, 32, out=hi)
+            evens &= 0xFFFFFFFF
+            np.multiply(evens, m_lo, out=t)
+            t >>= 32
+            evens *= m_hi
+            evens += t  # mid = x_lo * m_hi + (x_lo * m_lo >> 32), x_lo the low half of evens
+            np.multiply(hi, m_lo, out=t)
+            hi *= m_hi
+            np.bitwise_and(evens, 0xFFFFFFFF, out=u)
+            t += u
+            t >>= 32
+            evens >>= 32
+            hi += evens
+            hi += t  # the high words: x_hi * m_hi + (mid >> 32) + (x_hi * m_lo + (mid & 0xFFFFFFFF) >> 32)
+            hi ^= odds[::-1]
+            hi ^= key  # key words 1 and 0, as hi[::-1] is the new evens
+            evens, odds, lo, hi = hi[::-1], lo[::-1], evens, odds
+        evens >>= 11
+        odds >>= 11
+        uniforms = out[start : start + len(evens[0])]
+        np.multiply(evens, 2.0**-53, out=uniforms[:, 0::2].T)
+        np.multiply(odds, 2.0**-53, out=uniforms[:, 1::2].T)
+    return out.reshape(-1)[offset % 4 : offset % 4 + count]
 
 
 def uniform_chunks(seed: int, n_rows: int, cols: int) -> Iterator[tuple[int, np.ndarray]]:
     """Row i of derive_rng(seed).random((n_rows, cols)), as (start, block)
     pairs of at most CHUNK_ROWS rows in order: row i depends only on (seed,
-    i); small runs use the kernel while numpy.random is unloaded.  Raises
+    i).  While numpy.random is unloaded, a run whose charge, its uniforms
+    but at least KERNEL_RUN_FLOOR, fits what is left of KERNEL_BUDGET uses
+    the kernel and is charged; any other run loads numpy.random.  Raises
     ValueError at the call for a seed outside [0, 2**64), the key's range."""
+    global _kernel_spent
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    rng = derive_rng(seed) if n_rows * cols > KERNEL_MAX_UNIFORMS or "numpy.random" in sys.modules else None
+    charge = max(n_rows * cols, KERNEL_RUN_FLOOR)
+    kernel = "numpy.random" not in sys.modules and _kernel_spent + charge <= KERNEL_BUDGET
+    if kernel:
+        _kernel_spent += charge
+    rng = None if kernel else derive_rng(seed)
     def block(start: int, n: int) -> np.ndarray:
         return rng.random((n, cols)) if rng else _philox_uniforms(seed, start * cols, n * cols).reshape(n, cols)
     return ((start, block(start, min(CHUNK_ROWS, n_rows - start))) for start in range(0, n_rows, CHUNK_ROWS))

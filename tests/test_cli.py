@@ -262,10 +262,11 @@ def on_both_uniform_sources(monkeypatch):
         raise AssertionError("a run drew its uniforms from the other source")
 
     kernel = discrimination._philox_uniforms
-    monkeypatch.setattr(discrimination, "KERNEL_MAX_UNIFORMS", 0)
+    monkeypatch.setattr(discrimination, "KERNEL_BUDGET", 0)
     monkeypatch.setattr(discrimination, "_philox_uniforms", unused)
     yield
-    monkeypatch.setattr(discrimination, "KERNEL_MAX_UNIFORMS", 10**12)
+    monkeypatch.setattr(discrimination, "KERNEL_BUDGET", 10**12)
+    monkeypatch.setattr(discrimination, "_kernel_spent", 0)
     monkeypatch.setattr(discrimination, "_philox_uniforms", kernel)
     monkeypatch.setattr(discrimination, "derive_rng", unused)
     monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
@@ -833,10 +834,10 @@ class TestRuntimePaths:
         return modules.split(), *(flag == "True" for flag in flags.split())
 
     # A fresh interpreter per subcommand: the esdsim modules it loads, and
-    # whether it loads numpy.  None of these runs loads numpy.random: a
-    # sampling run of at most KERNEL_MAX_UNIFORMS uniforms computes them
-    # (1000 discriminate trials draw 5000, 500 teleport trials 4000 and 2000
-    # mdiqkd trials 24000).
+    # whether it loads numpy.  None of these runs loads numpy.random: each
+    # draws less than KERNEL_BUDGET uniforms, which the kernel computes
+    # (1000 discriminate trials draw 5000, 500 teleport trials 4000, 2000
+    # mdiqkd trials 24000 and 5000, perfbench's qkd-mc size, 60000).
     @pytest.mark.parametrize("argv, layers, numpy_loaded", [
         (None, [], False),
         (["keyrate"], [], False),
@@ -846,13 +847,14 @@ class TestRuntimePaths:
         (["discriminate", "--trials", "1000"], ["discrimination", "optics", "states"], True),
         (["teleport", "--trials", "500"], ["discrimination", "optics", "protocols", "states"], True),
         (["mdiqkd", "--trials", "2000"], ["discrimination", "optics", "protocols", "states"], True),
+        (["mdiqkd", "--trials", "5000"], ["discrimination", "optics", "protocols", "states"], True),
     ])
     def test_loads_only_its_layers(self, argv, layers, numpy_loaded):
-        assert 2000 * 12 <= discrimination.KERNEL_MAX_UNIFORMS
+        assert 5000 * 12 <= discrimination.KERNEL_BUDGET
         core = ["esdsim", "esdsim.cli", "esdsim.errors", "esdsim.keyrate"]
         assert self.fresh_run(argv) == (sorted(core + [f"esdsim.{name}" for name in layers]), numpy_loaded, False)
 
     def test_loads_numpy_random_above_the_kernel_limit(self):
-        # 5000 mdiqkd trials draw 60000 uniforms, past KERNEL_MAX_UNIFORMS
-        assert 5000 * 12 > discrimination.KERNEL_MAX_UNIFORMS
-        assert self.fresh_run(["mdiqkd", "--trials", "5000"])[2]
+        # the README's 30000 mdiqkd trials draw 360000 uniforms, past KERNEL_BUDGET
+        assert 30000 * 12 > discrimination.KERNEL_BUDGET
+        assert self.fresh_run(["mdiqkd", "--trials", "30000"])[2]

@@ -239,7 +239,7 @@ class TestSampling:
     def test_seed_range(self, without_numpy_random):
         # a Philox key word holds [0, 2**64); no seed outside it aliases one
         # inside, on the kernel path and on numpy's.  The call itself raises.
-        for rows in (1, discrimination.KERNEL_MAX_UNIFORMS + 1):
+        for rows in (1, discrimination.KERNEL_BUDGET + 1):
             for seed in (-1, -5, 2**64, 2**64 + 5):
                 with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
                     uniform_chunks(seed, rows, 1)
@@ -257,9 +257,10 @@ class TestSampling:
 
 @pytest.fixture
 def without_numpy_random(monkeypatch):
-    """sys.modules as in a fresh process, which has not loaded numpy.random,
-    so that runs of at most KERNEL_MAX_UNIFORMS uniforms take the kernel."""
+    """The sampling state of a fresh process: numpy.random not loaded and
+    none of KERNEL_BUDGET spent, so that runs within it take the kernel."""
     monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
+    monkeypatch.setattr(discrimination, "_kernel_spent", 0)
 
 
 def philox_reference(seed, n):
@@ -284,6 +285,16 @@ class TestPhiloxKernel:
                 np.testing.assert_array_equal(_philox_uniforms(seed, offset, length),
                                               reference[offset : offset + length])
 
+    @pytest.mark.parametrize("seed, offset, length", [
+        # the whole budget in one call, over eight scratch blocks and one counter
+        (2**64 - 1, 3, discrimination.KERNEL_BUDGET),
+        # from word 3 of the first counter to one word past the first scratch block
+        (7, 3, 4 * discrimination._PHILOX_BLOCK - 2),
+    ])
+    def test_long_runs_across_scratch_blocks(self, seed, offset, length):
+        np.testing.assert_array_equal(_philox_uniforms(seed, offset, length),
+                                      philox_reference(seed, offset + length)[offset:])
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 5000), st.integers(1, 40))
     @example(2**64 - 1, 4999, 40)
@@ -294,35 +305,86 @@ class TestPhiloxKernel:
 
 class TestUniformChunks:
     """Both sources of `uniform_chunks` give row i of
-    derive_rng(seed).random((n, cols)); the kernel runs up to the limit."""
+    derive_rng(seed).random((n, cols)); the kernel runs within the budget."""
+
+    @staticmethod
+    def draw(rows, cols, monkeypatch):
+        """The blocks of one run with seed 9, and the seeds numpy's path drew."""
+        numpy_seeds = []
+        monkeypatch.setattr(discrimination, "derive_rng", lambda seed: numpy_seeds.append(seed) or derive_rng(seed))
+        chunks = list(uniform_chunks(9, rows, cols))
+        assert [start for start, _ in chunks] == list(range(0, rows, discrimination.CHUNK_ROWS))
+        np.testing.assert_array_equal(np.vstack([block for _, block in chunks]), derive_rng(9).random((rows, cols)))
+        return numpy_seeds
 
     @pytest.mark.parametrize("cols", [4, 5, 8, 12])
-    @pytest.mark.parametrize("chunk_rows, limit", [
-        (discrimination.CHUNK_ROWS, discrimination.KERNEL_MAX_UNIFORMS),
-        # 7-row chunks start at every word offset mod 4; a smaller limit
+    @pytest.mark.parametrize("chunk_rows, budget", [
+        (discrimination.CHUNK_ROWS, discrimination.KERNEL_BUDGET),
+        # 7-row chunks start at every word offset mod 4; a smaller budget
         # keeps the number of kernel calls small
         (7, 1000),
     ])
-    def test_same_block_on_both_paths(self, cols, chunk_rows, limit, monkeypatch, without_numpy_random):
-        numpy_seeds = []
-        monkeypatch.setattr(discrimination, "derive_rng", lambda seed: numpy_seeds.append(seed) or derive_rng(seed))
+    def test_same_block_on_both_paths(self, cols, chunk_rows, budget, monkeypatch, without_numpy_random):
         monkeypatch.setattr(discrimination, "CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(discrimination, "KERNEL_MAX_UNIFORMS", limit)
-        n = limit // cols  # the longest run on the kernel path; one row more is on numpy's
-        reference = derive_rng(9).random((n + 1, cols))
+        monkeypatch.setattr(discrimination, "KERNEL_BUDGET", budget)
+        monkeypatch.setattr(discrimination, "KERNEL_RUN_FLOOR", 0)  # charged as in test_small_runs_are_charged_the_floor
+        n = budget // cols  # the longest run on the kernel path; one row more is on numpy's
         for rows, seeds in ((n, []), (n + 1, [9])):
-            numpy_seeds.clear()
-            chunks = list(uniform_chunks(9, rows, cols))
-            assert numpy_seeds == seeds
-            assert [start for start, _ in chunks] == list(range(0, rows, chunk_rows))
-            np.testing.assert_array_equal(np.vstack([block for _, block in chunks]), reference[:rows])
+            monkeypatch.setattr(discrimination, "_kernel_spent", 0)
+            assert self.draw(rows, cols, monkeypatch) == seeds
 
-    def test_loaded_numpy_random_draws_every_run(self, monkeypatch):
+    def test_a_run_past_what_is_left_draws_and_charges_nothing(self, monkeypatch, without_numpy_random):
+        left = 2 * discrimination.KERNEL_RUN_FLOOR
+        monkeypatch.setattr(discrimination, "_kernel_spent", discrimination.KERNEL_BUDGET - left)
+        assert self.draw(left // 4 + 1, 4, monkeypatch) == [9]
+        assert discrimination._kernel_spent == discrimination.KERNEL_BUDGET - left
+        assert self.draw(left // 4, 4, monkeypatch) == []  # still within what is left
+        assert discrimination._kernel_spent == discrimination.KERNEL_BUDGET
+
+    def test_small_runs_are_charged_the_floor(self, monkeypatch, without_numpy_random):
+        floor = discrimination.KERNEL_RUN_FLOOR
+        monkeypatch.setattr(discrimination, "_kernel_spent", discrimination.KERNEL_BUDGET - floor - 1)
+        assert self.draw(1, 4, monkeypatch) == []
+        assert discrimination._kernel_spent == discrimination.KERNEL_BUDGET - 1
+        assert self.draw(1, 4, monkeypatch) == [9]  # 4 uniforms fit, the floor does not
+
+    def test_loaded_numpy_random_draws_every_run(self, monkeypatch, without_numpy_random):
         # once numpy.random is loaded, its C Philox is the faster source at any size
         monkeypatch.setitem(sys.modules, "numpy.random", np.random)
         monkeypatch.setattr(discrimination, "_philox_uniforms", lambda *args: pytest.fail("kernel ran"))
-        (start, block), = uniform_chunks(9, 1, 4)
-        np.testing.assert_array_equal(block, derive_rng(9).random((1, 4)))
+        for rows in (1, discrimination.KERNEL_BUDGET // 4):
+            assert self.draw(rows, 4, monkeypatch) == [9]
+        assert discrimination._kernel_spent == 0
+
+    @staticmethod
+    def fresh_runs(runs):
+        """(charge so far, numpy.random loaded) after each (rows, cols) run
+        of `runs`, all in one fresh process."""
+        code = (
+            "import sys\n"
+            "from esdsim import discrimination as d\n"
+            f"for rows, cols in {runs!r}:\n"
+            "    list(d.uniform_chunks(1, rows, cols))\n"
+            "    print(d._kernel_spent, 'numpy.random' in sys.modules)"
+        )
+        paths = [str(Path(esdsim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                              timeout=120)
+        return [(int(spent), loaded == "True") for spent, loaded in map(str.split, done.stdout.splitlines())]
+
+    def test_two_runs_within_the_budget_but_not_together(self):
+        # the first run computes its uniforms, the second no longer fits, so
+        # it loads numpy.random, and every later run uses it
+        rows = discrimination.KERNEL_BUDGET // 2 + 1
+        assert self.fresh_runs([(rows, 1), (rows, 1), (1, 1)]) == [(rows, False), (rows, True), (rows, True)]
+
+    def test_many_small_runs_load_numpy_random(self):
+        # each one-trial mdiqkd run is charged the floor, not its 12 uniforms
+        budget, floor = discrimination.KERNEL_BUDGET, discrimination.KERNEL_RUN_FLOOR
+        kernel_runs = budget // floor
+        assert self.fresh_runs([(1, 12)] * (kernel_runs + 2)) == (
+            [(floor * (i + 1), False) for i in range(kernel_runs)] + [(budget, True)] * 2)
 
 
 class TestMcTrial:
