@@ -12,13 +12,12 @@ target: `teleport_run` draws each row's branch from one constant table and
 applies that branch's map alone, and `teleport_analysis` applies every map
 to one target and lists the branches as arrays.
 
-MDI-QKD: Alice encodes a value into a two-photon path-entangled pair, Bob
-into a single photon (path basis or its MUB), an untrusted relay measures the
-joint three-photon state and announces the outcome, and matched-basis
-conclusive trials become the sifted key, decoded by the [basis, conclusive
-index, Bob value] array `_decode_array`.  Trials sample, and the decode rule
-and the exact sift rate and QBER read, one `Measurement` of all 288 joint
-inputs, `_mdi_outcomes`.
+MDI-QKD, encoded once for every d: Bob sends a row of `basis_rows` (the path
+basis or its Fourier MUB), Alice the d-1 photons of `alice_encodings`, an
+untrusted relay measures the joint state and announces the outcome, and
+matched-basis conclusive trials become the sifted key.  At d = 3 trials
+sample, and the decode rule `_decode_array` and the exact sift rate and QBER
+read, one `Measurement` of all 288 joint inputs, `_mdi_outcomes`.
 
 The security-analysis (EDP) picture is implemented as well: conditioning the
 shared four-photon system (Alice's triple, keeping its time-bin-a photon,
@@ -38,7 +37,8 @@ from .discrimination import (
     DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, measure,
     sample_outcomes, search_keys, uniform_chunks,
 )
-from .states import OMEGA, minor_amplitudes, mub_amplitudes, pair_amplitudes, psi_amplitudes
+from .optics import build_dft
+from .states import OMEGA, phi_amplitudes, psi_amplitudes
 
 COMPUTATIONAL = "computational"
 MUB = "mub"
@@ -225,15 +225,20 @@ class QkdRunResult(NamedTuple):
 _FLIPS = (np.arange(8)[:, None] >> np.arange(3)) & 1
 
 
-def _alice_amplitudes() -> np.ndarray:
-    """Alice's two-photon encodings, indexed [basis, value, b port, c port].
-    Path basis: value x is pair_amplitudes((x + 1) mod 3), whose empty relay
-    port is x, so a conclusive matched trial has bob_value == alice_value.
-    MUB basis: psi0's kept photon projected onto the MUB bra and normalized,
-    which keeps the protocol statistically identical to the EDP picture."""
-    mub = np.tensordot(np.array([mub_amplitudes(x) for x in range(3)]).conj(), psi_amplitudes(0), axes=1)
-    mub /= np.sqrt(np.sum(np.abs(mub) ** 2, axis=(1, 2)))[:, None, None]
-    return np.array([[pair_amplitudes((x + 1) % 3) for x in range(3)], mub])
+def basis_rows(d: int) -> np.ndarray:
+    """The two key-distribution bases, indexed [basis, value, port]: the
+    path basis and its Fourier MUB (Cerf et al., PRL 88, 127902 (2002))."""
+    return np.stack([np.eye(d), build_dft(d)])
+
+
+def alice_encodings(d: int) -> np.ndarray:
+    """Alice's encodings, indexed [basis, value, ports of time-bins
+    1..d-1]: phi_0 = `phi_amplitudes(0, d)` with the time-bin-0 photon that
+    Alice keeps projected onto the basis bra, then normalized, as in the EDP
+    picture.  Path value x leaves port x empty, so a conclusive matched
+    trial has Bob's value equal to Alice's."""
+    projected = np.tensordot(basis_rows(d).conj(), phi_amplitudes(0, d), axes=1)
+    return projected / np.sqrt(np.sum(np.abs(projected) ** 2, axis=tuple(range(2, d + 1)), keepdims=True))
 
 
 @lru_cache(maxsize=1)
@@ -244,9 +249,8 @@ def _mdi_outcomes() -> Measurement:
     (Alice basis, x, Bob basis, y) as np.ravel_multi_index over (2, 3, 2, 3),
     with Bob's photon flipped as `_FLIPS[flip_bits]` says.  Cached for the
     process, so its arrays are read-only."""
-    alice = _alice_amplitudes()
-    bob = np.array([np.eye(3), [mub_amplitudes(y) for y in range(3)]])  # basis, y, port
-    bob = bob[:, :, None, :] * (1 - 2 * _FLIPS)  # basis, y, flip bits, port
+    alice = alice_encodings(3)
+    bob = basis_rows(3)[:, :, None, :] * (1 - 2 * _FLIPS)  # basis, y, flip bits, port
     m = measure((alice[:, :, None, None, None, None] * bob[..., None, None]).reshape(-1, 3, 3, 3), 3)
     for array in m[1:]:
         array.setflags(write=False)
@@ -343,9 +347,9 @@ def mdi_qkd_expectation(eta: float = 1.0, noise: float = 0.0) -> QkdExpectation:
 
 def generalized_conclusive_probability(d: int) -> float:
     """Analytic conclusive probability for inputs drawn uniformly from the
-    d*d encoding combinations of the generalized setup (one (d-1)-photon
-    block state from Alice, one time-bin-0 photon from Bob), evaluated
-    through the full measurement pipeline.  Equals 1/d."""
-    blocks = np.stack([minor_amplitudes(i, d) for i in range(d)])  # time-bins 1..d-1
-    inputs = np.eye(d)[None, :, :, None] * blocks.reshape(d, 1, 1, -1)  # block, Bob's port, time-bins 0..d-1
+    d*d path-basis encoding combinations of the generalized setup (one
+    value each for Alice and Bob), evaluated through the full measurement
+    pipeline.  Equals 1/d."""
+    blocks = alice_encodings(d)[0]  # value, time-bins 1..d-1
+    inputs = basis_rows(d)[0][None, :, :, None] * blocks.reshape(d, 1, 1, -1)  # value, Bob's port, time-bins 0..d-1
     return float(np.sum(conclusive_probabilities(measure(inputs.reshape((d * d,) + (d,) * d), d)))) / (d * d)

@@ -1,9 +1,10 @@
-"""The entangled-state families and MUB single-photon states.
+"""The entangled-state families.
 
 Each family is defined once as a dense amplitude array with one axis per
 photon, in time-bin order, indexed by port position (`psi_amplitudes`,
-`phi_amplitudes`, `minor_amplitudes`, `mub_amplitudes`, `pair_amplitudes`);
-every protocol and CLI path reads these arrays.
+`phi_amplitudes`); every protocol and CLI path reads these arrays.  The
+key-distribution encodings are derived from `phi_amplitudes` in
+`protocols`, which can also read the DFT from `optics`.
 
 Time-bin letters map a -> 0, b -> 1, c -> 2 (and onward for higher d), so the
 qutrit triple family (`psi_amplitudes`) and the general-d determinant family
@@ -36,13 +37,6 @@ def unit_root(d: int, exponent: int) -> complex:
 
 
 OMEGA = unit_root(3, 1)
-
-
-def _check_member(index: int, dim: int) -> None:
-    if dim < 2:
-        raise InvalidDimension(f"determinant family needs d >= 2, got {dim}")
-    if not 0 <= index < dim:
-        raise IndexOutOfRange(f"index must be 0..{dim - 1}, got {index}")
 
 
 @lru_cache(maxsize=None)
@@ -85,49 +79,13 @@ def phi_amplitudes(index: int, dim: int) -> np.ndarray:
     sgn(sigma) * chi^(index * sigma(0)) / sqrt(d!), chi = exp(2 pi i / d).
     The family is orthonormal and has d! nonzero amplitudes per member.
     """
-    _check_member(index, dim)
+    if dim < 2:
+        raise InvalidDimension(f"determinant family needs d >= 2, got {dim}")
+    if not 0 <= index < dim:
+        raise IndexOutOfRange(f"index must be 0..{dim - 1}, got {index}")
     perms, signs = permutation_table(dim)
     roots = np.array([unit_root(dim, index * port) for port in range(dim)])
     amps = np.zeros((dim,) * dim, dtype=complex)
     amps[tuple(perms.T)] = signs * roots[perms[:, 0]] * (1.0 / math.sqrt(math.factorial(dim)))
     return amps
 
-
-def minor_amplitudes(index: int, dim: int) -> np.ndarray:
-    """The (d-1)-photon determinant state over all d ports except port
-    `index`, one axis per photon of time-bins 1..d-1.
-
-    Those photons are antisymmetrized over the remaining ports in ascending
-    order.  These are the states one party sends in the generalized
-    key-distribution protocol.
-    """
-    _check_member(index, dim)
-    perms, signs = permutation_table(dim - 1)
-    remaining = np.array([k for k in range(dim) if k != index])
-    amps = np.zeros((dim,) * (dim - 1), dtype=complex)
-    amps[tuple(remaining[perms].T)] = signs * (1.0 / math.sqrt(math.factorial(dim - 1)))
-    return amps
-
-
-def mub_amplitudes(k: int) -> np.ndarray:
-    """Single-photon MUB state (1/sqrt(3)) sum_j omega^(k j) |j>.
-
-    Every member has overlap probability 1/3 with every path-basis state.
-    """
-    if not 0 <= k <= 2:
-        raise IndexOutOfRange(f"MUB index must be 0..2, got {k}")
-    scale = 1.0 / math.sqrt(3)
-    return np.array([unit_root(3, k * j) * scale for j in range(3)])
-
-
-def pair_amplitudes(x: int) -> np.ndarray:
-    """The two-photon path-entangled pair
-    (1/sqrt(2)) (|b_x, c_(x+1)> - |b_(x+1), c_x>), indices mod 3, as a
-    3 x 3 array over the ports of the b and c photons."""
-    if not 0 <= x <= 2:
-        raise IndexOutOfRange(f"pair index must be 0..2, got {x}")
-    scale = 1.0 / math.sqrt(2)
-    hi = (x + 1) % 3
-    amps = np.zeros((3, 3), dtype=complex)
-    amps[x, hi], amps[hi, x] = scale, -scale
-    return amps

@@ -6,10 +6,12 @@ This module builds the same states independently as sparse superpositions
 over Fock occupation configurations of labeled (time-bin, port) modes, and
 runs the generic creation-operator evolution (`apply_mode_unitary`), on-off
 detection (`detect_distribution`) and the parity projection on them.  It
-also holds sparse views of the state families, the conversion of a sparse
-state to a dense array (`dense_amplitudes`), the closed-form click table of
-the determinant family, and the sparse text and JSON forms of a state that
-`list-states` output is checked against.
+also holds term-by-term definitions of the minor, MUB and pair states that
+the package's key-distribution encodings are checked against, sparse views
+of the state families, the conversion of a sparse state to a dense array
+(`dense_amplitudes`), the closed-form click table of the determinant
+family, and the sparse text and JSON forms of a state that `list-states`
+output is checked against.
 
 Bosonic sqrt(n!) factors are applied explicitly, and every state prunes
 amplitudes at or below DEFAULT_TOLERANCE, the tolerance the dense
@@ -20,6 +22,8 @@ collect it.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ import numpy as np
 
 from esdsim.discrimination import DEFAULT_TOLERANCE, INCONCLUSIVE_CODE, click_codes, click_order
 from esdsim.errors import IndexOutOfRange
-from esdsim.states import minor_amplitudes, mub_amplitudes, pair_amplitudes, phi_amplitudes, psi_amplitudes
+from esdsim.states import phi_amplitudes, psi_amplitudes
 
 
 class OverlappingModes(ValueError):
@@ -491,6 +495,54 @@ def suppression_law(d: int) -> np.ndarray:
     return np.where(distinct, (missing - order[:, 0]) % d, INCONCLUSIVE_CODE)
 
 
+# -- term-by-term definitions -------------------------------------------------------
+
+
+def basis(*modes: tuple[int, int]) -> FockBasisState:
+    """One photon in each (time-bin, port) mode."""
+    return FockBasisState({ModeLabel(t, p): 1 for t, p in modes})
+
+
+def unit_root(d: int, exponent: int) -> complex:
+    return cmath.exp(2j * cmath.pi * (exponent % d) / d)
+
+
+def permutation_sign(perm: Sequence[int]) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def reference_minor(index: int, dim: int) -> PureState:
+    """The (d-1)-photon determinant state of time-bins 1..d-1 over every
+    port but `index`, antisymmetrized over the remaining ports in ascending
+    order."""
+    remaining = [p for p in range(dim) if p != index]
+    scale = 1.0 / math.sqrt(math.factorial(dim - 1))
+    return PureState(
+        {
+            basis(*((t + 1, remaining[perm[t]]) for t in range(dim - 1))): permutation_sign(perm) * scale
+            for perm in itertools.permutations(range(dim - 1))
+        }
+    )
+
+
+def reference_mub(timebin: int, k: int) -> PureState:
+    """The single-photon MUB state (1/sqrt(3)) sum_j omega^(k j) |j>."""
+    scale = 1.0 / math.sqrt(3)
+    return PureState({basis((timebin, j)): unit_root(3, k * j) * scale for j in range(3)})
+
+
+def reference_pair(x: int) -> PureState:
+    """The pair (1/sqrt(2)) (|b_x, c_(x+1)> - |b_(x+1), c_x>), indices mod 3."""
+    hi = (x + 1) % 3
+    scale = 1.0 / math.sqrt(2)
+    return PureState({basis((1, x), (2, hi)): scale, basis((1, hi), (2, x)): -scale})
+
+
 # -- sparse views of the dense state families ------------------------------------
 
 
@@ -535,26 +587,37 @@ def build_phi(index: int, dim: int) -> PureState:
     return _as_state(phi_amplitudes(index, dim), (range(dim),) * dim, 0)
 
 
+def _relabel(state: PureState, ports: Sequence[int]) -> PureState:
+    """`state` with every photon on port p moved to port ports[p]."""
+    return PureState(
+        (FockBasisState({ModeLabel(mode.timebin, ports[mode.port]): count for mode, count in term.items()}), amp)
+        for term, amp in state.items()
+    )
+
+
+def _check_index(name: str, index: int, n: int) -> None:
+    if not 0 <= index < n:
+        raise IndexOutOfRange(f"{name} must be 0..{n - 1}, got {index}")
+
+
 def build_minor(index: int, dim: int, ports: Sequence[int] | None = None) -> PureState:
-    """`minor_amplitudes(index, dim)` on the given ports (default 0..d-1):
+    """`reference_minor(index, dim)` on the given ports (default 0..d-1):
     empty on ports[index], time-bins 1..d-1."""
-    amps = minor_amplitudes(index, dim)
-    return _as_state(amps, (_check_ports(ports, dim),) * (dim - 1), 1)
+    _check_index("minor index", index, dim)
+    return _relabel(reference_minor(index, dim), _check_ports(ports, dim))
 
 
 def mub_state(timebin: int, k: int, ports: Sequence[int] = _QUTRIT_PORTS) -> PureState:
-    """`mub_amplitudes(k)` as a photon of the given time-bin on the given
-    ports."""
-    amps = mub_amplitudes(k)
-    if not 0 <= timebin <= 2:
-        raise IndexOutOfRange(f"time-bin must be 0..2, got {timebin}")
-    return _as_state(amps, (_check_ports(ports, 3),), timebin)
+    """`reference_mub(timebin, k)` on the given ports."""
+    _check_index("MUB index", k, 3)
+    _check_index("time-bin", timebin, 3)
+    return _relabel(reference_mub(timebin, k), _check_ports(ports, 3))
 
 
 def build_alice_pair(x: int, ports: Sequence[int] = _QUTRIT_PORTS) -> PureState:
-    """`pair_amplitudes(x)` as the b and c photons on the given ports."""
-    amps = pair_amplitudes(x)
-    return _as_state(amps, (_check_ports(ports, 3),) * 2, 1)
+    """`reference_pair(x)` as the b and c photons on the given ports."""
+    _check_index("pair index", x, 3)
+    return _relabel(reference_pair(x), _check_ports(ports, 3))
 
 
 def path_state(amps: Sequence[complex], ports: Sequence[int]) -> PureState:

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import math
 from functools import lru_cache
 
@@ -10,6 +11,7 @@ import esdsim.protocols as protocols
 from esdsim.discrimination import (
     POSTSELECT_FAIL_CODE,
     click_codes,
+    conclusive_probabilities,
     derive_rng,
     measure,
     outcome_name,
@@ -23,6 +25,8 @@ from esdsim.protocols import (
     COMPUTATIONAL,
     CORRECTION_PHASES,
     MUB,
+    alice_encodings,
+    basis_rows,
     edp_shared_state,
     generalized_conclusive_probability,
     haar_amplitudes,
@@ -33,7 +37,7 @@ from esdsim.protocols import (
     teleport_run,
 )
 from esdsim.protocols import _decode_array
-from esdsim.states import minor_amplitudes, mub_amplitudes, phi_amplitudes, psi_amplitudes
+from esdsim.states import phi_amplitudes, psi_amplitudes, unit_root
 from sparse_reference import (
     BOB_PORTS,
     ESD_PORTS,
@@ -107,19 +111,20 @@ def qkd_columns(run):
 
 
 class TestCorrections:
+    # on the MUB states, the rows of the DFT
     def test_identity_leaves_state_alone(self):
         assert np.all(CORRECTION_PHASES[0] == 1)
-        s = mub_amplitudes(1)
+        s = build_dft(3)[1]
         assert np.array_equal(s * CORRECTION_PHASES[0], s)
 
     def test_rotation_product_is_identity(self):
         assert np.abs(CORRECTION_PHASES[1] * CORRECTION_PHASES[2] - 1).max() < 1e-12
-        s = mub_amplitudes(1)
+        s = build_dft(3)[1]
         assert np.abs(s * CORRECTION_PHASES[1] * CORRECTION_PHASES[2] - s).max() < 1e-12
 
     def test_rotation_1_unwinds_linear_phases(self):
         # (1/sqrt 3) sum_j w^j |j>  ->  uniform superposition
-        assert equal_up_to_global_phase(mub_amplitudes(1) * CORRECTION_PHASES[1], mub_amplitudes(0), 1e-12)
+        assert equal_up_to_global_phase(build_dft(3)[1] * CORRECTION_PHASES[1], build_dft(3)[0], 1e-12)
 
 
 class TestTeleport:
@@ -206,7 +211,7 @@ class TestEncodings:
     def test_dense_encodings_match_sparse(self):
         # the dense encodings against the sparse ones; the MUB pair is the
         # sparse projection of the triple's kept photon
-        dense = protocols._alice_amplitudes()
+        dense = alice_encodings(3)
         for b, basis in enumerate(BASES):
             for x in range(3):
                 timebins, amps = dense_amplitudes(alice_send(basis, x), 3)
@@ -275,12 +280,13 @@ class TestGeneralizedSetup:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_two_line_argument(self, d):
-        # minor i with Bob's photon on port j passes the parity projection
-        # only for j = i, and then always; that input has weight exactly 1/d
-        # on every phi_k, each conclusive with probability 1, so of the d*d
-        # equally likely inputs d pass and every one is conclusive: 1/d
-        bob = np.eye(d)  # Bob's time-bin-0 photon on port j
-        inputs = np.stack([np.multiply.outer(bob[j], minor_amplitudes(i, d)) for i in range(d) for j in range(d)])
+        # Alice's path value i, empty on port i, with Bob's photon on port j
+        # passes the parity projection only for j = i, and then always; that
+        # input has weight exactly 1/d on every phi_k, each conclusive with
+        # probability 1, so of the d*d equally likely inputs d pass and every
+        # one is conclusive: 1/d
+        bob, alice = np.eye(d), alice_encodings(d)[0]  # Bob's time-bin-0 photon on port j
+        inputs = np.stack([np.multiply.outer(bob[j], alice[i]) for i in range(d) for j in range(d)])
         result = measure(inputs, d)
         assert np.abs(result.pass_prob.reshape(d, d) - np.eye(d)).max() <= 1e-12
         passed = inputs[:: d + 1].reshape(d, -1)  # j = i
@@ -289,6 +295,79 @@ class TestGeneralizedSetup:
         conclusive = result.probs[:: d + 1][:, click_codes(d) >= 0].sum(axis=1)
         assert np.abs(conclusive - 1).max() <= 1e-12
         assert abs(generalized_conclusive_probability(d) - 1 / d) <= 1e-12
+
+
+def key_distribution_measurement(d):
+    """The relay's measurement of every (Alice basis, x, Bob basis, y) input
+    at eta = 1 and no noise, rows in np.ravel_multi_index order over (2, d,
+    2, d): Bob's basis row at time-bin 0 times Alice's encoding at
+    time-bins 1..d-1."""
+    alice, bob = alice_encodings(d), basis_rows(d)
+    inputs = bob[None, None, :, :, :, None] * alice.reshape(2, d, 1, 1, 1, -1)
+    return measure(inputs.reshape((4 * d * d,) + (d,) * d), d)
+
+
+class TestKeyDistributionModel:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_unique_decoding_and_sift_rate(self, d):
+        # in both bases every (conclusive index, Bob value) cell names
+        # exactly one Alice value, so a noiseless sifted key has no errors,
+        # and the matched conclusive rate is the 1/(2d) that keyrate's
+        # R = r_d / (2d) assumes
+        conclusive = conclusive_probabilities(key_distribution_measurement(d)).reshape(2, d, 2, d, d)
+        matched = np.stack([conclusive[b, :, b] for b in range(2)])  # basis, x, y, index
+        support = matched.transpose(0, 3, 2, 1) > 1e-12  # basis, index, y, x
+        assert (support.sum(axis=-1) == 1).all()
+        assert abs(matched.sum() / (4 * d * d) - 1 / (2 * d)) <= 1e-15
+        if d == 3:
+            np.testing.assert_array_equal(np.argmax(support, axis=-1), _decode_array())
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_edp_equivalence(self, d):
+        # Alice's basis measurement of her kept photon leaves each encoding
+        # with weight 1/d, so the encodings rebuild phi_0.  The relay holds
+        # Bob's half of (1/sqrt d) sum_j |j, j> at time-bin 0 and Alice's
+        # photons at time-bins 1..d-1; its projection onto phi_i has weight
+        # 1/d^2, and undoing phi_i's twist chi^(ij) on Bob's port j leaves
+        # the parties the maximally entangled pair
+        pair = np.eye(d) / np.sqrt(d)
+        rest = list(range(1, d))
+        for rows, encodings in zip(basis_rows(d), alice_encodings(d)):
+            phi0 = np.tensordot(rows.T, encodings, axes=1) / np.sqrt(d)
+            assert np.abs(phi0 - phi_amplitudes(0, d)).max() <= 1e-15
+            for i in range(d):
+                shared = np.tensordot(phi0, phi_amplitudes(i, d).conj(), axes=(rest, rest)) / np.sqrt(d)
+                assert abs(np.sum(np.abs(shared) ** 2) - 1 / d**2) <= 1e-15
+                shared *= [unit_root(d, i * j) for j in range(d)]
+                assert abs(abs(np.sum(pair * shared)) / np.linalg.norm(shared) - 1) <= 1e-15
+
+
+class TestPinnedTables:
+    # the d = 3 tables and the generalized conclusive probability, bit for
+    # bit as they were before the encodings were merged into one formula; a
+    # last-bit drift that no sampled trial crosses would pass the CSV digests
+
+    def test_mdi_outcomes(self):
+        m = protocols._mdi_outcomes()
+        digests = [hashlib.sha256(array.tobytes()).hexdigest() for array in (m.pass_prob, m.amplitudes, m.probs)]
+        assert digests == [
+            "673d587fc2944166b81c83744b8d1fba73990fe4f84214cb67c84ae1e5144ccc",
+            "ab5e66a19481914ed80e15408faa4a42d7edeff8f8e37997b68f9dbb8b329dd4",
+            "e71633a8144acc74d757cf10b0413f21e07c0cb1b0c9d90e6b8e1fecb8655501",
+        ]
+        assert (
+            hashlib.sha256(_decode_array().tobytes()).hexdigest()
+            == "0bd79afc29f8b1a53d4dad807fda1007ba0361f48cdbaa348413fcaee9068d54"
+        )
+
+    def test_generalized_conclusive_probability(self):
+        assert [generalized_conclusive_probability(d).hex() for d in range(2, 7)] == [
+            "0x1.ffffffffffffcp-2",
+            "0x1.555555555555ap-2",
+            "0x1.0000000000001p-2",
+            "0x1.99999999999a5p-3",
+            "0x1.555555555555fp-3",
+        ]
 
 
 def direct_teleport_branches(target):

@@ -6,22 +6,15 @@ import numpy as np
 import pytest
 
 from esdsim.errors import IndexOutOfRange, InvalidDimension
-from esdsim.states import (
-    OMEGA,
-    minor_amplitudes,
-    mub_amplitudes,
-    pair_amplitudes,
-    permutation_table,
-    phi_amplitudes,
-    psi_amplitudes,
-)
+from esdsim.optics import build_dft
+from esdsim.protocols import alice_encodings
+from esdsim.states import OMEGA, permutation_table, phi_amplitudes, psi_amplitudes
 from sparse_reference import (
     BOB_PORTS,
     ESD_PORTS,
-    FockBasisState,
-    ModeLabel,
     PureState,
     apply_phases,
+    basis,
     build_alice_pair,
     build_minor,
     build_phi,
@@ -29,28 +22,16 @@ from sparse_reference import (
     dense_amplitudes,
     inner_product,
     mub_state,
+    permutation_sign,
     port_occupancy,
+    reference_minor,
+    reference_mub,
+    reference_pair,
+    unit_root,
 )
 
 
-def basis(*modes):
-    return FockBasisState({ModeLabel(t, p): 1 for t, p in modes})
-
-
 # -- reference: the families built term by term ----------------------------------
-
-
-def unit_root(d, exponent):
-    return cmath.exp(2j * cmath.pi * (exponent % d) / d)
-
-
-def permutation_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def reference_psi(index, ports=(0, 1, 2), a_ports=None):
@@ -77,28 +58,6 @@ def reference_phi(index, dim):
     )
 
 
-def reference_minor(index, dim):
-    remaining = [p for p in range(dim) if p != index]
-    scale = 1.0 / math.sqrt(math.factorial(dim - 1))
-    return PureState(
-        {
-            basis(*((t + 1, remaining[perm[t]]) for t in range(dim - 1))): permutation_sign(perm) * scale
-            for perm in itertools.permutations(range(dim - 1))
-        }
-    )
-
-
-def reference_mub(timebin, k):
-    scale = 1.0 / math.sqrt(3)
-    return PureState({basis((timebin, j)): unit_root(3, k * j) * scale for j in range(3)})
-
-
-def reference_pair(x):
-    hi = (x + 1) % 3
-    scale = 1.0 / math.sqrt(2)
-    return PureState({basis((1, x), (2, hi)): scale, basis((1, hi), (2, x)): -scale})
-
-
 class TestDenseDefinitions:
     """Each dense array equals, bit for bit, the dense form of the family
     built term by term, and each sparse builder is its view."""
@@ -109,20 +68,27 @@ class TestDenseDefinitions:
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_phi_and_minor(self, d):
+        # path value i of the encodings is the minor state empty on port i,
+        # of sign (-1)^i
+        path = alice_encodings(d)[0]
         for i in range(d):
             assert np.array_equal(phi_amplitudes(i, d), dense_amplitudes(reference_phi(i, d), d)[1])
-            assert np.array_equal(minor_amplitudes(i, d), dense_amplitudes(reference_minor(i, d), d)[1])
+            timebins, amps = dense_amplitudes(reference_minor(i, d), d)
+            assert timebins == tuple(range(1, d))
+            assert np.array_equal((-1) ** i * path[i], amps)
 
     def test_mub(self):
+        # the conjugate basis: the rows of the DFT
         for timebin in range(3):
             for k in range(3):
                 timebins, amps = dense_amplitudes(reference_mub(timebin, k), 3)
                 assert timebins == (timebin,)
-                assert np.array_equal(mub_amplitudes(k), amps)
+                assert np.array_equal(build_dft(3)[k], amps)
 
     def test_pair(self):
+        # path value x is the published pair with its empty port x
         for x in range(3):
-            assert np.array_equal(pair_amplitudes(x), dense_amplitudes(reference_pair(x), 3)[1])
+            assert np.array_equal(alice_encodings(3)[0, x], dense_amplitudes(reference_pair((x + 1) % 3), 3)[1])
 
     def test_relocated_psi_terms(self):
         moved = build_psi(0, ports=ESD_PORTS, a_ports=BOB_PORTS)
