@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AmbiguousPattern
 from .optics import build_dft, evolve_axes
-from .states import permutation_table, phi_amplitudes, psi_amplitudes
+from .states import family_index, permutation_table, phi_amplitudes
 
 # Amplitudes of at most this magnitude are exact interference zeros left as
 # float dust: `measure` gives their click patterns probability 0, and the
@@ -105,13 +105,13 @@ def click_codes(d: int) -> np.ndarray:
     `click_order`, from one `measure` call over the d discriminable states.
 
     A pattern in the support (probability above 1e-12) of state i gets code
-    i, any other INCONCLUSIVE_CODE.  At d = 3 the states are the published
-    qutrit triple, whose indices 1 and 2 are swapped relative to the
-    determinant family, so downstream corrections key off the published
-    index.  Raises AmbiguousPattern if two supports share a pattern: that
-    would falsify the discrimination claim, so the build aborts.
+    i, any other INCONCLUSIVE_CODE.  State i is the determinant-family
+    member `family_index(i, d)`, so at d = 3 the codes are the published
+    qutrit triple's indices.  Raises AmbiguousPattern if two supports share
+    a pattern: that would falsify the discrimination claim, so the build
+    aborts.
     """
-    sources = np.stack([psi_amplitudes(index) if d == 3 else phi_amplitudes(index, d) for index in range(d)])
+    sources = np.stack([phi_amplitudes(family_index(code, d), d) for code in range(d)])
     support = measure(sources, d).probs > 1e-12
     shared = np.flatnonzero(support.sum(axis=0) > 1)
     if len(shared):

@@ -6,11 +6,10 @@ Per sifted signal the rate is
 
 which at d = 3 reduces to log2(3) - 2Q - 2H(Q).  Per total signal the rate is
 R = r_d / (2d): a factor 1/d for the discrimination success probability and
-1/2 for the basis match.  For d = 2..5 the factor rests on the simulated
-protocol (`TestKeyDistributionModel` in tests/test_protocols.py): with the
-encodings of `protocols` and eta = 1, matched-basis conclusive trials occur
-at rate 1/(2d) and decode uniquely.  The bound is evaluated as the
-operational rate.
+1/2 for the basis match.  The factor rests on the simulated protocol at any
+d: `protocols.mdi_qkd_expectation(1, 0, d)` gives the sift rate 1/(2d), and
+`protocols._decode_array(d)` decodes every sifted symbol uniquely.  The
+bound is evaluated as the operational rate.
 
 Raw (possibly negative) values are what the root finder sees; clamping to
 zero happens only in table output, mirroring how the curves are plotted.

@@ -15,15 +15,17 @@ to one target and lists the branches as arrays.
 MDI-QKD, encoded once for every d: Bob sends a row of `basis_rows` (the path
 basis or its Fourier MUB), Alice the d-1 photons of `alice_encodings`, an
 untrusted relay measures the joint state and announces the outcome, and
-matched-basis conclusive trials become the sifted key.  At d = 3 trials
-sample, and the decode rule `_decode_array` and the exact sift rate and QBER
-read, one `Measurement` of all 288 joint inputs, `_mdi_outcomes`.
+matched-basis conclusive trials become the sifted key.  At any d the decode
+rule and the exact sift rate and QBER read `_noiseless_model`, the phase-flip
+channel being an exact mixture of its rows; at d = 3 trials sample
+`_mdi_outcomes`, all 288 joint inputs with Bob's photon flipped.
 
-The security-analysis (EDP) picture is implemented as well: conditioning the
-shared four-photon system (Alice's triple, keeping its time-bin-a photon,
-and a `maximally_entangled_pair` of whose photons Bob keeps one) on each
-conclusive relay outcome and applying the published correction must leave
-the two parties holding that same maximally entangled pair.
+The security-analysis (EDP) picture is implemented as well, at any d:
+conditioning the shared system (Alice's phi_0, keeping its time-bin-0
+photon, and a `maximally_entangled_pair` of whose photons Bob keeps one) on
+each conclusive relay outcome and applying that outcome's row of
+`corrections` must leave the two parties holding that same maximally
+entangled pair.
 """
 
 from __future__ import annotations
@@ -38,16 +40,21 @@ from .discrimination import (
     sample_outcomes, search_keys, uniform_chunks,
 )
 from .optics import build_dft
-from .states import OMEGA, phi_amplitudes, psi_amplitudes
+from .states import family_index, phi_amplitudes, psi_amplitudes, unit_root
 
 COMPUTATIONAL = "computational"
 MUB = "mub"
 
 
-# Receiver's correction for conclusive outcome i: row i holds the per-port
-# phases of a diagonal path rotation, diag(1, w^2, w) for i = 1 and its
-# square for i = 2, w = exp(2 pi i / 3).
-CORRECTION_PHASES = np.array([[1, 1, 1], [1, OMEGA**2, OMEGA], [1, OMEGA, OMEGA**2]])
+def corrections(d: int) -> np.ndarray:
+    """The receiver's correction for each conclusive outcome i: row i holds
+    the port phases chi^(m j), m = `family_index(i, d)`, that undo the twist
+    chi^(-m j) the projection onto family member m leaves on port j."""
+    chi = unit_root(d, 1)
+    return np.array([[chi ** (family_index(i, d) * j % d) for j in range(d)] for i in range(d)])
+
+
+CORRECTION_PHASES = corrections(3)
 
 
 # -- teleportation ------------------------------------------------------------
@@ -175,23 +182,25 @@ def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 # -- EDP security picture ------------------------------------------------------
 
 
-def maximally_entangled_pair() -> np.ndarray:
-    """(1/sqrt(3)) sum_j |j, j>, indexed [Alice port, Bob port]."""
-    return np.eye(3) / np.sqrt(3)
+def maximally_entangled_pair(d: int = 3) -> np.ndarray:
+    """(1/sqrt(d)) sum_j |j, j>, indexed [Alice port, Bob port]."""
+    return np.eye(d) / np.sqrt(d)
 
 
-def edp_shared_state(charlie_outcome: int) -> np.ndarray:
+def edp_shared_state(charlie_outcome: int, d: int = 3) -> np.ndarray:
     """The parties' state, normalized and indexed [Alice port, Bob port],
-    after the relay projects its three photons onto triple
-    `charlie_outcome` and Bob applies that outcome's correction.  The relay
-    holds the time-bin-a photon of Bob's pair (1/sqrt(3)) sum_j |j>|Bob j>
-    and the b and c photons of Alice's psi0, whose time-bin-a photon Alice
-    keeps.  The result equals `maximally_entangled_pair()` up to a global
-    phase."""
-    if not 0 <= charlie_outcome <= 2:
-        raise ValueError(f"conclusive outcome must be 0..2, got {charlie_outcome}")
-    projected = np.einsum("jbc,abc->aj", psi_amplitudes(charlie_outcome).conj(), psi_amplitudes(0)) / np.sqrt(3)
-    shared = projected * CORRECTION_PHASES[charlie_outcome]
+    after the relay projects its d photons onto family member
+    `family_index(charlie_outcome, d)` and Bob applies row `charlie_outcome`
+    of `corrections(d)`.  The relay holds the time-bin-0 photon of Bob's
+    pair (1/sqrt(d)) sum_j |j>|Bob j> and time-bins 1..d-1 of Alice's
+    `phi_amplitudes(0, d)`, whose time-bin-0 photon Alice keeps.  The result
+    equals `maximally_entangled_pair(d)` up to a global phase."""
+    if not 0 <= charlie_outcome < d:
+        raise ValueError(f"conclusive outcome must be 0..{d - 1}, got {charlie_outcome}")
+    rest = list(range(1, d))
+    member = phi_amplitudes(family_index(charlie_outcome, d), d)
+    projected = np.tensordot(phi_amplitudes(0, d), member.conj(), axes=(rest, rest)) / np.sqrt(d)
+    shared = projected * corrections(d)[charlie_outcome]
     return shared / np.linalg.norm(shared)
 
 
@@ -220,8 +229,7 @@ class QkdRunResult(NamedTuple):
     qber: float
 
 
-# Flip bits -> flipped relay ports: bit k of a row's flip bits negates Bob's
-# photon on relay port k.
+# Bit k of a row's flip bits negates Bob's photon on relay port k.
 _FLIPS = (np.arange(8)[:, None] >> np.arange(3)) & 1
 
 
@@ -241,30 +249,43 @@ def alice_encodings(d: int) -> np.ndarray:
     return projected / np.sqrt(np.sum(np.abs(projected) ** 2, axis=tuple(range(2, d + 1)), keepdims=True))
 
 
+def _joint_inputs(d: int, bob: np.ndarray) -> np.ndarray:
+    """Alice's encodings times Bob's photons `bob` ([..., port]), one input
+    per row with an axis per time-bin (Bob's photon is time-bin 0), rows in
+    C order over (Alice basis, x) and then bob's leading axes."""
+    alice = alice_encodings(d).reshape((2, d) + (1,) * bob.ndim + (-1,))
+    return (alice * bob[..., None]).reshape((-1,) + (d,) * d)
+
+
 @lru_cache(maxsize=1)
 def _mdi_outcomes() -> Measurement:
-    """The relay's measurement of all 288 joint inputs, one dense input per
-    row with an axis per time-bin (Bob's photon is time-bin 0, Alice's 1
-    and 2).  Row input_code * 8 + flip_bits holds the input whose code packs
-    (Alice basis, x, Bob basis, y) as np.ravel_multi_index over (2, 3, 2, 3),
-    with Bob's photon flipped as `_FLIPS[flip_bits]` says.  Cached for the
-    process, so its arrays are read-only."""
-    alice = alice_encodings(3)
-    bob = basis_rows(3)[:, :, None, :] * (1 - 2 * _FLIPS)  # basis, y, flip bits, port
-    m = measure((alice[:, :, None, None, None, None] * bob[..., None, None]).reshape(-1, 3, 3, 3), 3)
+    """The relay's measurement of all 288 joint inputs at d = 3: row
+    input_code * 8 + flip_bits holds input (Alice basis, x, Bob basis, y),
+    raveled over (2, 3, 2, 3), with Bob's photon flipped as
+    `_FLIPS[flip_bits]` says.  Cached for the process, so read-only."""
+    m = measure(_joint_inputs(3, basis_rows(3)[:, :, None] * (1 - 2 * _FLIPS)), 3)
     for array in m[1:]:
         array.setflags(write=False)
     return m
 
 
-@lru_cache(maxsize=1)
-def _decode_array() -> np.ndarray:
+@lru_cache(maxsize=None)
+def _noiseless_model(d: int) -> np.ndarray:
+    """The noiseless protocol: conclusive probabilities of the 4d^2 joint
+    inputs when every device works, indexed [Alice basis, x, Bob basis, y,
+    conclusive index].  Cached for the process, so it is read-only."""
+    model = conclusive_probabilities(measure(_joint_inputs(d, basis_rows(d)), d)).reshape(2, d, 2, d, d)
+    model.setflags(write=False)
+    return model
+
+
+@lru_cache(maxsize=None)
+def _decode_array(d: int = 3) -> np.ndarray:
     """Analytic decode rule, indexed [basis, conclusive index, Bob value]:
     for each entry exactly one Alice value gives that outcome nonzero
     probability in the noiseless protocol; the relay announcement plus
-    Bob's own value identify it."""
-    noiseless = conclusive_probabilities(_mdi_outcomes())[::8].reshape(2, 3, 2, 3, 3)  # a basis, x, b basis, y, index
-    support = np.stack([noiseless[b, :, b] for b in range(2)]).transpose(0, 3, 2, 1) > 0  # basis, index, y, x
+    Bob's own value identify it.  Cached for the process, so read-only."""
+    support = np.einsum("bxbyi->biyx", _noiseless_model(d)) > 0  # matched bases
     ambiguous = np.argwhere(support.sum(axis=-1) != 1)
     if len(ambiguous):
         b, i, y = ambiguous[0].tolist()
@@ -315,7 +336,7 @@ def mdi_qkd_run(n_trials: int, eta: float = 1.0, noise: float = 0.0, seed: int =
         outcome_codes[rows] = sample_outcomes(_mdi_outcomes(), keys, inputs * 8 + flip_bits, eta, u[:, 7:12])
 
     sifted = (mub[:, 0] == mub[:, 1]) & (outcome_codes >= 0)
-    bob_symbols = _decode_array()[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]
+    bob_symbols = _decode_array(3)[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]
     n_sifted = int(sifted.sum())
     n_errors = int((sifted & (bob_symbols != values[:, 0])).sum())
     qber = n_errors / n_sifted if n_sifted else 0.0
@@ -329,18 +350,20 @@ class QkdExpectation(NamedTuple):
     qber: float
 
 
-def mdi_qkd_expectation(eta: float = 1.0, noise: float = 0.0) -> QkdExpectation:
-    """The exact sift rate and QBER that `mdi_qkd_run` samples: a sum over
-    the 288 rows of `_mdi_outcomes`, each weighted by its input's
-    probability (1/36) p^k (1 - p)^(3 - k), p = `noise` and k the number of
-    phase flips."""
+def mdi_qkd_expectation(eta: float = 1.0, noise: float = 0.0, d: int = 3) -> QkdExpectation:
+    """The exact sift rate and QBER in dimension d, which `mdi_qkd_run`
+    samples at d = 3: each of the 4d^2 inputs has probability 1/(4d^2).  The
+    phase flips (each port negates Bob's photon with probability p =
+    `noise`) map his state rho to lam rho + (1 - lam) diag(|b_k|^2), lam =
+    (1 - 2p)^2, so an input weighs lam times its `_noiseless_model` row plus
+    1 - lam times the rows of Bob's path values k, weighted |b_k|^2."""
     _check_probability("eta", eta)
     _check_probability("noise", noise)
-    weights = np.prod(np.where(_FLIPS == 1, noise, 1 - noise), axis=1)  # per flip bits
-    a_basis, x, b_basis, y, _ = np.unravel_index(np.arange(288), (2, 3, 2, 3, 8))
-    matched = (a_basis == b_basis)[:, None]
-    errors = _decode_array()[a_basis[:, None], np.arange(3), y[:, None]] != x[:, None]
-    conclusive = eta**3 * np.tile(weights, 36)[:, None] / 36 * conclusive_probabilities(_mdi_outcomes()) * matched
+    model, lam = _noiseless_model(d), (1 - 2 * noise) ** 2
+    dephased = np.einsum("byk,bxki->bxyi", np.abs(basis_rows(d)) ** 2, model[:, :, 0])
+    matched = lam * np.einsum("bxbyi->bxyi", model) + (1 - lam) * dephased  # basis, x, y, index
+    errors = _decode_array(d).transpose(0, 2, 1)[:, None] != np.arange(d)[:, None, None]  # basis, x, y, index
+    conclusive = eta**d / (4 * d * d) * matched
     sift_rate = float(conclusive.sum())
     return QkdExpectation(sift_rate, float((conclusive * errors).sum()) / sift_rate if sift_rate else 0.0)
 
@@ -349,7 +372,6 @@ def generalized_conclusive_probability(d: int) -> float:
     """Analytic conclusive probability for inputs drawn uniformly from the
     d*d path-basis encoding combinations of the generalized setup (one
     value each for Alice and Bob), evaluated through the full measurement
-    pipeline.  Equals 1/d."""
-    blocks = alice_encodings(d)[0]  # value, time-bins 1..d-1
-    inputs = basis_rows(d)[0][None, :, :, None] * blocks.reshape(d, 1, 1, -1)  # value, Bob's port, time-bins 0..d-1
-    return float(np.sum(conclusive_probabilities(measure(inputs.reshape((d * d,) + (d,) * d), d)))) / (d * d)
+    pipeline on a copy of those rows (freeing the MUB rows).  Equals 1/d."""
+    inputs = _joint_inputs(d, basis_rows(d)[0])[: d * d].copy()  # Alice's path value x, then Bob's y
+    return float(np.sum(conclusive_probabilities(measure(inputs, d)))) / (d * d)

@@ -13,10 +13,8 @@ qutrit triple family (`psi_amplitudes`) and the general-d determinant family
 `phi_amplitudes` expands the plain (unsigned) d x d determinant of creation
 operators: the index-0 member is the fully antisymmetric one-photon-per-port
 state, and member i applies the diagonal phase chi^(i*j) to the component
-whose time-bin-0 photon sits on the j-th port.  At d = 3 this family equals
-the qutrit triple states {psi_0, psi_2, psi_1} term for term; the index swap
-1 <-> 2 comes from the two families' conjugate phase conventions
-(omega^(2ij) versus chi^(ij)).
+whose time-bin-0 photon sits on the j-th port.  The qutrit triple is built
+from it: `family_index` maps a published index to its family member.
 """
 
 from __future__ import annotations
@@ -36,7 +34,13 @@ def unit_root(d: int, exponent: int) -> complex:
     return cmath.exp(2j * cmath.pi * (exponent % d) / d)
 
 
-OMEGA = unit_root(3, 1)
+def family_index(code: int, d: int) -> int:
+    """The `phi_amplitudes` member that relay code `code` names in
+    dimension d: at d = 3 the published qutrit triple's indices 1 and 2 are
+    swapped relative to the family, since the two phase conventions are
+    conjugate (omega^(2ij) versus chi^(ij)), so code c is member -c mod 3;
+    at any other d it is member `code`."""
+    return -code % 3 if d == 3 else code
 
 
 @lru_cache(maxsize=None)
@@ -54,22 +58,14 @@ def psi_amplitudes(index: int) -> np.ndarray:
     """One of the nine tripartite entangled qutrit states as a 3 x 3 x 3
     array over the ports of the a, b and c photons.
 
-    Members 0..2 put every photon in a separate port; members 3..8 bunch two
-    time-bins into one port.
+    Members 0..2 put every photon in a separate port: member i is the
+    determinant-family member `family_index(i, 3)`.  Member 3k + i moves
+    the b and c photons of member i from port p to port p - k (mod 3),
+    bunching two time-bins into one port.
     """
     if not 0 <= index <= 8:
         raise IndexOutOfRange(f"qutrit triple index must be 0..8, got {index}")
-    family, i = divmod(index, 3)
-    # per family: port offsets of the (b, c) photons relative to j, first and
-    # second summand of the antisymmetric pair
-    bc_offsets = {0: ((1, 2), (2, 1)), 1: ((0, 1), (1, 0)), 2: ((2, 0), (0, 2))}[family]
-    amps = np.zeros((3, 3, 3), dtype=complex)
-    scale = 1.0 / math.sqrt(6)
-    for j in range(3):
-        phase = unit_root(3, 2 * i * j) * scale
-        for sign, (db, dc) in zip((1, -1), bc_offsets):
-            amps[j, (j + db) % 3, (j + dc) % 3] = sign * phase
-    return amps
+    return np.roll(phi_amplitudes(family_index(index % 3, 3), 3), -(index // 3), axis=(1, 2))
 
 
 def phi_amplitudes(index: int, dim: int) -> np.ndarray:

@@ -186,15 +186,14 @@ def test_mc_sift_rate_matches_model():
 @pytest.mark.parametrize("eta", [1.0, 0.9, 0.7])
 def test_sifted_rate_is_the_simulated_measurement(d, eta):
     # the proposed setup's sifted rate is the simulated conclusive
-    # probability times the d parity devices' eta^d, and at d = 3 twice the
-    # exact MDI-QKD sift rate (half the trials match bases); its gain over
+    # probability times the d parity devices' eta^d, and twice the exact
+    # MDI-QKD sift rate (half the trials match bases); its gain over
     # the filter's 1/d^2 is d eta^d, the paper's factor of three at d = 3
     from esdsim.protocols import generalized_conclusive_probability, mdi_qkd_expectation
 
     proposed = sifted_rate("proposed_esd", d, eta)
     assert abs(proposed - eta**d * generalized_conclusive_probability(d)) <= 1e-15
-    if d == 3:
-        assert abs(proposed - 2 * mdi_qkd_expectation(eta).sift_rate) <= 1e-15
+    assert abs(proposed - 2 * mdi_qkd_expectation(eta, 0, d).sift_rate) <= 1e-15
     gain = proposed / sifted_rate("bell_filter", d)
     assert abs(gain - d * eta**d) <= 1e-15 * d
     if (d, eta) == (3, 1.0):

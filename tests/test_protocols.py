@@ -11,7 +11,6 @@ import esdsim.protocols as protocols
 from esdsim.discrimination import (
     POSTSELECT_FAIL_CODE,
     click_codes,
-    conclusive_probabilities,
     derive_rng,
     measure,
     outcome_name,
@@ -37,7 +36,7 @@ from esdsim.protocols import (
     teleport_run,
 )
 from esdsim.protocols import _decode_array
-from esdsim.states import phi_amplitudes, psi_amplitudes, unit_root
+from esdsim.states import phi_amplitudes, psi_amplitudes
 from sparse_reference import (
     BOB_PORTS,
     ESD_PORTS,
@@ -297,49 +296,36 @@ class TestGeneralizedSetup:
         assert abs(generalized_conclusive_probability(d) - 1 / d) <= 1e-12
 
 
-def key_distribution_measurement(d):
-    """The relay's measurement of every (Alice basis, x, Bob basis, y) input
-    at eta = 1 and no noise, rows in np.ravel_multi_index order over (2, d,
-    2, d): Bob's basis row at time-bin 0 times Alice's encoding at
-    time-bins 1..d-1."""
-    alice, bob = alice_encodings(d), basis_rows(d)
-    inputs = bob[None, None, :, :, :, None] * alice.reshape(2, d, 1, 1, 1, -1)
-    return measure(inputs.reshape((4 * d * d,) + (d,) * d), d)
-
-
 class TestKeyDistributionModel:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_unique_decoding_and_sift_rate(self, d):
-        # in both bases every (conclusive index, Bob value) cell names
-        # exactly one Alice value, so a noiseless sifted key has no errors,
-        # and the matched conclusive rate is the 1/(2d) that keyrate's
-        # R = r_d / (2d) assumes
-        conclusive = conclusive_probabilities(key_distribution_measurement(d)).reshape(2, d, 2, d, d)
-        matched = np.stack([conclusive[b, :, b] for b in range(2)])  # basis, x, y, index
-        support = matched.transpose(0, 3, 2, 1) > 1e-12  # basis, index, y, x
-        assert (support.sum(axis=-1) == 1).all()
-        assert abs(matched.sum() / (4 * d * d) - 1 / (2 * d)) <= 1e-15
-        if d == 3:
-            np.testing.assert_array_equal(np.argmax(support, axis=-1), _decode_array())
+        # each (basis, conclusive index, Bob value) names one Alice value
+        # (else `_decode_array` raises), each value once; at any noise the
+        # sift rate is the eta^d / (2d) that keyrate's R = r_d / (2d) assumes,
+        # and phase flips err only in the MUB: QBER 2p(1 - p)(d - 1)/d
+        assert (np.sort(_decode_array(d), axis=-1) == np.arange(d)).all()
+        for eta in (1.0, 0.9, 0.7):
+            for p in (0.0, 0.1, 0.5, 1.0):
+                exact = mdi_qkd_expectation(eta, p, d)
+                assert abs(exact.sift_rate - eta**d / (2 * d)) <= 1e-15
+                assert abs(exact.qber - 2 * p * (1 - p) * (d - 1) / d) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_edp_equivalence(self, d):
         # Alice's basis measurement of her kept photon leaves each encoding
         # with weight 1/d, so the encodings rebuild phi_0.  The relay holds
         # Bob's half of (1/sqrt d) sum_j |j, j> at time-bin 0 and Alice's
-        # photons at time-bins 1..d-1; its projection onto phi_i has weight
-        # 1/d^2, and undoing phi_i's twist chi^(ij) on Bob's port j leaves
-        # the parties the maximally entangled pair
-        pair = np.eye(d) / np.sqrt(d)
+        # photons at time-bins 1..d-1; its projection onto each phi_i has
+        # weight 1/d^2, and corrected leaves the maximally entangled pair
         rest = list(range(1, d))
         for rows, encodings in zip(basis_rows(d), alice_encodings(d)):
             phi0 = np.tensordot(rows.T, encodings, axes=1) / np.sqrt(d)
             assert np.abs(phi0 - phi_amplitudes(0, d)).max() <= 1e-15
             for i in range(d):
-                shared = np.tensordot(phi0, phi_amplitudes(i, d).conj(), axes=(rest, rest)) / np.sqrt(d)
-                assert abs(np.sum(np.abs(shared) ** 2) - 1 / d**2) <= 1e-15
-                shared *= [unit_root(d, i * j) for j in range(d)]
-                assert abs(abs(np.sum(pair * shared)) / np.linalg.norm(shared) - 1) <= 1e-15
+                projected = np.tensordot(phi0, phi_amplitudes(i, d).conj(), axes=(rest, rest)) / np.sqrt(d)
+                assert abs(np.sum(np.abs(projected) ** 2) - 1 / d**2) <= 1e-15
+        for i in range(d):
+            assert equal_up_to_global_phase(edp_shared_state(i, d), maximally_entangled_pair(d), 1e-15)
 
 
 class TestPinnedTables:
@@ -453,14 +439,16 @@ class TestReadOnlyCaches:
             np.testing.assert_array_equal(column, again)
 
     def test_mdi_outcomes(self):
-        before = mdi_qkd_run(2000, eta=0.9, noise=0.1, seed=3)
+        before, exact = mdi_qkd_run(2000, eta=0.9, noise=0.1, seed=3), mdi_qkd_expectation(0.9, 0.1)
         m = protocols._mdi_outcomes()
-        for array in (m.pass_prob, m.amplitudes, m.probs, _decode_array(), click_codes(3), build_dft(3)):
+        model, decode = protocols._noiseless_model(3), _decode_array(3)
+        for array in (m.pass_prob, m.amplitudes, m.probs, model, decode, click_codes(3), build_dft(3)):
             with pytest.raises(ValueError):
                 array[...] = 0
         after = mdi_qkd_run(2000, eta=0.9, noise=0.1, seed=3)
         for column, again in zip(qkd_columns(before), qkd_columns(after)):
             np.testing.assert_array_equal(column, again)
+        assert mdi_qkd_expectation(0.9, 0.1) == exact
 
 
 class TestTeleportRun:
@@ -611,6 +599,7 @@ class TestMdiQkdSampling:
             raise AssertionError("called after the outcome array was built")
 
         protocols._mdi_outcomes.cache_clear()
+        protocols._noiseless_model.cache_clear()
         protocols._decode_array.cache_clear()
         mdi_qkd_run(100, noise=0.1)
         monkeypatch.setattr(discrimination, "evolve_axes", forbidden)

@@ -8,7 +8,7 @@ import pytest
 from esdsim.errors import IndexOutOfRange, InvalidDimension
 from esdsim.optics import build_dft
 from esdsim.protocols import alice_encodings
-from esdsim.states import OMEGA, permutation_table, phi_amplitudes, psi_amplitudes
+from esdsim.states import permutation_table, phi_amplitudes, psi_amplitudes
 from sparse_reference import (
     BOB_PORTS,
     ESD_PORTS,
@@ -129,7 +129,7 @@ class TestPsiFamily:
         # family index 1, j=1 term carries omega^2 on |a_1>(|b_1,c_2> - |b_2,c_1>)
         psi4 = build_psi(4)
         amp = psi4.amplitude(basis((0, 1), (1, 1), (2, 2)))
-        assert abs(amp - OMEGA**2 / math.sqrt(6)) < 1e-12
+        assert abs(amp - unit_root(3, 1) ** 2 / math.sqrt(6)) < 1e-12
 
     def test_one_photon_per_timebin(self):
         for i in range(9):
@@ -244,8 +244,8 @@ class TestMubStates:
 
     def test_k1_phases(self):
         s = mub_state(0, 1)
-        assert abs(s.amplitude(basis((0, 1))) - OMEGA / math.sqrt(3)) < 1e-12
-        assert abs(s.amplitude(basis((0, 2))) - OMEGA**2 / math.sqrt(3)) < 1e-12
+        assert abs(s.amplitude(basis((0, 1))) - unit_root(3, 1) / math.sqrt(3)) < 1e-12
+        assert abs(s.amplitude(basis((0, 2))) - unit_root(3, 1) ** 2 / math.sqrt(3)) < 1e-12
 
     def test_unbiasedness(self):
         for k in range(3):
