@@ -7,22 +7,25 @@ configuration.  Exit codes: 0 success, 2 configuration error, 3 internal
 assertion (e.g. a non-disjoint generated click table).
 
 `run(argv)` is the in-process entry point: it returns the exit code and may
-be called any number of times.  It builds the parser of the subcommand that
-argv[0] names, once per process; the full parser only for the program's
-help and usage, an unknown command and arguments left over.  Handlers import
-numpy and the layer modules on first call, so `import esdsim.cli` and
-`keyrate` (plain `math`) load no numpy.
+be called any number of times.  A known command followed by keyrate's
+optional leading mode, then exact `--flag value` pairs whose values start
+with no '-' and convert, is parsed straight from `COMMANDS`, so such a
+command never imports argparse.  Every other argv (help, abbreviations,
+--flag=value, --, '-'-leading values, errors) goes to the full argparse
+parser, built once per process.  Handlers import numpy and the layer
+modules on first call, so `import esdsim.cli` and `keyrate` (plain `math`)
+load no numpy.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
 import re
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import keyrate as kr
@@ -266,7 +269,7 @@ def _cmd_keyrate(args) -> int:
 class Command(NamedTuple):
     help: str
     options: tuple  # of _option triples, in help order
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[SimpleNamespace], int]  # or an argparse Namespace of the same attributes
 
 
 def _option(flag: str, *domain: tuple[Callable[..., bool], str], **kwargs) -> tuple:
@@ -320,39 +323,50 @@ COMMANDS = {
         _OUT,
     ), _cmd_keyrate),
 }
-_FORMAT = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
 
 
-def _add_options(parser: argparse.ArgumentParser, command: Command) -> argparse.ArgumentParser:
-    for flag, kwargs, _ in command.options:
-        parser.add_argument(flag, **kwargs)
-    return parser
-
-
-@lru_cache(maxsize=None)
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand, equal to the one `_build_parser` holds."""
-    return _add_options(argparse.ArgumentParser(prog=f"esdsim {name}", **_FORMAT), COMMANDS[name])
+def _direct_parse(command: Command, tokens: list[str]) -> SimpleNamespace | None:
+    """The options of `tokens` when they are an optional leading choice of
+    the positional, then exact `--flag value` pairs of the command's own
+    flags, no value starting with '-' and each converting by its type; else
+    None.  argparse gives the same namespace on every argv accepted here."""
+    options = {flag: kwargs for flag, kwargs, _ in command.options}
+    args = {flag: kwargs.get("default") for flag, kwargs in options.items()}
+    positional = next((flag for flag in options if not flag.startswith("-")), None)
+    if positional and tokens and tokens[0] in options[positional]["choices"]:
+        args[positional], tokens = tokens[0], tokens[1:]
+    if len(tokens) % 2:
+        return None
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        if not flag.startswith("--") or flag not in options or value.startswith("-"):
+            return None
+        try:
+            args[flag] = options[flag].get("type", str)(value)
+        except ValueError:
+            return None
+    return SimpleNamespace(**{flag.lstrip("-").replace("-", "_"): value for flag, value in args.items()})
 
 
 @lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     description = "Entangled-state discrimination, teleportation, and MDI-QKD simulator"
     parser = argparse.ArgumentParser(prog="esdsim", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _add_options(sub.add_parser(name, help=command.help, **_FORMAT), command)
+        subparser = sub.add_parser(name, help=command.help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for flag, kwargs, _ in command.options:
+            subparser.add_argument(flag, **kwargs)
     return parser
 
 
-def _parse(argv: list[str]) -> tuple[Command, argparse.Namespace]:
+def _parse(argv: list[str]) -> tuple[Command, SimpleNamespace]:
     command = COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return command, args
-    # No command, help, an unknown command or arguments left over: the full
-    # parser reports them, with the usage line of the whole program.
+    if command is not None and (args := _direct_parse(command, argv[1:])) is not None:
+        return command, args
+    # help, usage, every error and the forms only argparse accepts: the full
+    # parser, with the usage line of the whole program
     args = _build_parser().parse_args(argv)
     return COMMANDS[args.command], args
 

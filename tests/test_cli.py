@@ -707,74 +707,138 @@ class TestReadmeLayout:
 
 
 class TestSharedParser:
-    @staticmethod
-    def clear_parsers():
-        cli._build_parser.cache_clear()
-        cli._command_parser.cache_clear()
-
     def readme_outputs(self, directory, capsys, fresh_parser):
-        """Every README command's streams and files, each run on the parser
-        left by the runs before it or on a newly built one."""
+        """Every README command's streams and files, each run after the
+        runs before it or after the full parser's cache is cleared."""
         directory.mkdir()
         streams = []
         for argv in readme_commands(directory):
             if fresh_parser:
-                self.clear_parsers()
+                cli._build_parser.cache_clear()
             assert run(argv) == 0, argv
             streams.append(capsys.readouterr())
         return streams, {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
     def test_reused_parser_matches_fresh_ones(self, tmp_path, capsys):
-        self.clear_parsers()
+        cli._build_parser.cache_clear()
         assert run(["no-such-command"]) == 2
         assert run(["--help"]) == 0
         assert run(["teleport", "--help"]) == 0
         assert "--trials" in capsys.readouterr().out
         shared = self.readme_outputs(tmp_path / "shared", capsys, fresh_parser=False)
-        # one parser per subcommand, and the full parser once, for the help and the unknown command
-        assert cli._command_parser.cache_info().misses == len(cli.COMMANDS)
-        assert cli._build_parser.cache_info().misses == 1
+        # the full parser is built once, for the help and the unknown command,
+        # and no README command asks for it: each is parsed from COMMANDS
+        info = cli._build_parser.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
         assert shared == self.readme_outputs(tmp_path / "fresh", capsys, fresh_parser=True)
 
     def test_built_once(self, capsys):
-        self.clear_parsers()
+        cli._build_parser.cache_clear()
         assert run(["keyrate", "thresholds", "--d-max", "3"]) == 0
         assert run(["keyrate", "--d", "3", "--q-max", "0.01", "--q-step", "0.01"]) == 0
-        assert (cli._command_parser.cache_info().misses, cli._build_parser.cache_info().misses) == (1, 0)
+        assert cli._build_parser.cache_info().misses == 0
         # the full parser reports what names no subcommand, and arguments left over
         assert run(["no-such-command"]) == 2
         assert run([]) == 2
         assert run(["keyrate", "table", "extra"]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == "esdsim: error: unrecognized arguments: extra"
-        assert (cli._command_parser.cache_info().misses, cli._build_parser.cache_info().misses) == (1, 1)
+        assert cli._build_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
     def test_command_parser_is_the_full_parsers_subparser(self, name):
+        # a command's direct parse gives its subparser's namespace on the
+        # bare argv and with every long flag set, the positional's choices too
         subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        full, own = subparsers.choices[name], cli._command_parser(name)
-        assert (own.prog, own.format_help()) == (full.prog, full.format_help())
-        assert vars(own.parse_args([])) == vars(full.parse_args([]))
+        full = subparsers.choices[name]
+        assert full.prog == f"esdsim {name}"
+        command, values = cli.COMMANDS[name], {int: "4", float: "0.25", str: "2,3"}
+        flags = [token for flag, kwargs, _ in command.options if flag.startswith("--")
+                 for token in (flag, values[kwargs.get("type", str)])]
+        choices = [choice for flag, kwargs, _ in command.options if not flag.startswith("-")
+                   for choice in kwargs["choices"]]
+        for tokens in ([], flags, *([choice, *flags] for choice in choices)):
+            assert vars(cli._direct_parse(command, tokens)) == vars(full.parse_args(tokens)), tokens
 
     def test_import_builds_nothing(self):
-        # the parsers are built on the first `run`, and the commands that
-        # sample nothing never import numpy.random
+        # the full parser is built only on a `run` that needs it, and the
+        # commands that sample nothing never import numpy.random
         def run_code(code):
             done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True,
                                   check=True)
-            return done.stdout.split()[-3:]
+            return done.stdout.split()[-2:]
 
-        if run_code("import sys, numpy; print('numpy.random' in sys.modules, 0, 0)")[0] == "True":
+        if run_code("import sys, numpy; print('numpy.random' in sys.modules, 0)")[0] == "True":
             pytest.skip("importing numpy alone loads numpy.random")
         assert run_code(
             "import sys, esdsim.cli as cli\n"
-            "for cache in (cli._build_parser, cli._command_parser):\n"
-            "    info = cache.cache_info()\n"
-            "    assert info.misses == info.currsize == 0, info\n"
+            "assert cli._build_parser.cache_info().misses == 0\n"
             "for argv in (['keyrate'], ['keyrate', 'thresholds'], ['list-states'], ['describe-tritter']):\n"
             "    assert cli.run(argv) == 0\n"
-            "print('numpy.random' in sys.modules, cli._command_parser.cache_info().misses,"
-            " cli._build_parser.cache_info().misses)"
-        ) == ["False", "3", "0"]
+            "print('numpy.random' in sys.modules, cli._build_parser.cache_info().misses)"
+        ) == ["False", "0"]
+
+
+# Values that convert by their option's type, and some that do not.
+_TYPED_VALUES = {
+    int: st.sampled_from(["0", "3", "7", "10", " 4", "+2", "1_0", "\u0663", "x", "1e3"]),
+    float: st.sampled_from(["0", "0.01", "0.5", " 0.2", "1e-3", "nan", "inf", "1_0.5", "x"]),
+    str: st.sampled_from(["3", "2,3", " 4", "psi1", "out", "", "x y", "a=b", "table"]),
+}
+_ALL_FLAGS = sorted({flag for command in cli.COMMANDS.values() for flag, _, _ in command.options})
+# Tokens of every other form: every command's flags, --flag=value, --,
+# help, negative numbers, '-', '', and the keyrate modes in any position.
+_OTHER_TOKENS = st.sampled_from(_ALL_FLAGS + ["--", "-h", "--help", "-", "", "-1", "-0.5", "-inf", "-x", "table",
+                                              "thresholds", "bogus", "mode", "3"])
+
+
+def _argv_tokens(data, name):
+    """Well-formed tokens of one command, then up to two tokens of any form
+    at any place: an abbreviation, a --flag=value or one of _OTHER_TOKENS."""
+    options = [(flag, kwargs) for flag, kwargs, _ in cli.COMMANDS[name].options if flag.startswith("--")]
+    modes = [[], ["table"], ["thresholds"], ["bogus"]] if name == "keyrate" else [[]]
+    tokens = data.draw(st.sampled_from(modes), label="mode")
+    for flag, kwargs in data.draw(st.lists(st.sampled_from(options), max_size=5), label="flags"):
+        tokens += [flag, data.draw(_TYPED_VALUES[kwargs.get("type", str)])]
+    flags = st.sampled_from([flag for flag, _ in options])
+    other = (_OTHER_TOKENS | st.builds(lambda flag, n: flag[:n], flags, st.integers(2, 6))
+             | st.builds("{}={}".format, flags, _TYPED_VALUES[str]))
+    for token in data.draw(st.lists(other, max_size=2), label="others"):
+        tokens.insert(data.draw(st.integers(0, len(tokens))), token)
+    return tokens
+
+
+class TestDirectParse:
+    """The direct parse accepts only argvs on which argparse agrees."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_argparse(self, data):
+        name = data.draw(st.sampled_from(sorted(cli.COMMANDS)), label="command")
+        tokens = _argv_tokens(data, name)
+        direct = cli._direct_parse(cli.COMMANDS[name], tokens)
+        if direct is None:
+            return
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            try:
+                full = vars(cli._build_parser().parse_args([name, *tokens]))
+            except SystemExit:
+                pytest.fail(f"argparse rejects {tokens!r}: {stderr.getvalue()}")
+        assert full.pop("command") == name
+        # by repr, since --eta nan is accepted and nan != nan
+        assert repr(sorted(vars(direct).items())) == repr(sorted(full.items()))
+
+    @pytest.mark.parametrize("argv", [
+        ["teleport", "-h"], ["teleport", "--help"], ["teleport", "--tri", "5"], ["teleport", "--trials=5"],
+        ["teleport", "--", "--trials", "5"], ["teleport", "--trials", "5", "--"], ["teleport", "--trials", "-5"],
+        ["mdiqkd", "--eta", "-0.5"], ["teleport", "--out", "-"], ["teleport", "--out", "-x"],
+        ["teleport", "--trials", "x"], ["teleport", "--trials", "1e3"], ["teleport", "--trials"],
+        ["teleport", "--trials", "5", "--seed"], ["teleport", "5"], ["teleport", "--d", "3"],
+        ["keyrate", "--d", "3", "thresholds"], ["keyrate", "thresholds", "table"], ["keyrate", "bogus"],
+        ["keyrate", "mode", "table"], ["keyrate", "table", "extra"], ["keyrate", ""], ["keyrate", "-"],
+        ["list-states", "--d", ""], ["list-states", "-d", "3"],
+    ])
+    def test_other_forms_go_to_argparse(self, argv):
+        assert cli._direct_parse(cli.COMMANDS[argv[0]], argv[1:]) is None
 
 
 class TestMain:
@@ -816,17 +880,20 @@ class TestRuntimePaths:
         assert dataclasses_loaded == "False"  # src/ defines its values as NamedTuples and arrays
 
     @staticmethod
-    def fresh_run(argv):
-        """The esdsim modules that `cli.run(argv)` loads in a fresh
-        interpreter, and whether it loads numpy and numpy.random; argv None
-        stands for a bare `import esdsim.cli`."""
+    def fresh_run(*argvs):
+        """The esdsim modules that `cli.run` of each argv loads in a fresh
+        interpreter, and whether the runs load numpy, numpy.random and any
+        of argparse, gettext and locale; no argv stands for a bare
+        `import esdsim.cli`."""
         code = (
             "import os, sys\n"
             "import esdsim.cli as cli\n"
             "sys.stdout = sys.stderr = open(os.devnull, 'w')\n"
-            f"assert {argv!r} is None or cli.run({argv!r}) == 0\n"
+            f"for argv in {list(argvs)!r}:\n"
+            "    assert cli.run(argv) == 0, argv\n"
             "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'esdsim'), file=sys.__stdout__)\n"
-            "print('numpy' in sys.modules, 'numpy.random' in sys.modules, file=sys.__stdout__)"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules,"
+            " not sys.modules.keys().isdisjoint({'argparse', 'gettext', 'locale'}), file=sys.__stdout__)"
         )
         done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True,
                               timeout=120)
@@ -837,7 +904,8 @@ class TestRuntimePaths:
     # whether it loads numpy.  None of these runs loads numpy.random: each
     # draws less than KERNEL_BUDGET uniforms, which the kernel computes
     # (1000 discriminate trials draw 5000, 500 teleport trials 4000, 2000
-    # mdiqkd trials 24000 and 5000, perfbench's qkd-mc size, 60000).
+    # mdiqkd trials 24000 and 5000, perfbench's qkd-mc size, 60000).  Each
+    # argv is well formed, so none loads argparse.
     @pytest.mark.parametrize("argv, layers, numpy_loaded", [
         (None, [], False),
         (["keyrate"], [], False),
@@ -852,9 +920,16 @@ class TestRuntimePaths:
     def test_loads_only_its_layers(self, argv, layers, numpy_loaded):
         assert 5000 * 12 <= discrimination.KERNEL_BUDGET
         core = ["esdsim", "esdsim.cli", "esdsim.errors", "esdsim.keyrate"]
-        assert self.fresh_run(argv) == (sorted(core + [f"esdsim.{name}" for name in layers]), numpy_loaded, False)
+        argvs, modules = [] if argv is None else [argv], sorted(core + [f"esdsim.{name}" for name in layers])
+        assert self.fresh_run(*argvs) == (modules, numpy_loaded, False, False)
 
     def test_loads_numpy_random_above_the_kernel_limit(self):
         # the README's 30000 mdiqkd trials draw 360000 uniforms, past KERNEL_BUDGET
         assert 30000 * 12 > discrimination.KERNEL_BUDGET
         assert self.fresh_run(["mdiqkd", "--trials", "30000"])[2]
+
+    def test_readme_commands_load_no_argparse(self, tmp_path):
+        # each README command is parsed straight from COMMANDS; an
+        # abbreviation is argparse's to accept, and still runs
+        assert not self.fresh_run(*readme_commands(tmp_path))[3]
+        assert self.fresh_run(["teleport", "--tri", "5", "--out", str(tmp_path / "teleport.json")])[3]

@@ -302,13 +302,17 @@ class TestKeyDistributionModel:
         # each (basis, conclusive index, Bob value) names one Alice value
         # (else `_decode_array` raises), each value once; at any noise the
         # sift rate is the eta^d / (2d) that keyrate's R = r_d / (2d) assumes,
-        # and phase flips err only in the MUB: QBER 2p(1 - p)(d - 1)/d
+        # and phase flips err only in the MUB: QBER 2p(1 - p)(d - 1)/d; a
+        # noise outside [0, 1] is refused
         assert (np.sort(_decode_array(d), axis=-1) == np.arange(d)).all()
-        for eta in (1.0, 0.9, 0.7):
-            for p in (0.0, 0.1, 0.5, 1.0):
+        for eta in (1.0, 0.9, 0.7, 0.3):
+            for p in (0.0, 0.05, 0.1, 0.1389, 0.3, 0.5, 0.8, 1.0):
                 exact = mdi_qkd_expectation(eta, p, d)
                 assert abs(exact.sift_rate - eta**d / (2 * d)) <= 1e-15
                 assert abs(exact.qber - 2 * p * (1 - p) * (d - 1) / d) <= 1e-12
+            for p in (1.5, math.nan):
+                with pytest.raises(ValueError):
+                    mdi_qkd_expectation(eta, p, d)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_edp_equivalence(self, d):
@@ -670,10 +674,10 @@ class TestMdiOutcomeArray:
 class TestMdiQkdExpectation:
     @pytest.mark.parametrize("eta", [1.0, 0.9, 0.7, 0.3])
     def test_closed_forms(self, eta):
+        # the call without d is the d = 3 model, whose closed forms
+        # TestKeyDistributionModel checks at every d, and it refuses the same noise
         for p in (0.0, 0.05, 0.1, 0.1389, 0.3, 0.5, 0.8, 1.0):
-            exact = mdi_qkd_expectation(eta, p)
-            assert abs(exact.sift_rate - eta**3 / 6) < 1e-12
-            assert abs(exact.qber - 4 * p * (1 - p) / 3) < 1e-12
+            assert mdi_qkd_expectation(eta, p) == mdi_qkd_expectation(eta, p, 3)
         for p in (1.5, math.nan):
             with pytest.raises(ValueError):
                 mdi_qkd_expectation(eta, p)
