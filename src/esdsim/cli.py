@@ -204,12 +204,12 @@ def _qkd_csv_rows(result) -> Iterator[str]:
         codes = result.outcomes[rows] - POSTSELECT_FAIL_CODE
         columns = (*result.bases[rows].T, *result.values[rows].T, codes, result.sifted[rows], result.bob_symbols[rows])
         keys = np.ravel_multi_index(columns, shape)
-        for key in np.flatnonzero(np.bincount(keys, minlength=len(suffixes))).tolist():
-            if not suffixes[key]:
-                a_b, b_b, x, y, code, sift, b_sym = (int(v) for v in np.unravel_index(key, shape))
-                symbols = f"{x},{b_sym}" if sift else ","
-                outcome = outcome_name(code + POSTSELECT_FAIL_CODE)
-                suffixes[key] = f"{BASES[a_b]},{x},{BASES[b_b]},{y},{outcome},{sift},{symbols}\n"
+        new = [key for key in np.flatnonzero(np.bincount(keys, minlength=len(suffixes))).tolist() if not suffixes[key]]
+        fields = np.unravel_index(np.array(new, dtype=np.intp), shape)
+        for key, a_b, b_b, x, y, code, sift, b_sym in zip(new, *(column.tolist() for column in fields)):
+            symbols = f"{x},{b_sym}" if sift else ","
+            outcome = outcome_name(code + POSTSELECT_FAIL_CODE)
+            suffixes[key] = f"{BASES[a_b]},{x},{BASES[b_b]},{y},{outcome},{sift},{symbols}\n"
         yield "".join([f"{i},{suffixes[key]}" for i, key in enumerate(keys.tolist(), start)])
 
 

@@ -15,10 +15,11 @@ to one target and lists the branches as arrays.
 MDI-QKD, encoded once for every d: Bob sends a row of `basis_rows` (the path
 basis or its Fourier MUB), Alice the d-1 photons of `alice_encodings`, an
 untrusted relay measures the joint state and announces the outcome, and
-matched-basis conclusive trials become the sifted key.  At any d the decode
-rule and the exact sift rate and QBER read `_noiseless_model`, the phase-flip
-channel being an exact mixture of its rows; at d = 3 trials sample
-`_mdi_outcomes`, all 288 joint inputs with Bob's photon flipped.
+matched-basis conclusive trials become the sifted key.  One measurement of
+the 4d^2 noiseless joint inputs per d, `_noiseless_measurement`, feeds the
+decode rule, the exact sift rate and QBER, and the d = 3 sampler.  The
+phase-flip channel is an exact mixture of its rows: the exact rates weigh
+them, and the sampler draws per trial whether Bob's photon is dephased.
 
 The security-analysis (EDP) picture is implemented as well, at any d:
 conditioning the shared system (Alice's phi_0, keeping its time-bin-0
@@ -229,10 +230,6 @@ class QkdRunResult(NamedTuple):
     qber: float
 
 
-# Bit k of a row's flip bits negates Bob's photon on relay port k.
-_FLIPS = (np.arange(8)[:, None] >> np.arange(3)) & 1
-
-
 def basis_rows(d: int) -> np.ndarray:
     """The two key-distribution bases, indexed [basis, value, port]: the
     path basis and its Fourier MUB (Cerf et al., PRL 88, 127902 (2002))."""
@@ -257,13 +254,12 @@ def _joint_inputs(d: int, bob: np.ndarray) -> np.ndarray:
     return (alice * bob[..., None]).reshape((-1,) + (d,) * d)
 
 
-@lru_cache(maxsize=1)
-def _mdi_outcomes() -> Measurement:
-    """The relay's measurement of all 288 joint inputs at d = 3: row
-    input_code * 8 + flip_bits holds input (Alice basis, x, Bob basis, y),
-    raveled over (2, 3, 2, 3), with Bob's photon flipped as
-    `_FLIPS[flip_bits]` says.  Cached for the process, so read-only."""
-    m = measure(_joint_inputs(3, basis_rows(3)[:, :, None] * (1 - 2 * _FLIPS)), 3)
+@lru_cache(maxsize=None)
+def _noiseless_measurement(d: int) -> Measurement:
+    """The relay's measurement of the 4d^2 joint inputs when every device
+    works, rows in C order over (Alice basis, x, Bob basis, y).  Cached for
+    the process, so read-only."""
+    m = measure(_joint_inputs(d, basis_rows(d)), d)
     for array in m[1:]:
         array.setflags(write=False)
     return m
@@ -272,9 +268,9 @@ def _mdi_outcomes() -> Measurement:
 @lru_cache(maxsize=None)
 def _noiseless_model(d: int) -> np.ndarray:
     """The noiseless protocol: conclusive probabilities of the 4d^2 joint
-    inputs when every device works, indexed [Alice basis, x, Bob basis, y,
-    conclusive index].  Cached for the process, so it is read-only."""
-    model = conclusive_probabilities(measure(_joint_inputs(d, basis_rows(d)), d)).reshape(2, d, 2, d, d)
+    inputs, indexed [Alice basis, x, Bob basis, y, conclusive index].
+    Cached for the process, so it is read-only."""
+    model = conclusive_probabilities(_noiseless_measurement(d)).reshape(2, d, 2, d, d)
     model.setflags(write=False)
     return model
 
@@ -307,33 +303,36 @@ def mdi_qkd_run(n_trials: int, eta: float = 1.0, noise: float = 0.0, seed: int =
     Each trial draws both parties' bases and values uniformly, feeds the
     joint three-photon state to the relay measurement with per-port device
     efficiency eta, sifts matched-basis conclusive trials, and decodes Bob's
-    symbol from (outcome index, Bob value).  The toy channel on Bob's photon
-    gives each relay input port a pi phase flip with probability `noise`;
-    diagonal in the path basis, it leaves path-encoded trials untouched and
-    shows up as sifted-key errors only through MUB-encoded rounds.
+    symbol from (outcome index, Bob value).  The toy channel gives each
+    relay input port a pi phase flip on Bob's photon with probability
+    `noise`.  As the exact mixture of `mdi_qkd_expectation`, with lam =
+    (1 - 2 noise)^2, it dephases a MUB-encoded photon into a uniformly random
+    path value with probability 1 - lam and never changes a path-encoded one.
 
     All trials come from one block of uniforms, derive_rng(seed).random((n,
     12)), drawn in chunks of CHUNK_ROWS rows; row i is trial i, so a run's
     columns are a prefix of any longer run's.  Columns: 0-1 bases (< 0.5 is
-    computational), 2-3 values floor(3u), 4-6 phase flips (< p), 7-9 parity
-    devices, 10 parity projection, 11 click pattern.  Every trial samples a
-    row of `_mdi_outcomes`, built once per process for all 288 inputs.
+    computational), 2-3 values floor(3u), 4 the channel (>= lam dephases),
+    5 the dephased path value floor(3u), 6 unused, 7-9 parity devices, 10
+    parity projection, 11 click pattern.  Every trial samples a row of
+    `_noiseless_measurement(3)`.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     _check_probability("eta", eta)
     _check_probability("noise", noise)
-    chunks, keys = uniform_chunks(seed, n_trials, 12), search_keys(_mdi_outcomes())
+    chunks, m = uniform_chunks(seed, n_trials, 12), _noiseless_measurement(3)
+    keys, lam = search_keys(m), (1 - 2 * noise) ** 2
     mub, values = np.empty((n_trials, 2), dtype=np.int8), np.empty((n_trials, 2), dtype=np.int8)
     outcome_codes = np.empty(n_trials, dtype=np.int8)
     for start, u in chunks:
         rows = slice(start, start + len(u))
         mub[rows] = u[:, 0:2] >= 0.5
         values[rows] = (3 * u[:, 2:4]).astype(np.int8)
-        flip_bits = (u[:, 4:7] < noise) @ np.array([1, 2, 4])
-        choices = (mub[rows, 0], values[rows, 0], mub[rows, 1], values[rows, 1])
-        inputs = np.ravel_multi_index(choices, (2, 3, 2, 3))
-        outcome_codes[rows] = sample_outcomes(_mdi_outcomes(), keys, inputs * 8 + flip_bits, eta, u[:, 7:12])
+        dephased = (mub[rows, 1] == 1) & (u[:, 4] >= lam)  # read in the path basis
+        bob = np.where(dephased, 0, mub[rows, 1]), np.where(dephased, (3 * u[:, 5]).astype(np.int8), values[rows, 1])
+        inputs = np.ravel_multi_index((mub[rows, 0], values[rows, 0], *bob), (2, 3, 2, 3))
+        outcome_codes[rows] = sample_outcomes(m, keys, inputs, eta, u[:, 7:12])
 
     sifted = (mub[:, 0] == mub[:, 1]) & (outcome_codes >= 0)
     bob_symbols = _decode_array(3)[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]

@@ -287,7 +287,7 @@ class TestGoldenOutputs:
         csv = tmp_path / "records.csv"
         run(["mdiqkd", "--trials", "2000", "--eta", "0.9", "--noise", "0.1", "--seed", "3", "--out", str(csv)])
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-            "5b291d69454ca2b090d6bad57409d96dc4cbdbf7ab70a2e28ee4770675132166"
+            "b93624c810d81cbf800530d0ea95a8e911c771045af58342095b4d92a00bdb55"
         )
         digests = {}
         for argv in (["discriminate", "--state", "psi1", "--trials", "2000", "--eta", "0.9"],
@@ -371,8 +371,8 @@ class TestGoldenOutputs:
         assert run(["mdiqkd", "--trials", "3000", "--eta", "0.7", "--noise", "0.3", "--seed", "1",
                     "--out", str(csv)]) == 0
         summary = capsys.readouterr().out
-        assert sha(csv.read_bytes()) == "f4f0e7a37486489de697edf4c87f55622cc7ca6a28a6ecbca9b7d3b573ff496e"
-        assert sha(summary) == "968f77c46949b3ebd64a68f27933cfb1464d9676fbec60ad938f8bd334cca2d9"
+        assert sha(csv.read_bytes()) == "3cf04cee79f72f9095de80d1816d538e0f81f101d86b5dd1fb5365567161f123"
+        assert sha(summary) == "4957b8701654c176629a1e5c2e8497d4d25769cc087fde5bfa80d1349c2d3e61"
         assert run(["mdiqkd", "--trials", "1000", "--seed", "2"]) == 0
         captured = capsys.readouterr()
         assert sha(captured.out) == "432432206d74243aa42b879463695180040f240fd3407edb04296f584d5a1529"

@@ -247,8 +247,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_protocols_check_the_seed_on_the_kernel_path(self, seed, monkeypatch, without_numpy_random):
-        # before any other work: mdi_qkd_run never reaches its outcome table
-        monkeypatch.setattr(protocols, "_mdi_outcomes", lambda: pytest.fail("outcome table reached"))
+        # before any other work: mdi_qkd_run never reaches its measurement table
+        monkeypatch.setattr(protocols, "_noiseless_measurement", lambda d: pytest.fail("measurement table reached"))
         with pytest.raises(ValueError, match="seed must lie"):
             teleport_run(10, seed=seed)
         with pytest.raises(ValueError, match="seed must lie"):

@@ -44,7 +44,6 @@ from sparse_reference import (
     ModeLabel,
     PureState,
     apply_mode_unitary,
-    apply_phases,
     build_alice_pair,
     build_psi,
     click_code,
@@ -338,12 +337,12 @@ class TestPinnedTables:
     # last-bit drift that no sampled trial crosses would pass the CSV digests
 
     def test_mdi_outcomes(self):
-        m = protocols._mdi_outcomes()
+        m = protocols._noiseless_measurement(3)
         digests = [hashlib.sha256(array.tobytes()).hexdigest() for array in (m.pass_prob, m.amplitudes, m.probs)]
         assert digests == [
-            "673d587fc2944166b81c83744b8d1fba73990fe4f84214cb67c84ae1e5144ccc",
-            "ab5e66a19481914ed80e15408faa4a42d7edeff8f8e37997b68f9dbb8b329dd4",
-            "e71633a8144acc74d757cf10b0413f21e07c0cb1b0c9d90e6b8e1fecb8655501",
+            "0471fe8953f973ae4c3ffef602947f05e20703fd8cbd68f5d331fd31c7816697",
+            "6dfbd2d533d66ebebce0f5cb8dffddae149c95ebc0c8569d48c3d980c512235a",
+            "f6d50ac3ccc839f05e6574f8c91f2f91f5ea0f6ee782bdd9c42263ea77f750ac",
         ]
         assert (
             hashlib.sha256(_decode_array().tobytes()).hexdigest()
@@ -444,7 +443,7 @@ class TestReadOnlyCaches:
 
     def test_mdi_outcomes(self):
         before, exact = mdi_qkd_run(2000, eta=0.9, noise=0.1, seed=3), mdi_qkd_expectation(0.9, 0.1)
-        m = protocols._mdi_outcomes()
+        m = protocols._noiseless_measurement(3)
         model, decode = protocols._noiseless_model(3), _decode_array(3)
         for array in (m.pass_prob, m.amplitudes, m.probs, model, decode, click_codes(3), build_dft(3)):
             with pytest.raises(ValueError):
@@ -598,11 +597,46 @@ class TestMdiQkdSampling:
             for whole, prefix in zip(qkd_columns(long), qkd_columns(short)):
                 np.testing.assert_array_equal(whole[:n], prefix)
 
+    def test_channel_mixture_edges(self, monkeypatch):
+        # the channel is lam rho + (1 - lam) diag(|b_k|^2), lam = (1 - 2p)^2:
+        # a MUB photon is read as path value floor(3u5) iff u4 >= lam, and a
+        # path photon never changes.  lam = 1 at p = 0 and p = 1, where the
+        # runs agree; lam = 0 at p = 0.5, where every photon is a path value
+        flipped, clean = mdi_qkd_run(3000, 0.9, 1.0, 5), mdi_qkd_run(3000, 0.9, 0.0, 5)
+        for column, same in zip(qkd_columns(flipped), qkd_columns(clean)):
+            np.testing.assert_array_equal(column, same)
+        relay_inputs = []
+
+        def spy(m, keys, rows, eta, uniforms):
+            relay_inputs.append(np.unravel_index(rows, (2, 3, 2, 3)))
+            return sample_outcomes(m, keys, rows, eta, uniforms)
+
+        monkeypatch.setattr(protocols, "sample_outcomes", spy)
+        run = mdi_qkd_run(3000, 0.9, 0.5, 5)
+        bob_basis, bob_value = relay_inputs[-1][2:]
+        assert run.bases[:, 1].any() and not bob_basis.any()
+        u = derive_rng(5).random((3000, 12))
+        dephased_value = np.where(run.bases[:, 1] == 1, (3 * u[:, 5]).astype(int), run.values[:, 1])
+        np.testing.assert_array_equal(bob_value, dephased_value)
+
+        lam = (1 - 2 * 0.1) ** 2
+        draws = [0.0, np.nextafter(lam, 0.0), lam, np.nextafter(lam, 1.0), 1 - 2**-53]
+        block = np.array([(a, b, 0.5, y, c4, c5, 0.5, 0.1, 0.1, 0.1, 0.1, 0.5) for a in (0.2, 0.7) for b in (0.2, 0.7)
+                          for y in (0.1, 0.5, 0.9) for c4 in draws for c5 in (0.1, 0.5, 0.9)])
+        monkeypatch.setattr(protocols, "uniform_chunks", lambda seed, n, cols: iter([(0, block)]))
+        run = mdi_qkd_run(len(block), 0.9, 0.1)
+        dephased = (block[:, 1] >= 0.5) & (block[:, 4] >= lam)
+        assert dephased.any() and (~dephased & (block[:, 1] >= 0.5)).any()
+        expected = (run.bases[:, 0], run.values[:, 0], np.where(dephased, 0, run.bases[:, 1]),
+                    np.where(dephased, (3 * block[:, 5]).astype(int), run.values[:, 1]))
+        for column, want in zip(relay_inputs[-1], expected):
+            np.testing.assert_array_equal(column, want)
+
     def test_second_run_evolves_nothing(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("called after the outcome array was built")
 
-        protocols._mdi_outcomes.cache_clear()
+        protocols._noiseless_measurement.cache_clear()
         protocols._noiseless_model.cache_clear()
         protocols._decode_array.cache_clear()
         mdi_qkd_run(100, noise=0.1)
@@ -611,19 +645,13 @@ class TestMdiQkdSampling:
         assert run.sifted.any()
 
 
-def flipped_bob_send(basis, value, flip_bits):
-    """Bob's photon with a pi phase on each ESD port whose flip bit is set."""
-    flipped = [port for k, port in enumerate(ESD_PORTS) if flip_bits >> k & 1]
-    return apply_phases(bob_send(basis, value), lambda mode: -1 if mode.port in flipped else 1)
-
-
 def reference_table(row):
     """The pass probability, running click probabilities and outcome codes,
-    over the click support, of row input_code * 8 + flip_bits by the sparse
-    reference: parity projection, the polynomial evolution, on-off
-    detection and the classifier dict."""
-    a_basis, x, b_basis, y, flip_bits = np.unravel_index(row, (2, 3, 2, 3, 8))
-    joint = tensor(alice_send(BASES[a_basis], x), flipped_bob_send(BASES[b_basis], y, flip_bits))
+    over the click support, of input row (Alice basis, x, Bob basis, y),
+    raveled over (2, 3, 2, 3), by the sparse reference: parity projection,
+    the polynomial evolution, on-off detection and the classifier dict."""
+    a_basis, x, b_basis, y = np.unravel_index(row, (2, 3, 2, 3))
+    joint = tensor(alice_send(BASES[a_basis], x), bob_send(BASES[b_basis], y))
     passed, pass_prob = parity_postselect(joint, 3)
     if pass_prob == 0.0:
         return 0.0, np.zeros(0), np.zeros(0, dtype=np.int64)
@@ -648,9 +676,9 @@ def reference_codes(table, eta, uniforms):
 
 class TestMdiOutcomeArray:
     def test_rows_match_sparse_tables(self):
-        m = protocols._mdi_outcomes()
-        assert m.probs.shape == (288, 27)
-        for row in range(288):
+        m = protocols._noiseless_measurement(3)
+        assert m.probs.shape == (36, 27)
+        for row in range(36):
             pass_prob, cumulative, codes = reference_table(row)
             assert abs(m.pass_prob[row] - pass_prob) < 1e-12
             support = m.probs[row] > 0
@@ -663,12 +691,12 @@ class TestMdiOutcomeArray:
     def test_sampler_matches_reference_tables(self):
         uniforms = derive_rng(21).random((500, 5))
         uniforms[:50, 4] = 1.0  # the top edge, where the pick is clamped to the last pattern
-        # one call over all 288 rows, interleaved: trial k is uniform k // 288 on row k % 288
-        rows = np.arange(288 * len(uniforms)) % 288
-        m = protocols._mdi_outcomes()
-        codes = sample_outcomes(m, search_keys(m), rows, 0.85, np.repeat(uniforms, 288, axis=0))
-        for row in range(288):
-            np.testing.assert_array_equal(codes[row::288], reference_codes(reference_table(row), 0.85, uniforms))
+        # one call over all 36 rows, interleaved: trial k is uniform k // 36 on row k % 36
+        rows = np.arange(36 * len(uniforms)) % 36
+        m = protocols._noiseless_measurement(3)
+        codes = sample_outcomes(m, search_keys(m), rows, 0.85, np.repeat(uniforms, 36, axis=0))
+        for row in range(36):
+            np.testing.assert_array_equal(codes[row::36], reference_codes(reference_table(row), 0.85, uniforms))
 
 
 class TestMdiQkdExpectation:
