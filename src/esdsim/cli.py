@@ -35,8 +35,8 @@ DEFAULT_SEED = 42
 # Largest --d that `discriminate` accepts: the dense measurement holds d^d
 # amplitudes per state and builds the click codes from all d states at
 # once; trials are sampled CHUNK_ROWS at a time.  With 10^6 trials on one
-# core of an Intel Xeon, d = 6 takes 0.54 s and 48 MB including
-# interpreter start, d = 7 1.8 s and 356 MB (BENCH_22.json).
+# core of an Intel Xeon, d = 6 takes 0.21 s and 47 MB including
+# interpreter start (BENCH_28.json), d = 7 1.8 s and 356 MB (BENCH_22.json).
 MAX_DISCRIMINATE_D = 6
 # Largest --d of `list-states` (d = 7: 0.7 s and 71 MB; one d = 8 state is
 # 8^8 complex amplitudes, 268 MB) and `describe-tritter` (one core of an
@@ -160,13 +160,13 @@ def _cmd_describe_tritter(args) -> int:
 
 def _cmd_discriminate(args) -> int:
     import numpy as np
-    from .discrimination import measure, outcome_probabilities, sample_outcomes, search_keys, uniform_chunks
+    from .discrimination import draw_codes, measure, outcome_probabilities, outcome_table, uniform_chunks
 
     name, state = _named_state(args.state, args.d)
     m = measure(state[None], args.d)
-    codes, keys = np.empty(args.trials, dtype=np.int8), search_keys(m)
-    for start, u in uniform_chunks(args.seed, args.trials, args.d + 2):
-        codes[start : start + len(u)] = sample_outcomes(m, keys, np.zeros(len(u), dtype=np.int64), args.eta, u)
+    codes, table = np.empty(args.trials, dtype=np.int8), outcome_table(m, args.eta)
+    for start, u in uniform_chunks(args.seed, args.trials, 1):
+        codes[start : start + len(u)] = draw_codes(table, 0, u[:, 0])
     counts = _outcome_counts(codes)
     report = {"state": name, "d": args.d, "eta": args.eta, "seed": args.seed, "trials": args.trials, "counts": counts,
               "empirical": {k: v / args.trials for k, v in counts.items()},

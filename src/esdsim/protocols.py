@@ -16,10 +16,11 @@ MDI-QKD, encoded once for every d: Bob sends a row of `basis_rows` (the path
 basis or its Fourier MUB), Alice the d-1 photons of `alice_encodings`, an
 untrusted relay measures the joint state and announces the outcome, and
 matched-basis conclusive trials become the sifted key.  One measurement of
-the 4d^2 noiseless joint inputs per d, `_noiseless_measurement`, feeds the
-decode rule, the exact sift rate and QBER, and the d = 3 sampler.  The
-phase-flip channel is an exact mixture of its rows: the exact rates weigh
-them, and the sampler draws per trial whether Bob's photon is dephased.
+the 4d^2 noiseless joint inputs per d, `_noiseless_measurement`, gives one
+outcome table of those inputs behind the phase-flip channel, an exact
+mixture of the noiseless rows (`_channel_table`).  That table feeds the
+decode rule, the exact sift rate and QBER, and the d = 3 sampler, which
+draws each trial's input and then its outcome from the input's row.
 
 The security-analysis (EDP) picture is implemented as well, at any d:
 conditioning the shared system (Alice's phi_0, keeping its time-bin-0
@@ -37,8 +38,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .discrimination import (
-    DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, measure,
-    sample_outcomes, search_keys, uniform_chunks,
+    DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, draw_codes, measure,
+    outcome_table, uniform_chunks,
 )
 from .optics import build_dft
 from .states import family_index, phi_amplitudes, psi_amplitudes, unit_root
@@ -246,33 +247,36 @@ def alice_encodings(d: int) -> np.ndarray:
     return projected / np.sqrt(np.sum(np.abs(projected) ** 2, axis=tuple(range(2, d + 1)), keepdims=True))
 
 
-def _joint_inputs(d: int, bob: np.ndarray) -> np.ndarray:
-    """Alice's encodings times Bob's photons `bob` ([..., port]), one input
-    per row with an axis per time-bin (Bob's photon is time-bin 0), rows in
-    C order over (Alice basis, x) and then bob's leading axes."""
-    alice = alice_encodings(d).reshape((2, d) + (1,) * bob.ndim + (-1,))
-    return (alice * bob[..., None]).reshape((-1,) + (d,) * d)
-
-
 @lru_cache(maxsize=None)
 def _noiseless_measurement(d: int) -> Measurement:
     """The relay's measurement of the 4d^2 joint inputs when every device
-    works, rows in C order over (Alice basis, x, Bob basis, y).  Cached for
-    the process, so read-only."""
-    m = measure(_joint_inputs(d, basis_rows(d)), d)
+    works, rows in C order over (Alice basis, x, Bob basis, y), an axis per
+    time-bin (Bob's photon is time-bin 0).  Cached for the process, so
+    read-only."""
+    joint = alice_encodings(d).reshape(2, d, 1, 1, 1, -1) * basis_rows(d)[..., None]
+    m = measure(joint.reshape((-1,) + (d,) * d), d)
     for array in m[1:]:
         array.setflags(write=False)
     return m
 
 
-@lru_cache(maxsize=None)
-def _noiseless_model(d: int) -> np.ndarray:
-    """The noiseless protocol: conclusive probabilities of the 4d^2 joint
-    inputs, indexed [Alice basis, x, Bob basis, y, conclusive index].
-    Cached for the process, so it is read-only."""
-    model = conclusive_probabilities(_noiseless_measurement(d)).reshape(2, d, 2, d, d)
-    model.setflags(write=False)
-    return model
+def _channel_table(eta: float, noise: float, d: int) -> np.ndarray:
+    """The `outcome_table` of the 4d^2 joint inputs behind the phase-flip
+    channel, rows in C order over (Alice basis, x, Bob basis, y).  The flips
+    (each port negates Bob's photon with probability p = `noise`) map his
+    state rho to lam rho + (1 - lam) diag(|b_k|^2), lam = (1 - 2p)^2, so a
+    row is lam times its noiseless row plus 1 - lam times the noiseless rows
+    of Bob's path values k, weighted |b_k|^2."""
+    table, lam = outcome_table(_noiseless_measurement(d), eta).reshape(2, d, 2, d, d + 1), (1 - 2 * noise) ** 2
+    dephased = np.einsum("byk,axkc->axbyc", np.abs(basis_rows(d)) ** 2, table[:, :, 0])
+    return (lam * table + (1 - lam) * dephased).reshape(-1, d + 1)
+
+
+def _matched_conclusive(eta: float, noise: float, d: int) -> np.ndarray:
+    """The matched-basis probabilities of each conclusive index in
+    `_channel_table`, indexed [basis, x, y, conclusive index]."""
+    table = _channel_table(eta, noise, d).reshape(2, d, 2, d, d + 1)
+    return np.diff(np.einsum("bxbyc->bxyc", table), axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -281,7 +285,7 @@ def _decode_array(d: int = 3) -> np.ndarray:
     for each entry exactly one Alice value gives that outcome nonzero
     probability in the noiseless protocol; the relay announcement plus
     Bob's own value identify it.  Cached for the process, so read-only."""
-    support = np.einsum("bxbyi->biyx", _noiseless_model(d)) > 0  # matched bases
+    support = _matched_conclusive(1.0, 0.0, d).transpose(0, 3, 2, 1) > 0
     ambiguous = np.argwhere(support.sum(axis=-1) != 1)
     if len(ambiguous):
         b, i, y = ambiguous[0].tolist()
@@ -305,35 +309,28 @@ def mdi_qkd_run(n_trials: int, eta: float = 1.0, noise: float = 0.0, seed: int =
     efficiency eta, sifts matched-basis conclusive trials, and decodes Bob's
     symbol from (outcome index, Bob value).  The toy channel gives each
     relay input port a pi phase flip on Bob's photon with probability
-    `noise`.  As the exact mixture of `mdi_qkd_expectation`, with lam =
-    (1 - 2 noise)^2, it dephases a MUB-encoded photon into a uniformly random
-    path value with probability 1 - lam and never changes a path-encoded one.
+    `noise`, which enters as its exact mixture, `_channel_table`.
 
     All trials come from one block of uniforms, derive_rng(seed).random((n,
-    12)), drawn in chunks of CHUNK_ROWS rows; row i is trial i, so a run's
-    columns are a prefix of any longer run's.  Columns: 0-1 bases (< 0.5 is
-    computational), 2-3 values floor(3u), 4 the channel (>= lam dephases),
-    5 the dephased path value floor(3u), 6 unused, 7-9 parity devices, 10
-    parity projection, 11 click pattern.  Every trial samples a row of
-    `_noiseless_measurement(3)`.
+    2)), drawn in chunks of CHUNK_ROWS rows; row i is trial i, so a run's
+    columns are a prefix of any longer run's.  Column 0 picks the joint
+    input floor(36u), in C order over (Alice basis, x, Bob basis, y), and
+    column 1 its outcome from that input's row of the channel table
+    (`draw_codes`).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     _check_probability("eta", eta)
     _check_probability("noise", noise)
-    chunks, m = uniform_chunks(seed, n_trials, 12), _noiseless_measurement(3)
-    keys, lam = search_keys(m), (1 - 2 * noise) ** 2
-    mub, values = np.empty((n_trials, 2), dtype=np.int8), np.empty((n_trials, 2), dtype=np.int8)
-    outcome_codes = np.empty(n_trials, dtype=np.int8)
+    chunks, table = uniform_chunks(seed, n_trials, 2), _channel_table(eta, noise, 3)
+    joint = np.indices((2, 3, 2, 3), dtype=np.int8).reshape(4, -1).T  # Alice basis, x, Bob basis, y of each row
+    inputs, outcome_codes = np.empty((n_trials, 4), dtype=np.int8), np.empty(n_trials, dtype=np.int8)
     for start, u in chunks:
-        rows = slice(start, start + len(u))
-        mub[rows] = u[:, 0:2] >= 0.5
-        values[rows] = (3 * u[:, 2:4]).astype(np.int8)
-        dephased = (mub[rows, 1] == 1) & (u[:, 4] >= lam)  # read in the path basis
-        bob = np.where(dephased, 0, mub[rows, 1]), np.where(dephased, (3 * u[:, 5]).astype(np.int8), values[rows, 1])
-        inputs = np.ravel_multi_index((mub[rows, 0], values[rows, 0], *bob), (2, 3, 2, 3))
-        outcome_codes[rows] = sample_outcomes(m, keys, inputs, eta, u[:, 7:12])
+        rows = (36 * u[:, 0]).astype(np.intp)
+        inputs[start : start + len(u)] = joint[rows]
+        outcome_codes[start : start + len(u)] = draw_codes(table, rows, u[:, 1])
 
+    mub, values = inputs[:, 0::2], inputs[:, 1::2]
     sifted = (mub[:, 0] == mub[:, 1]) & (outcome_codes >= 0)
     bob_symbols = _decode_array(3)[mub[:, 0], np.maximum(outcome_codes, 0), values[:, 1]]
     n_sifted = int(sifted.sum())
@@ -351,26 +348,25 @@ class QkdExpectation(NamedTuple):
 
 def mdi_qkd_expectation(eta: float = 1.0, noise: float = 0.0, d: int = 3) -> QkdExpectation:
     """The exact sift rate and QBER in dimension d, which `mdi_qkd_run`
-    samples at d = 3: each of the 4d^2 inputs has probability 1/(4d^2).  The
-    phase flips (each port negates Bob's photon with probability p =
-    `noise`) map his state rho to lam rho + (1 - lam) diag(|b_k|^2), lam =
-    (1 - 2p)^2, so an input weighs lam times its `_noiseless_model` row plus
-    1 - lam times the rows of Bob's path values k, weighted |b_k|^2."""
+    samples at d = 3: each of the 4d^2 inputs has probability 1/(4d^2), and
+    its outcomes are its row of the same `_channel_table`."""
     _check_probability("eta", eta)
     _check_probability("noise", noise)
-    model, lam = _noiseless_model(d), (1 - 2 * noise) ** 2
-    dephased = np.einsum("byk,bxki->bxyi", np.abs(basis_rows(d)) ** 2, model[:, :, 0])
-    matched = lam * np.einsum("bxbyi->bxyi", model) + (1 - lam) * dephased  # basis, x, y, index
+    matched = _matched_conclusive(eta, noise, d)  # basis, x, y, index
     errors = _decode_array(d).transpose(0, 2, 1)[:, None] != np.arange(d)[:, None, None]  # basis, x, y, index
-    conclusive = eta**d / (4 * d * d) * matched
-    sift_rate = float(conclusive.sum())
-    return QkdExpectation(sift_rate, float((conclusive * errors).sum()) / sift_rate if sift_rate else 0.0)
+    conclusive = float(matched.sum())
+    return QkdExpectation(conclusive / (4 * d * d), float((matched * errors).sum()) / conclusive if conclusive else 0.0)
 
 
 def generalized_conclusive_probability(d: int) -> float:
     """Analytic conclusive probability for inputs drawn uniformly from the
     d*d path-basis encoding combinations of the generalized setup (one
     value each for Alice and Bob), evaluated through the full measurement
-    pipeline on a copy of those rows (freeing the MUB rows).  Equals 1/d."""
-    inputs = _joint_inputs(d, basis_rows(d)[0])[: d * d].copy()  # Alice's path value x, then Bob's y
-    return float(np.sum(conclusive_probabilities(measure(inputs, d)))) / (d * d)
+    pipeline.  Alice's value x leaves port x empty, so only the d inputs
+    with Bob's photon on port x can pass the projection: only they are
+    measured, into rows x*d + x of the zero (d*d, d) array of the sum, whose
+    order is kept.  Equals 1/d."""
+    passed = np.eye(d).reshape((d, d) + (1,) * (d - 1)) * alice_encodings(d)[0][:, None]  # Bob's photon on port x
+    conclusive = np.zeros((d * d, d))
+    conclusive[:: d + 1] = conclusive_probabilities(measure(passed, d))
+    return float(np.sum(conclusive)) / (d * d)

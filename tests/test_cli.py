@@ -118,7 +118,7 @@ class TestDiscriminateCommand:
         assert run(["discriminate", "--d", "6", "--state", "phi2", "--trials", "20000", "--eta", "0.9",
                     "--seed", "3", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "2f793b66f9af52c64a8a87cb2206d4fe9bd3a7e9f542de2a47bef260c8cf2925"
+            "d824ff92e46e8598273efacb5b8f02a1198723f313e365a0fc3566348fe94e8a"
         )
 
     def test_state_name_is_canonical(self, tmp_path):
@@ -287,7 +287,7 @@ class TestGoldenOutputs:
         csv = tmp_path / "records.csv"
         run(["mdiqkd", "--trials", "2000", "--eta", "0.9", "--noise", "0.1", "--seed", "3", "--out", str(csv)])
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-            "b93624c810d81cbf800530d0ea95a8e911c771045af58342095b4d92a00bdb55"
+            "f577a206b255b270264158bd4902977cc09704d9391c2bcb52f4436b2ba6bd91"
         )
         digests = {}
         for argv in (["discriminate", "--state", "psi1", "--trials", "2000", "--eta", "0.9"],
@@ -297,7 +297,7 @@ class TestGoldenOutputs:
             counts = json.dumps(json.loads(read(report))["counts"], sort_keys=True)
             digests[argv[0]] = hashlib.sha256(counts.encode()).hexdigest()
         assert digests == {
-            "discriminate": "b8f1aa3d11be535d79ff44af2ef80e2b3b623469614d3357807d72cecbbccb17",
+            "discriminate": "2609f638bfb169c339107402e48809ffed9dcdaf05da24162d81f86275f51378",
             "teleport": "581777da018d3270e0917133580bf6ad423c4aeefbeb175d8c5f91b7071e00fc",
         }
 
@@ -371,12 +371,12 @@ class TestGoldenOutputs:
         assert run(["mdiqkd", "--trials", "3000", "--eta", "0.7", "--noise", "0.3", "--seed", "1",
                     "--out", str(csv)]) == 0
         summary = capsys.readouterr().out
-        assert sha(csv.read_bytes()) == "3cf04cee79f72f9095de80d1816d538e0f81f101d86b5dd1fb5365567161f123"
-        assert sha(summary) == "4957b8701654c176629a1e5c2e8497d4d25769cc087fde5bfa80d1349c2d3e61"
+        assert sha(csv.read_bytes()) == "9c3891a8f8e30acced72b50bf2238ccf9c1500da221cc85262a743cd5054af8a"
+        assert sha(summary) == "d49401603adcb9b75d31bd5c4a2f1c25fd987f70fcb5a767f04b6b5e2dbb2961"
         assert run(["mdiqkd", "--trials", "1000", "--seed", "2"]) == 0
         captured = capsys.readouterr()
-        assert sha(captured.out) == "432432206d74243aa42b879463695180040f240fd3407edb04296f584d5a1529"
-        assert sha(captured.err) == "76183aa5dfb7c4c81a020f0fb2ff8b9225156e84f29db079a25eb6cabdfd90ea"
+        assert sha(captured.out) == "2681d540a99d88326b398b51d35f5aa880c8565b65c245b2b9afe6f7a47ac036"
+        assert sha(captured.err) == "5615a6010399c2313155685fa4c5acc5d5fd5c5290977cecccc1c0289231a4d4"
 
 
 class TestRunMemory:
@@ -456,9 +456,8 @@ class TestRunMemory:
 
     def test_outcome_codes_are_int8(self):
         m = discrimination.measure(states.psi_amplitudes(1)[None], 3)
-        uniforms = discrimination.derive_rng(1).random((50, 5))
-        rows = np.zeros(50, dtype=np.int64)
-        codes = discrimination.sample_outcomes(m, discrimination.search_keys(m), rows, 0.9, uniforms)
+        table = discrimination.outcome_table(m, 0.9)
+        codes = discrimination.draw_codes(table, 0, discrimination.derive_rng(1).random(50))
         assert discrimination.click_codes(3).dtype == codes.dtype == protocols.teleport_run(50)[0].dtype == np.int8
 
 
@@ -903,8 +902,8 @@ class TestRuntimePaths:
     # A fresh interpreter per subcommand: the esdsim modules it loads, and
     # whether it loads numpy.  None of these runs loads numpy.random: each
     # draws less than KERNEL_BUDGET uniforms, which the kernel computes
-    # (1000 discriminate trials draw 5000, 500 teleport trials 4000, 2000
-    # mdiqkd trials 24000 and 5000, perfbench's qkd-mc size, 60000).  Each
+    # (1000 discriminate trials draw 1000, 500 teleport trials 4000, 2000
+    # mdiqkd trials 4000 and 5000, perfbench's qkd-mc size, 10000).  Each
     # argv is well formed, so none loads argparse.
     @pytest.mark.parametrize("argv, layers, numpy_loaded", [
         (None, [], False),
@@ -918,15 +917,16 @@ class TestRuntimePaths:
         (["mdiqkd", "--trials", "5000"], ["discrimination", "optics", "protocols", "states"], True),
     ])
     def test_loads_only_its_layers(self, argv, layers, numpy_loaded):
-        assert 5000 * 12 <= discrimination.KERNEL_BUDGET
+        assert 5000 * 2 <= discrimination.KERNEL_BUDGET
         core = ["esdsim", "esdsim.cli", "esdsim.errors", "esdsim.keyrate"]
         argvs, modules = [] if argv is None else [argv], sorted(core + [f"esdsim.{name}" for name in layers])
         assert self.fresh_run(*argvs) == (modules, numpy_loaded, False, False)
 
     def test_loads_numpy_random_above_the_kernel_limit(self):
-        # the README's 30000 mdiqkd trials draw 360000 uniforms, past KERNEL_BUDGET
-        assert 30000 * 12 > discrimination.KERNEL_BUDGET
-        assert self.fresh_run(["mdiqkd", "--trials", "30000"])[2]
+        # 200000 mdiqkd trials draw 400000 uniforms, past KERNEL_BUDGET; the
+        # README's 30000 draw 60000, which the kernel computes
+        assert 200000 * 2 > discrimination.KERNEL_BUDGET >= 30000 * 2
+        assert self.fresh_run(["mdiqkd", "--trials", "200000"])[2]
 
     def test_readme_commands_load_no_argparse(self, tmp_path):
         # each README command is parsed straight from COMMANDS; an

@@ -24,11 +24,11 @@ from esdsim.discrimination import (
     click_order,
     conclusive_probabilities,
     derive_rng,
+    draw_codes,
     measure,
     outcome_name,
     outcome_probabilities,
-    sample_outcomes,
-    search_keys,
+    outcome_table,
     uniform_chunks,
 )
 from esdsim.errors import AmbiguousPattern
@@ -206,9 +206,8 @@ class TestBuildClassifier:
 
 
 def sampled_codes(amps, eta, n, seed):
-    """Outcome codes of n trials of one d = 3 input, from one uniform block."""
-    m = measure(amps[None], 3)
-    return sample_outcomes(m, search_keys(m), np.zeros(n, dtype=np.int64), eta, derive_rng(seed).random((n, 5)))
+    """Outcome codes of n trials of one d = 3 input, one uniform each."""
+    return draw_codes(outcome_table(measure(amps[None], 3), eta), 0, derive_rng(seed).random(n))
 
 
 UNIFORM_MIXTURE = sum(psi_amplitudes(i) for i in range(3)) / math.sqrt(3)
@@ -317,7 +316,7 @@ class TestUniformChunks:
         np.testing.assert_array_equal(np.vstack([block for _, block in chunks]), derive_rng(9).random((rows, cols)))
         return numpy_seeds
 
-    @pytest.mark.parametrize("cols", [4, 5, 8, 12])
+    @pytest.mark.parametrize("cols", [1, 2, 4, 5, 8, 12])
     @pytest.mark.parametrize("chunk_rows, budget", [
         (discrimination.CHUNK_ROWS, discrimination.KERNEL_BUDGET),
         # 7-row chunks start at every word offset mod 4; a smaller budget
@@ -380,7 +379,7 @@ class TestUniformChunks:
         assert self.fresh_runs([(rows, 1), (rows, 1), (1, 1)]) == [(rows, False), (rows, True), (rows, True)]
 
     def test_many_small_runs_load_numpy_random(self):
-        # each one-trial mdiqkd run is charged the floor, not its 12 uniforms
+        # each one-trial run of 12 uniforms is charged the floor, not its uniforms
         budget, floor = discrimination.KERNEL_BUDGET, discrimination.KERNEL_RUN_FLOOR
         kernel_runs = budget // floor
         assert self.fresh_runs([(1, 12)] * (kernel_runs + 2)) == (
@@ -437,17 +436,23 @@ class TestOutcomeType:
 # -- vectorized sampler ----------------------------------------------------------
 
 
-def scalar_sample(m, row, eta, u):
-    """Loop reference for one trial on input `row`: devices, then the parity
-    projection, then bisect_right over the running probabilities of the
-    row's support patterns, clamped to the last of them."""
-    d = m.d
-    if any(x >= eta for x in u[:d]) or u[d] >= m.pass_prob[row]:
-        return POSTSELECT_FAIL_CODE
-    support = np.flatnonzero(m.probs[row])
-    cum = np.cumsum(m.probs[row, support]).tolist()
-    idx = min(bisect.bisect_right(cum, u[d + 1] * cum[-1]), len(cum) - 1)
-    return int(click_codes(d)[support[idx]])
+def scalar_table_row(m, row, eta):
+    """Loop reference for row `row` of `outcome_table`: the click
+    probabilities summed per code in the order inconclusive, 0..d-1, each
+    running sum scaled by eta^d pass_prob over the row's total."""
+    sums = [0.0] * (m.d + 1)
+    for prob, code in zip(m.probs[row].tolist(), click_codes(m.d).tolist()):
+        sums[code + 1] += prob
+    total = math.fsum(sums)
+    scale = eta**m.d * m.pass_prob[row] / total if total else 0.0
+    return [scale * math.fsum(sums[: k + 1]) for k in range(m.d + 1)]
+
+
+def scalar_draw(entries, u):
+    """Loop reference for one trial on a table row: bisect_right counts the
+    entries at or below u; past the last entry the trial fails."""
+    index = bisect.bisect_right(entries, u)
+    return index - 1 if index < len(entries) else POSTSELECT_FAIL_CODE
 
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
@@ -472,22 +477,22 @@ def measurements_and_uniforms(draw):
         row[list(weights)] = list(weights.values())
     pass_prob = np.array([draw(probability) if row.any() else 0.0 for row in probs])
     m = Measurement(d, pass_prob, np.sqrt(probs).astype(complex), probs)
-    trial = st.tuples(st.integers(0, len(probs) - 1), *[unit] * (d + 1), pick)
-    trials = np.array(draw(st.lists(trial, min_size=1, max_size=20)))
-    return m, trials[:, 0].astype(np.int64), draw(probability), trials[:, 1:]
+    trials = draw(st.lists(st.tuples(st.integers(0, len(probs) - 1), pick), min_size=1, max_size=20))
+    rows, uniforms = zip(*trials)
+    return m, np.array(rows), draw(probability), np.array(uniforms)
 
 
-# Two trials on row 0 of a two-row d = 2 Measurement that the generated cases
-# reach only now and then: a pick that ties a running sum exactly (the next
-# pattern wins), and a pick of 1.0 on a row that is not the last (clamped to
-# that row's last support pattern, never the next row's first).
-_TIE_PROBS = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-TIE_AND_CLAMP = (
-    Measurement(2, np.ones(2), np.sqrt(_TIE_PROBS).astype(complex), _TIE_PROBS),
-    np.zeros(2, dtype=np.int64),
-    1.0,
-    np.array([[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]]),
-)
+# A two-row d = 3 Measurement that the generated cases reach only now and
+# then: row 0 has a code of probability 0 between codes of positive
+# probability (click patterns 0, 1 and 2 have codes inconclusive, 1 and 2),
+# and row 1 has no click support.  At eta = 1 its table is dyadic: row 0 is
+# (0.25, 0.25, 0.5, 1), row 1 is all 0.
+_TIE_PROBS = np.zeros((2, 27))
+_TIE_PROBS[0, :3] = 0.25, 0.25, 0.5
+TIE_MEASUREMENT = Measurement(3, np.array([1.0, 0.0]), np.sqrt(_TIE_PROBS).astype(complex), _TIE_PROBS)
+# Trials that tie an entry exactly (the next code of positive probability
+# wins) or reach 1.0, past every entry, on both rows.
+TIES = (TIE_MEASUREMENT, np.array([0, 0, 0, 0, 1, 1]), 1.0, np.array([0.0, 0.25, 0.5, 1.0, 0.0, 1.0]))
 
 
 class TestVectorizedSampler:
@@ -495,11 +500,38 @@ class TestVectorizedSampler:
     # the unshrunk example already names the trials that disagree
     @settings(max_examples=150, deadline=None, phases=[phase for phase in Phase if phase != Phase.shrink])
     @given(measurements_and_uniforms())
-    @example(TIE_AND_CLAMP)
+    @example(TIES)
     def test_matches_scalar_reference(self, case):
+        # the table within 1e-15 of the loop sums, and each draw bit for bit
+        # the bisection of its row
         m, rows, eta, uniforms = case
-        codes = sample_outcomes(m, search_keys(m), rows, eta, uniforms)
-        assert codes.tolist() == [scalar_sample(m, row, eta, u) for row, u in zip(rows.tolist(), uniforms.tolist())]
+        table = outcome_table(m, eta)
+        reference = np.array([scalar_table_row(m, row, eta) for row in range(len(table))])
+        assert np.abs(table - reference).max() <= 1e-15
+        codes = draw_codes(table, rows, uniforms)
+        expected = [scalar_draw(table[row].tolist(), u) for row, u in zip(rows.tolist(), uniforms.tolist())]
+        assert codes.dtype == np.int8 and codes.tolist() == expected
+
+    def test_threshold_edges(self):
+        # a uniform at an entry goes on to the next code of positive
+        # probability, one an ulp below it stays; no code of probability 0 is
+        # ever drawn, and a row with eta = 0 or pass_prob = 0 always fails
+        cases = [(measure(np.stack([psi_amplitudes(i) for i in range(9)]), 3), eta) for eta in (1.0, 0.9, 0.0)]
+        cases += [(TIE_MEASUREMENT, 1.0), (measure(np.stack([phi_amplitudes(i, 4) for i in range(4)]) / 2, 4), 0.8)]
+        for m, eta in cases:
+            table = outcome_table(m, eta)
+            for row, entries in enumerate(table.tolist()):
+                masses = np.diff(entries, prepend=0.0)
+                edges = [0.0, 0.5, 1 - 2**-53] + [x for e in entries for x in (e, np.nextafter(e, 0.0)) if x >= 0]
+                codes = draw_codes(table, np.full(len(edges), row), np.array(edges))
+                if eta == 0 or m.pass_prob[row] == 0:
+                    assert (codes == POSTSELECT_FAIL_CODE).all()
+                    continue
+                assert np.isin(codes, [code - 1 for code in np.flatnonzero(masses)] + [POSTSELECT_FAIL_CODE]).all()
+                for code, (mass, e) in enumerate(zip(masses.tolist(), entries), start=-1):
+                    at, below = draw_codes(table, row, np.array([e, np.nextafter(e, 0.0)])).tolist()
+                    assert at > code or at == POSTSELECT_FAIL_CODE
+                    assert mass == 0 or below == code
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
@@ -515,6 +547,10 @@ class TestVectorizedSampler:
         split = probs.pop("postselect_fail_device") + probs.pop("postselect_fail_parity")
         assert abs(sum(probs.values()) - 1.0) < 1e-12
         assert abs(split - probs["postselect_fail"]) < 1e-12
+        # the sampled table carries the same probabilities
+        masses = np.diff(outcome_table(m, eta)[0], prepend=0.0).tolist() + [1 - outcome_table(m, eta)[0, -1]]
+        for code, mass in zip([*range(-1, 3), POSTSELECT_FAIL_CODE], masses):
+            assert abs(mass - probs.get(outcome_name(code), 0.0)) < 1e-12
 
     def test_conclusive_probabilities(self):
         # the closed form agrees with the per-input analytic split on every
@@ -527,11 +563,6 @@ class TestVectorizedSampler:
         for d in (2, 4, 5):
             phis = measure(np.stack([phi_amplitudes(i, d) for i in range(d)]), d)
             assert np.abs(conclusive_probabilities(phis) - np.eye(d)).max() <= 1e-12
-
-    def test_uniform_block_shape_is_checked(self):
-        m = measure(psi_amplitudes(0)[None], 3)
-        with pytest.raises(ValueError):
-            sample_outcomes(m, search_keys(m), np.zeros(4, dtype=np.int64), 1.0, np.zeros((4, 3)))
 
 
 # -- dense measurement path ------------------------------------------------------

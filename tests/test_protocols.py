@@ -12,11 +12,11 @@ from esdsim.discrimination import (
     POSTSELECT_FAIL_CODE,
     click_codes,
     derive_rng,
+    draw_codes,
     measure,
     outcome_name,
     outcome_probabilities,
-    sample_outcomes,
-    search_keys,
+    outcome_table,
 )
 from esdsim.optics import build_dft, equal_up_to_global_phase
 from esdsim.protocols import (
@@ -444,8 +444,7 @@ class TestReadOnlyCaches:
     def test_mdi_outcomes(self):
         before, exact = mdi_qkd_run(2000, eta=0.9, noise=0.1, seed=3), mdi_qkd_expectation(0.9, 0.1)
         m = protocols._noiseless_measurement(3)
-        model, decode = protocols._noiseless_model(3), _decode_array(3)
-        for array in (m.pass_prob, m.amplitudes, m.probs, model, decode, click_codes(3), build_dft(3)):
+        for array in (m.pass_prob, m.amplitudes, m.probs, _decode_array(3), click_codes(3), build_dft(3)):
             with pytest.raises(ValueError):
                 array[...] = 0
         after = mdi_qkd_run(2000, eta=0.9, noise=0.1, seed=3)
@@ -597,47 +596,48 @@ class TestMdiQkdSampling:
             for whole, prefix in zip(qkd_columns(long), qkd_columns(short)):
                 np.testing.assert_array_equal(whole[:n], prefix)
 
-    def test_channel_mixture_edges(self, monkeypatch):
-        # the channel is lam rho + (1 - lam) diag(|b_k|^2), lam = (1 - 2p)^2:
-        # a MUB photon is read as path value floor(3u5) iff u4 >= lam, and a
-        # path photon never changes.  lam = 1 at p = 0 and p = 1, where the
-        # runs agree; lam = 0 at p = 0.5, where every photon is a path value
+    def test_channel_mixture_edges(self):
+        # the channel table is lam times the noiseless row plus 1 - lam times
+        # the noiseless rows of Bob's path values k, weighted |b_k|^2, lam =
+        # (1 - 2p)^2: lam = 1 at p = 0 and p = 1, where the runs are
+        # identical, and lam = 0 at p = 0.5, where every MUB row is its path
+        # mixture and every path row is unchanged
         flipped, clean = mdi_qkd_run(3000, 0.9, 1.0, 5), mdi_qkd_run(3000, 0.9, 0.0, 5)
         for column, same in zip(qkd_columns(flipped), qkd_columns(clean)):
             np.testing.assert_array_equal(column, same)
-        relay_inputs = []
+        noiseless = outcome_table(protocols._noiseless_measurement(3), 0.9).reshape(2, 3, 2, 3, 4)
+        for p in (0.0, 1.0):
+            np.testing.assert_array_equal(protocols._channel_table(0.9, p, 3), noiseless.reshape(36, 4))
+        weights = np.abs(build_dft(3)) ** 2
+        mixture = np.stack([sum(weights[y, k] * noiseless[:, :, 0, k] for k in range(3)) for y in range(3)], axis=2)
+        for p in (0.5, 0.1):
+            lam = (1 - 2 * p) ** 2
+            table = protocols._channel_table(0.9, p, 3).reshape(2, 3, 2, 3, 4)
+            assert np.abs(table[:, :, 1] - (lam * noiseless[:, :, 1] + (1 - lam) * mixture)).max() <= 1e-16
+            assert np.abs(table[:, :, 0] - noiseless[:, :, 0]).max() <= (0 if p == 0.5 else 1e-16)
 
-        def spy(m, keys, rows, eta, uniforms):
-            relay_inputs.append(np.unravel_index(rows, (2, 3, 2, 3)))
-            return sample_outcomes(m, keys, rows, eta, uniforms)
-
-        monkeypatch.setattr(protocols, "sample_outcomes", spy)
-        run = mdi_qkd_run(3000, 0.9, 0.5, 5)
-        bob_basis, bob_value = relay_inputs[-1][2:]
-        assert run.bases[:, 1].any() and not bob_basis.any()
-        u = derive_rng(5).random((3000, 12))
-        dephased_value = np.where(run.bases[:, 1] == 1, (3 * u[:, 5]).astype(int), run.values[:, 1])
-        np.testing.assert_array_equal(bob_value, dephased_value)
-
-        lam = (1 - 2 * 0.1) ** 2
-        draws = [0.0, np.nextafter(lam, 0.0), lam, np.nextafter(lam, 1.0), 1 - 2**-53]
-        block = np.array([(a, b, 0.5, y, c4, c5, 0.5, 0.1, 0.1, 0.1, 0.1, 0.5) for a in (0.2, 0.7) for b in (0.2, 0.7)
-                          for y in (0.1, 0.5, 0.9) for c4 in draws for c5 in (0.1, 0.5, 0.9)])
+    def test_two_uniforms_per_trial(self, monkeypatch):
+        # column 0 picks the joint input floor(36 u) in C order over (Alice
+        # basis, x, Bob basis, y), every one of the 36 and none past them;
+        # column 1 draws its outcome from that row of the channel table
+        u = derive_rng(5).random((3000, 2))
+        edges = [x for k in range(1, 36) for x in (np.nextafter(k / 36, 0.0), k / 36)] + [0.0, 1 - 2**-53]
+        block = np.vstack([u, [(e, pick) for e in edges for pick in (0.0, 0.5, 1 - 2**-53)]])
         monkeypatch.setattr(protocols, "uniform_chunks", lambda seed, n, cols: iter([(0, block)]))
-        run = mdi_qkd_run(len(block), 0.9, 0.1)
-        dephased = (block[:, 1] >= 0.5) & (block[:, 4] >= lam)
-        assert dephased.any() and (~dephased & (block[:, 1] >= 0.5)).any()
-        expected = (run.bases[:, 0], run.values[:, 0], np.where(dephased, 0, run.bases[:, 1]),
-                    np.where(dephased, (3 * block[:, 5]).astype(int), run.values[:, 1]))
-        for column, want in zip(relay_inputs[-1], expected):
+        run = mdi_qkd_run(len(block), 0.9, 0.5)
+        rows = np.floor(36 * block[:, 0]).astype(int)
+        assert set(rows.tolist()) == set(range(36))
+        inputs = np.unravel_index(rows, (2, 3, 2, 3))
+        for column, want in zip((*run.bases.T, *run.values.T), (inputs[0], inputs[2], inputs[1], inputs[3])):
             np.testing.assert_array_equal(column, want)
+        table = protocols._channel_table(0.9, 0.5, 3)
+        np.testing.assert_array_equal(run.outcomes, draw_codes(table, rows, block[:, 1]))
 
     def test_second_run_evolves_nothing(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("called after the outcome array was built")
 
         protocols._noiseless_measurement.cache_clear()
-        protocols._noiseless_model.cache_clear()
         protocols._decode_array.cache_clear()
         mdi_qkd_run(100, noise=0.1)
         monkeypatch.setattr(discrimination, "evolve_axes", forbidden)
@@ -661,17 +661,13 @@ def reference_table(row):
     return pass_prob, np.cumsum([prob for _, prob in ordered]), np.array(codes)
 
 
-def reference_codes(table, eta, uniforms):
-    """Outcome codes of d = 3 trials on one `reference_table`: the first
-    support pattern whose running probability exceeds u times the total,
-    clamped to the last."""
+def reference_running(table, eta):
+    """The running probabilities of the codes inconclusive, 0, 1, 2 of one
+    `reference_table`, scaled by eta^3 pass_prob over the click total."""
     pass_prob, cumulative, codes = table
-    out = np.full(len(uniforms), POSTSELECT_FAIL_CODE)
-    passed = np.all(uniforms[:, :3] < eta, axis=1) & (uniforms[:, 3] < pass_prob)
-    if len(cumulative):
-        pick = np.searchsorted(cumulative, uniforms[passed, 4] * cumulative[-1], side="right")
-        out[passed] = codes[np.minimum(pick, len(cumulative) - 1)]
-    return out
+    probs = np.diff(cumulative, prepend=0.0)
+    sums = [probs[codes == code].sum() for code in range(-1, 3)]
+    return np.cumsum(sums) * (eta**3 * pass_prob / cumulative[-1]) if len(cumulative) else np.zeros(4)
 
 
 class TestMdiOutcomeArray:
@@ -689,14 +685,20 @@ class TestMdiOutcomeArray:
         assert (m.pass_prob == 0).any() and (m.pass_prob > 0).any()
 
     def test_sampler_matches_reference_tables(self):
-        uniforms = derive_rng(21).random((500, 5))
-        uniforms[:50, 4] = 1.0  # the top edge, where the pick is clamped to the last pattern
-        # one call over all 36 rows, interleaved: trial k is uniform k // 36 on row k % 36
+        # each code's probability in every row of the outcome table within
+        # 1e-12 of the sparse reference's, and the draws from both equal;
+        # one call over all 36 rows, interleaved: trial k is uniform k // 36
+        # on row k % 36
+        uniforms = derive_rng(21).random(500)
         rows = np.arange(36 * len(uniforms)) % 36
-        m = protocols._noiseless_measurement(3)
-        codes = sample_outcomes(m, search_keys(m), rows, 0.85, np.repeat(uniforms, 36, axis=0))
-        for row in range(36):
-            np.testing.assert_array_equal(codes[row::36], reference_codes(reference_table(row), 0.85, uniforms))
+        for eta in (1.0, 0.85):
+            table = outcome_table(protocols._noiseless_measurement(3), eta)
+            codes = draw_codes(table, rows, np.repeat(uniforms, 36))
+            for row in range(36):
+                running = reference_running(reference_table(row), eta)
+                assert np.abs(np.diff(table[row], prepend=0.0) - np.diff(running, prepend=0.0)).max() <= 1e-12
+                expected = [bisect.bisect_right(running.tolist(), u) - 1 for u in uniforms.tolist()]
+                np.testing.assert_array_equal(codes[row::36], [POSTSELECT_FAIL_CODE if e == 3 else e for e in expected])
 
 
 class TestMdiQkdExpectation:
