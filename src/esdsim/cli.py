@@ -33,10 +33,9 @@ from .errors import AmbiguousPattern
 
 DEFAULT_SEED = 42
 # Largest --d that `discriminate` accepts: the dense measurement holds d^d
-# amplitudes per state and builds the click codes from all d states at
-# once; trials are sampled CHUNK_ROWS at a time.  With 10^6 trials on one
-# core of an Intel Xeon, d = 6 takes 0.21 s and 47 MB including
-# interpreter start (BENCH_28.json), d = 7 1.8 s and 356 MB (BENCH_22.json).
+# amplitudes per state and builds the click codes from all d states at once;
+# the counts take d + 1 uniforms.  10^6 trials, one Intel Xeon core, with
+# start-up: d = 6 0.18 s, 47 MB (BENCH_29.json), d = 7 1.8 s, 356 MB (BENCH_22).
 MAX_DISCRIMINATE_D = 6
 # Largest --d of `list-states` (d = 7: 0.7 s and 71 MB; one d = 8 state is
 # 8^8 complex amplitudes, 268 MB) and `describe-tritter` (one core of an
@@ -159,15 +158,12 @@ def _cmd_describe_tritter(args) -> int:
 
 
 def _cmd_discriminate(args) -> int:
-    import numpy as np
-    from .discrimination import draw_codes, measure, outcome_probabilities, outcome_table, uniform_chunks
+    from .discrimination import _philox_head, draw_counts, measure, outcome_name, outcome_probabilities, outcome_table
 
     name, state = _named_state(args.state, args.d)
     m = measure(state[None], args.d)
-    codes, table = np.empty(args.trials, dtype=np.int8), outcome_table(m, args.eta)
-    for start, u in uniform_chunks(args.seed, args.trials, 1):
-        codes[start : start + len(u)] = draw_codes(table, 0, u[:, 0])
-    counts = _outcome_counts(codes)
+    drawn = draw_counts(outcome_table(m, args.eta)[0], args.trials, _philox_head(args.seed, args.d + 1))
+    counts = {outcome_name(code): k for code, k in drawn.items() if k}
     report = {"state": name, "d": args.d, "eta": args.eta, "seed": args.seed, "trials": args.trials, "counts": counts,
               "empirical": {k: v / args.trials for k, v in counts.items()},
               "analytic": outcome_probabilities(m, args.eta)}

@@ -7,10 +7,10 @@ of dense inputs with one photon in each time-bin 0..d-1; `click_order` fixes
 the order of the d^d click patterns, and `click_codes` is the generated
 click table over that order.  `outcome_table` condenses each row of the
 `Measurement` that `measure` returns into the running probabilities of
-its outcome codes, once per run, and `draw_codes` samples a trial from one
-uniform on its row; `conclusive_probabilities` and `outcome_probabilities`
-are the closed forms.  `uniform_chunks` draws every run's uniforms, a
-per-process budget of them without numpy.random.
+its outcome codes, once per run: `draw_codes` samples a trial from one
+uniform on its row, `draw_counts` n trials' counts from d + 1 uniforms.
+`conclusive_probabilities` and `outcome_probabilities` are the closed forms.
+`uniform_chunks` draws per-trial uniforms, a budget without numpy.random.
 
 An outcome is an integer code: a conclusive outcome is its state index
 (>= 0), the other two are INCONCLUSIVE_CODE and POSTSELECT_FAIL_CODE.
@@ -25,6 +25,7 @@ analytic decomposition that `outcome_probabilities` reports.
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -242,15 +243,65 @@ def outcome_name(code: int) -> str:
 
 def draw_codes(table: np.ndarray, rows: np.ndarray | int, uniforms: np.ndarray) -> np.ndarray:
     """The int8 outcome codes of n trials, trial i on row `rows[i]` of an
-    `outcome_table` (an int row serves every trial), from uniform i: the
-    first code whose running probability exceeds u, else
-    POSTSELECT_FAIL_CODE.  A u equal to an entry goes past it, so a code of
-    probability 0 is never drawn.  Row i's outcome depends on row i alone.
-    """
+    `outcome_table` (its joint input in `mdi_qkd_run`; an int puts every
+    trial on one row), from uniform i: the first code whose running
+    probability exceeds u, else POSTSELECT_FAIL_CODE.  A u equal to an entry
+    goes past it, so a code of probability 0 is never drawn.  Row i's
+    outcome depends on row i alone."""
     count = np.zeros(len(uniforms), dtype=np.uint8)
     for column in table.T:  # column by column: 3x faster than comparing gathered rows
         count += column[rows] <= uniforms
     return np.array([*range(-1, table.shape[1] - 1), POSTSELECT_FAIL_CODE], dtype=np.int8)[count]
+
+
+def _philox_head(seed: int, count: int) -> list[float]:
+    """derive_rng(seed).random(count): Philox4x64-10 on counters 1..ceil(count / 4) in
+    Python ints, free of the kernel's fixed cost.  ValueError for a seed outside [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    ((m0,), (m2,)), ((w1,), (w0,)), mask, words = _PHILOX_M.tolist(), _PHILOX_W.tolist(), 2**64 - 1, []
+    for counter in range(1, (count + 3) // 4 + 1):
+        x0, x1, x2, x3, k0, k1 = counter, 0, 0, 0, seed, 0
+        for _ in range(10):
+            x0, x1, x2, x3 = (m2 * x2 >> 64) ^ x1 ^ k0, m2 * x2 & mask, (m0 * x0 >> 64) ^ x3 ^ k1, m0 * x0 & mask
+            k0, k1 = (k0 + w0) & mask, (k1 + w1) & mask
+        words += (x0, x1, x2, x3)
+    return [(word >> 11) * 2.0**-53 for word in words[:count]]
+
+
+def _binomial(n: int, p: float, u: float) -> int:
+    """k ~ B(n, p) from one uniform: terms from the mode outward, the larger next
+    one first, until the running mass exceeds u.  The mode's term (math.lgamma,
+    a few ulps of n ln n) is off by a relative 1e-8 at most at n = 10**6.  Once
+    no tail can add 2**-53 the rest goes to the mode, so p = 0 gives 0, p = 1 n."""
+    lo = hi = k = mode = min(math.floor((n + 1) * p), n)
+    if not 0.0 < p < 1.0:
+        return mode
+    odds = p / (1.0 - p)
+    running = below = above = math.exp(math.lgamma(n + 1) - math.lgamma(mode + 1) - math.lgamma(n - mode + 1)
+                                       + mode * math.log(p) + (n - mode) * math.log1p(-p))
+    while running <= u:
+        down, up = below * lo / ((n - lo + 1) * odds), above * (n - hi) / (hi + 1) * odds  # terms lo - 1, hi + 1
+        if max(lo * down, (n - hi) * up) < 2**-53:  # terms fall outward: a tail is at most its length times this
+            return mode
+        if up >= down:
+            hi, above, k = hi + 1, up, hi + 1
+        else:
+            lo, below, k = lo - 1, down, lo - 1
+        running += max(up, down)
+    return k
+
+
+def draw_counts(row: np.ndarray, n: int, uniforms: list[float]) -> dict[int, int]:
+    """The counts of n trials on one `outcome_table` row as one multinomial draw
+    from d + 1 uniforms (Devroye 1986, ch. X): INCONCLUSIVE_CODE, then 0..d-1,
+    each binomial in the trials left at its probability given none before it;
+    POSTSELECT_FAIL_CODE takes the rest.  No code of probability 0 is drawn."""
+    counts, left, below = {}, n, 0.0
+    for code, (cum, u) in enumerate(zip(row.tolist(), uniforms), INCONCLUSIVE_CODE):
+        counts[code] = _binomial(left, (cum - below) / max(cum - below, 1.0 - below) if cum > below else 0.0, u)
+        left, below = left - counts[code], cum
+    return {**counts, POSTSELECT_FAIL_CODE: left}
 
 
 def conclusive_probabilities(m: Measurement) -> np.ndarray:
@@ -262,16 +313,16 @@ def conclusive_probabilities(m: Measurement) -> np.ndarray:
 def outcome_table(m: Measurement, eta: float) -> np.ndarray:
     """The (n, d + 1) outcome table of `m` at parity-device efficiency eta:
     row r holds the running probabilities of the codes INCONCLUSIVE_CODE,
-    0..d-1 on input r, its click probabilities scaled by eta^d pass_prob /
-    (their total).  The rest of 1 is POSTSELECT_FAIL_CODE."""
+    0..d-1 on input r: its click probabilities over their total, times eta^d
+    pass_prob (no subnormal total overflows).  The rest of 1 is POSTSELECT_FAIL_CODE."""
     running = np.cumsum(m.probs @ (click_codes(m.d)[:, None] == np.arange(-1, m.d)), axis=1)
     total = running[:, -1:]
-    return running * np.divide(eta**m.d * m.pass_prob[:, None], total, out=np.zeros_like(total), where=total > 0)
+    return np.divide(running, total, out=np.zeros_like(running), where=total > 0) * (eta**m.d * m.pass_prob[:, None])
 
 
 def outcome_probabilities(m: Measurement, eta: float = 1.0) -> dict[str, float]:
     """Closed-form outcome probabilities of the one input of `m`, which
-    `draw_codes` samples through its `outcome_table`.
+    `draw_counts` samples through its `outcome_table`.
 
     Also reports the split of PostSelectFail into device failure versus a
     genuinely even parity reading, which the sampled outcome cannot show.

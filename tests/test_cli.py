@@ -118,7 +118,7 @@ class TestDiscriminateCommand:
         assert run(["discriminate", "--d", "6", "--state", "phi2", "--trials", "20000", "--eta", "0.9",
                     "--seed", "3", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "d824ff92e46e8598273efacb5b8f02a1198723f313e365a0fc3566348fe94e8a"
+            "69cf2d5da54eb85c418b01d5655796eedc8a0b42bef3d90d430179b74f49da07"
         )
 
     def test_state_name_is_canonical(self, tmp_path):
@@ -276,7 +276,8 @@ def on_both_uniform_sources(monkeypatch):
 class TestGoldenOutputs:
     """sha256 digests of discrete outputs, pinned so that rewrites of the
     samplers or the CSV writer stay byte-exact.  Every sampling command runs
-    on both sources of uniforms."""
+    on both sources of uniforms (discriminate draws its d + 1 with
+    `_philox_head` on either)."""
 
     def test_digests(self, tmp_path, capsys, monkeypatch):
         for _ in on_both_uniform_sources(monkeypatch):
@@ -297,7 +298,7 @@ class TestGoldenOutputs:
             counts = json.dumps(json.loads(read(report))["counts"], sort_keys=True)
             digests[argv[0]] = hashlib.sha256(counts.encode()).hexdigest()
         assert digests == {
-            "discriminate": "2609f638bfb169c339107402e48809ffed9dcdaf05da24162d81f86275f51378",
+            "discriminate": "808a80eaa8a9738df9ba8511ceac7517e4aedd45bd75e28a1f6c4603a892ebd9",
             "teleport": "581777da018d3270e0917133580bf6ad423c4aeefbeb175d8c5f91b7071e00fc",
         }
 
@@ -377,6 +378,42 @@ class TestGoldenOutputs:
         captured = capsys.readouterr()
         assert sha(captured.out) == "2681d540a99d88326b398b51d35f5aa880c8565b65c245b2b9afe6f7a47ac036"
         assert sha(captured.err) == "5615a6010399c2313155685fa4c5acc5d5fd5c5290977cecccc1c0289231a4d4"
+
+
+class TestCapContracts:
+    """Capped commands run at their caps in a fresh process, stdout to
+    /dev/null: each exits 0, within a wall-time bound that only catches a
+    hang, and under a bound on its peak memory, the child's own VmHWM read at
+    exit (a parent's wait4 cannot report less than the parent's own RSS)."""
+
+    @staticmethod
+    def capped_run(argv):
+        """The exit code and the peak memory in MB of `cli.run(argv)` in a fresh interpreter."""
+        code = (
+            "import os, re, sys\n"
+            "import esdsim.cli as cli\n"
+            "sys.stdout = open(os.devnull, 'w')\n"
+            f"code = cli.run({argv!r})\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak = re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1]\n"
+            "print(code, peak, file=sys.__stdout__)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True,
+                              timeout=60)
+        exit_code, peak_kb = map(int, done.stdout.split())
+        return exit_code, peak_kb / 1024
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc/self/status")
+    def test_discriminate(self):
+        # measured 47 MB and 0.18 s with interpreter start (medians of 11,
+        # Python 3.11, numpy 2.4, BENCH_29.json `caps`): the memory bound
+        # leaves a third of headroom for other builds, and the 60 s timeout
+        # only catches a hang
+        assert cli.MAX_DISCRIMINATE_D == 6 and cli.MAX_TRIALS == 10**6
+        exit_code, peak_mb = self.capped_run(["discriminate", "--d", "6", "--state", "phi1", "--trials", "1000000",
+                                              "--eta", "0.9"])
+        assert exit_code == 0
+        assert peak_mb <= 64
 
 
 class TestRunMemory:
@@ -900,11 +937,12 @@ class TestRuntimePaths:
         return modules.split(), *(flag == "True" for flag in flags.split())
 
     # A fresh interpreter per subcommand: the esdsim modules it loads, and
-    # whether it loads numpy.  None of these runs loads numpy.random: each
-    # draws less than KERNEL_BUDGET uniforms, which the kernel computes
-    # (1000 discriminate trials draw 1000, 500 teleport trials 4000, 2000
-    # mdiqkd trials 4000 and 5000, perfbench's qkd-mc size, 10000).  Each
-    # argv is well formed, so none loads argparse.
+    # whether it loads numpy.  None of these runs loads numpy.random:
+    # discriminate draws d + 1 = 4 uniforms with `_philox_head`, and every
+    # other run draws less than KERNEL_BUDGET uniforms, which the kernel
+    # computes (500 teleport trials 4000, 2000 mdiqkd trials 4000 and 5000,
+    # perfbench's qkd-mc size, 10000).  Each argv is well formed, so none
+    # loads argparse.
     @pytest.mark.parametrize("argv, layers, numpy_loaded", [
         (None, [], False),
         (["keyrate"], [], False),
@@ -921,6 +959,20 @@ class TestRuntimePaths:
         core = ["esdsim", "esdsim.cli", "esdsim.errors", "esdsim.keyrate"]
         argvs, modules = [] if argv is None else [argv], sorted(core + [f"esdsim.{name}" for name in layers])
         assert self.fresh_run(*argvs) == (modules, numpy_loaded, False, False)
+
+    def test_discriminate_draws_outside_the_kernel(self):
+        # d + 1 uniforms from `_philox_head` whatever --trials is: 10^6 trials
+        # charge nothing to KERNEL_BUDGET and load no numpy.random
+        code = (
+            "import os, sys\n"
+            "import esdsim.cli as cli, esdsim.discrimination as discrimination\n"
+            "sys.stdout = open(os.devnull, 'w')\n"
+            "assert cli.run(['discriminate', '--d', '6', '--state', 'phi1', '--trials', '1000000']) == 0\n"
+            "print(discrimination._kernel_spent, 'numpy.random' in sys.modules, file=sys.__stdout__)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True,
+                              timeout=120)
+        assert done.stdout.split() == ["0", "False"]
 
     def test_loads_numpy_random_above_the_kernel_limit(self):
         # 200000 mdiqkd trials draw 400000 uniforms, past KERNEL_BUDGET; the

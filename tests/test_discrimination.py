@@ -19,12 +19,15 @@ from esdsim.discrimination import (
     INCONCLUSIVE_CODE,
     POSTSELECT_FAIL_CODE,
     Measurement,
+    _binomial,
+    _philox_head,
     _philox_uniforms,
     click_codes,
     click_order,
     conclusive_probabilities,
     derive_rng,
     draw_codes,
+    draw_counts,
     measure,
     outcome_name,
     outcome_probabilities,
@@ -237,11 +240,14 @@ class TestSampling:
 
     def test_seed_range(self, without_numpy_random):
         # a Philox key word holds [0, 2**64); no seed outside it aliases one
-        # inside, on the kernel path and on numpy's.  The call itself raises.
+        # inside, on the kernel path, on numpy's and in `_philox_head`.  The
+        # call itself raises.
         for rows in (1, discrimination.KERNEL_BUDGET + 1):
             for seed in (-1, -5, 2**64, 2**64 + 5):
                 with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
                     uniform_chunks(seed, rows, 1)
+                with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                    _philox_head(seed, 9)
             assert next(uniform_chunks(0, rows, 1))[1][0] != next(uniform_chunks(2**64 - 1, rows, 1))[1][0]
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -300,6 +306,12 @@ class TestPhiloxKernel:
     def test_matches_numpy(self, seed, offset, length):
         np.testing.assert_array_equal(_philox_uniforms(seed, offset, length),
                                       philox_reference(seed, offset + length)[offset:])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_head_in_python_ints(self, seed):
+        # k = 1..9 crosses from the first counter's four words into the third's
+        for k in range(1, 10):
+            assert _philox_head(seed, k) == philox_reference(seed, k).tolist()
 
 
 class TestUniformChunks:
@@ -439,13 +451,13 @@ class TestOutcomeType:
 def scalar_table_row(m, row, eta):
     """Loop reference for row `row` of `outcome_table`: the click
     probabilities summed per code in the order inconclusive, 0..d-1, each
-    running sum scaled by eta^d pass_prob over the row's total."""
+    running sum over the row's total, then times eta^d pass_prob."""
     sums = [0.0] * (m.d + 1)
     for prob, code in zip(m.probs[row].tolist(), click_codes(m.d).tolist()):
         sums[code + 1] += prob
     total = math.fsum(sums)
-    scale = eta**m.d * m.pass_prob[row] / total if total else 0.0
-    return [scale * math.fsum(sums[: k + 1]) for k in range(m.d + 1)]
+    scale = eta**m.d * float(m.pass_prob[row])
+    return [math.fsum(sums[: k + 1]) / total * scale if total else 0.0 for k in range(m.d + 1)]
 
 
 def scalar_draw(entries, u):
@@ -493,6 +505,11 @@ TIE_MEASUREMENT = Measurement(3, np.array([1.0, 0.0]), np.sqrt(_TIE_PROBS).astyp
 # Trials that tie an entry exactly (the next code of positive probability
 # wins) or reach 1.0, past every entry, on both rows.
 TIES = (TIE_MEASUREMENT, np.array([0, 0, 0, 0, 1, 1]), 1.0, np.array([0.0, 0.25, 0.5, 1.0, 0.0, 1.0]))
+# A row whose click total is subnormal, so that its inverse overflows.
+_SUBNORMAL_PROBS = np.zeros((1, 27))
+_SUBNORMAL_PROBS[0, 4] = 2.0**-1030
+SUBNORMAL_TOTAL = (Measurement(3, np.array([1.0]), np.sqrt(_SUBNORMAL_PROBS).astype(complex), _SUBNORMAL_PROBS),
+                   np.array([0, 0]), 1.0, np.array([0.0, 0.5]))
 
 
 class TestVectorizedSampler:
@@ -501,6 +518,7 @@ class TestVectorizedSampler:
     @settings(max_examples=150, deadline=None, phases=[phase for phase in Phase if phase != Phase.shrink])
     @given(measurements_and_uniforms())
     @example(TIES)
+    @example(SUBNORMAL_TOTAL)
     def test_matches_scalar_reference(self, case):
         # the table within 1e-15 of the loop sums, and each draw bit for bit
         # the bisection of its row
@@ -609,6 +627,61 @@ def measurement_superpositions(draw):
     if state.norm_sq() < 1e-6:
         state = members[chosen[0]]
     return d, state.normalize()
+
+
+class TestCountSampler:
+    """`draw_counts`: a run's outcome counts as conditional binomials, each
+    drawn by `_binomial` from one uniform."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_binomial_law(self, n):
+        # each k takes one interval of u (the mode also the rounding rest,
+        # which no grid point reaches here), so its share of a midpoint grid
+        # of 2^16 uniforms is within 2^-16 of math.comb's pmf
+        grid = [(i + 0.5) / 2**16 for i in range(2**16)]
+        for p in (0.05, 1 / 3, 0.5, 0.9):
+            shares = np.bincount([_binomial(n, p, u) for u in grid], minlength=n + 1) / 2**16
+            pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+            assert np.abs(shares - pmf).max() <= 2**-16
+
+    def test_binomial_edges(self):
+        for n in (0, 1, 7, 10**6):
+            for u in (0.0, 0.5, 1 - 2**-53):
+                assert (_binomial(n, 0.0, u), _binomial(n, 1.0, u)) == (0, n)
+        # n = 1: k = 1 exactly on the mass p of u, wherever the mode puts it
+        for p in (0.2, 0.5, 0.7):
+            ones = [_binomial(1, p, u) for u in np.linspace(0.0, 1.0, 1001, endpoint=False).tolist()]
+            assert set(ones) == {0, 1} and abs(sum(ones) / 1001 - p) <= 1 / 1001
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-17, 0.1, 0.3, 1.0]), min_size=1, max_size=7),
+           st.sampled_from([0.0, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52]), st.sampled_from([1, 2, 999, 10**6]),
+           st.lists(st.floats(0.0, 1 - 2**-53), min_size=7, max_size=7))
+    def test_counts(self, masses, scale, n, uniforms):
+        # running rows as outcome_table gives them, eta = 0 (scale 0) and a
+        # total an ulp above 1 included: the counts of the d + 2 codes sum to
+        # n, and a code of probability 0, postselect_fail too, gets none
+        row = np.cumsum(masses) * (scale / (sum(masses) or 1.0))
+        counts = draw_counts(row, n, uniforms)
+        assert list(counts) == [*range(-1, len(row) - 1), POSTSELECT_FAIL_CODE]
+        assert min(counts.values()) >= 0 and sum(counts.values()) == n
+        for code, mass in zip(counts, np.diff(row, prepend=0.0).tolist() + [1.0 - row[-1]]):
+            assert mass > 0 or counts[code] == 0
+        if scale == 0:
+            assert counts[POSTSELECT_FAIL_CODE] == n
+
+    def test_large_runs_match_the_closed_forms(self):
+        # 10^6 trials: every count within 5 sigma of outcome_probabilities;
+        # an outcome of probability 0 or 1 takes none or every trial
+        n = 10**6
+        cases = [(3, psi_amplitudes(i)) for i in range(9)] + [(d, phi_amplitudes(1, d)) for d in (2, 4, 6)]
+        for d, state in cases:
+            m = measure(state[None], d)
+            for eta, seed in ((1.0, 11), (0.9, 12), (0.5, 13), (0.0, 14)):
+                probs = outcome_probabilities(m, eta)
+                for code, k in draw_counts(outcome_table(m, eta)[0], n, _philox_head(seed, d + 1)).items():
+                    p = min(probs.get(outcome_name(code), 0.0), 1.0)
+                    assert abs(k - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1e-9
 
 
 class TestClickDistribution:
