@@ -48,7 +48,7 @@ MAX_KEYRATE_ROWS = 10**6
 # Largest --trials of any subcommand; memory grows linearly with it.
 MAX_TRIALS = 10**6
 # Lines per string that the text writers yield: a line costs about 100 B
-# as a str, where a sampled row (CHUNK_ROWS per pass) costs a few bytes.
+# as a str, where a sampled row (`sampling.CHUNK_ROWS` per pass) costs a few bytes.
 TEXT_ROWS = 1 << 10
 
 
@@ -158,11 +158,12 @@ def _cmd_describe_tritter(args) -> int:
 
 
 def _cmd_discriminate(args) -> int:
-    from .discrimination import _philox_head, draw_counts, measure, outcome_name, outcome_probabilities, outcome_table
+    from .discrimination import measure, outcome_name, outcome_probabilities, outcome_table
+    from .sampling import draw_counts, philox_head
 
     name, state = _named_state(args.state, args.d)
     m = measure(state[None], args.d)
-    drawn = draw_counts(outcome_table(m, args.eta)[0], args.trials, _philox_head(args.seed, args.d + 1))
+    drawn = draw_counts(outcome_table(m, args.eta)[0], args.trials, philox_head(args.seed, args.d + 1))
     counts = {outcome_name(code): k for code, k in drawn.items() if k}
     report = {"state": name, "d": args.d, "eta": args.eta, "seed": args.seed, "trials": args.trials, "counts": counts,
               "empirical": {k: v / args.trials for k, v in counts.items()},

@@ -5,12 +5,13 @@ plus the b/c photons of a shared entangled triple, runs the discrimination
 measurement on those three photons, and announces the conclusive outcome i;
 the other party recovers the input with the diagonal path rotation in row i
 of `CORRECTION_PHASES` (the identity for i = 0).  Outcomes are the integer
-codes of `discrimination`.  Each of the 18 detection branches is a fixed 3x3
-map M from the target's amplitudes to the receiver's corrected amplitudes,
-with M^dagger M = I/54, so a branch's probability does not depend on the
-target: `teleport_run` draws each row's branch from one constant table and
-applies that branch's map alone, and `teleport_analysis` applies every map
-to one target and lists the branches as arrays.
+codes of `discrimination`, and the uniforms come from `sampling`.  Each of
+the 18 detection branches is a fixed 3x3 map M from the target's amplitudes
+to the receiver's corrected amplitudes, with M^dagger M = I/54, so a
+branch's probability does not depend on the target: `teleport_run` draws
+each row's branch from one constant table and applies that branch's map
+alone, and `teleport_analysis` applies every map to one target and lists
+the branches as arrays.
 
 MDI-QKD, encoded once for every d: Bob sends a row of `basis_rows` (the path
 basis or its Fourier MUB), Alice the d-1 photons of `alice_encodings`, an
@@ -38,10 +39,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .discrimination import (
-    DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, draw_codes, measure,
-    outcome_table, uniform_chunks,
+    DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, measure, outcome_table,
 )
 from .optics import build_dft
+from .sampling import draw_codes, uniform_chunks
 from .states import family_index, phi_amplitudes, psi_amplitudes, unit_root
 
 COMPUTATIONAL = "computational"

@@ -21,6 +21,7 @@ import esdsim.cli as cli
 import esdsim.discrimination as discrimination
 import esdsim.optics as optics
 import esdsim.protocols as protocols
+import esdsim.sampling as sampling
 import esdsim.states as states
 from esdsim.cli import run
 from sparse_reference import build_phi, build_psi, state_text, state_to_json
@@ -172,7 +173,7 @@ class TestMdiqkdCommand:
             return read(out)
 
         whole = csv(100, "whole.csv")
-        monkeypatch.setattr(discrimination, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(sampling, "CHUNK_ROWS", 7)
         monkeypatch.setattr(cli, "TEXT_ROWS", 7)
         assert csv(100, "chunked.csv") == whole
         head = csv(30, "head.csv")
@@ -256,19 +257,24 @@ class TestDeterminism:
 
 def on_both_uniform_sources(monkeypatch):
     """Yield twice: first with every run's uniforms drawn by numpy's C
-    Philox, then with every run's uniforms computed by the kernel, as in a
-    fresh process that has not loaded numpy.random.  The unused source fails."""
+    Philox, then with every run's uniforms computed by the kernel, each run
+    as the first of a fresh process that has not loaded numpy.random.  The
+    unused source fails."""
     def unused(*args):
         raise AssertionError("a run drew its uniforms from the other source")
 
-    kernel = discrimination._philox_uniforms
-    monkeypatch.setattr(discrimination, "KERNEL_BUDGET", 0)
-    monkeypatch.setattr(discrimination, "_philox_uniforms", unused)
+    def first_run(*args):
+        monkeypatch.setattr(sampling, "_first_run", True)
+        return uniform_chunks(*args)
+
+    kernel, uniform_chunks = sampling._philox_uniforms, protocols.uniform_chunks
+    monkeypatch.setattr(sampling, "KERNEL_BUDGET", 0)
+    monkeypatch.setattr(sampling, "_philox_uniforms", unused)
     yield
-    monkeypatch.setattr(discrimination, "KERNEL_BUDGET", 10**12)
-    monkeypatch.setattr(discrimination, "_kernel_spent", 0)
-    monkeypatch.setattr(discrimination, "_philox_uniforms", kernel)
-    monkeypatch.setattr(discrimination, "derive_rng", unused)
+    monkeypatch.setattr(sampling, "KERNEL_BUDGET", 10**12)
+    monkeypatch.setattr(protocols, "uniform_chunks", first_run)
+    monkeypatch.setattr(sampling, "_philox_uniforms", kernel)
+    monkeypatch.setattr(sampling, "derive_rng", unused)
     monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
     yield
 
@@ -277,7 +283,7 @@ class TestGoldenOutputs:
     """sha256 digests of discrete outputs, pinned so that rewrites of the
     samplers or the CSV writer stay byte-exact.  Every sampling command runs
     on both sources of uniforms (discriminate draws its d + 1 with
-    `_philox_head` on either)."""
+    `philox_head` on either)."""
 
     def test_digests(self, tmp_path, capsys, monkeypatch):
         for _ in on_both_uniform_sources(monkeypatch):
@@ -494,7 +500,7 @@ class TestRunMemory:
     def test_outcome_codes_are_int8(self):
         m = discrimination.measure(states.psi_amplitudes(1)[None], 3)
         table = discrimination.outcome_table(m, 0.9)
-        codes = discrimination.draw_codes(table, 0, discrimination.derive_rng(1).random(50))
+        codes = sampling.draw_codes(table, 0, sampling.derive_rng(1).random(50))
         assert discrimination.click_codes(3).dtype == codes.dtype == protocols.teleport_run(50)[0].dtype == np.int8
 
 
@@ -937,9 +943,10 @@ class TestRuntimePaths:
         return modules.split(), *(flag == "True" for flag in flags.split())
 
     # A fresh interpreter per subcommand: the esdsim modules it loads, and
-    # whether it loads numpy.  None of these runs loads numpy.random:
-    # discriminate draws d + 1 = 4 uniforms with `_philox_head`, and every
-    # other run draws less than KERNEL_BUDGET uniforms, which the kernel
+    # whether it loads numpy.  Only the sampling commands load `sampling`.
+    # None of these runs loads numpy.random: discriminate draws d + 1 = 4
+    # uniforms with `philox_head`, and every other run is its process's
+    # first and draws less than KERNEL_BUDGET uniforms, which the kernel
     # computes (500 teleport trials 4000, 2000 mdiqkd trials 4000 and 5000,
     # perfbench's qkd-mc size, 10000).  Each argv is well formed, so none
     # loads argparse.
@@ -949,35 +956,43 @@ class TestRuntimePaths:
         (["keyrate", "thresholds"], [], False),
         (["describe-tritter"], ["optics", "states"], True),
         (["list-states"], ["discrimination", "optics", "states"], True),
-        (["discriminate", "--trials", "1000"], ["discrimination", "optics", "states"], True),
-        (["teleport", "--trials", "500"], ["discrimination", "optics", "protocols", "states"], True),
-        (["mdiqkd", "--trials", "2000"], ["discrimination", "optics", "protocols", "states"], True),
-        (["mdiqkd", "--trials", "5000"], ["discrimination", "optics", "protocols", "states"], True),
+        (["discriminate", "--trials", "1000"], ["discrimination", "optics", "sampling", "states"], True),
+        (["teleport", "--trials", "500"], ["discrimination", "optics", "protocols", "sampling", "states"], True),
+        (["mdiqkd", "--trials", "2000"], ["discrimination", "optics", "protocols", "sampling", "states"], True),
+        (["mdiqkd", "--trials", "5000"], ["discrimination", "optics", "protocols", "sampling", "states"], True),
     ])
     def test_loads_only_its_layers(self, argv, layers, numpy_loaded):
-        assert 5000 * 2 <= discrimination.KERNEL_BUDGET
+        assert 5000 * 2 <= sampling.KERNEL_BUDGET
         core = ["esdsim", "esdsim.cli", "esdsim.errors", "esdsim.keyrate"]
         argvs, modules = [] if argv is None else [argv], sorted(core + [f"esdsim.{name}" for name in layers])
         assert self.fresh_run(*argvs) == (modules, numpy_loaded, False, False)
 
     def test_discriminate_draws_outside_the_kernel(self):
-        # d + 1 uniforms from `_philox_head` whatever --trials is: 10^6 trials
-        # charge nothing to KERNEL_BUDGET and load no numpy.random
+        # d + 1 uniforms from `philox_head` whatever --trials is: 10^6 trials
+        # make no `uniform_chunks` run and load no numpy.random
         code = (
             "import os, sys\n"
-            "import esdsim.cli as cli, esdsim.discrimination as discrimination\n"
+            "import esdsim.cli as cli, esdsim.sampling as sampling\n"
             "sys.stdout = open(os.devnull, 'w')\n"
             "assert cli.run(['discriminate', '--d', '6', '--state', 'phi1', '--trials', '1000000']) == 0\n"
-            "print(discrimination._kernel_spent, 'numpy.random' in sys.modules, file=sys.__stdout__)"
+            "print(sampling._first_run, 'numpy.random' in sys.modules, file=sys.__stdout__)"
         )
         done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True,
                               timeout=120)
-        assert done.stdout.split() == ["0", "False"]
+        assert done.stdout.split() == ["True", "False"]
+
+    def test_measurement_loads_no_sampling(self):
+        # the dependency runs one way: `sampling` reads the outcome codes of
+        # `discrimination`, which imports nothing of it
+        code = "import sys, esdsim.discrimination; print('esdsim.sampling' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True,
+                              timeout=120)
+        assert done.stdout.split() == ["False"]
 
     def test_loads_numpy_random_above_the_kernel_limit(self):
         # 200000 mdiqkd trials draw 400000 uniforms, past KERNEL_BUDGET; the
         # README's 30000 draw 60000, which the kernel computes
-        assert 200000 * 2 > discrimination.KERNEL_BUDGET >= 30000 * 2
+        assert 200000 * 2 > sampling.KERNEL_BUDGET >= 30000 * 2
         assert self.fresh_run(["mdiqkd", "--trials", "200000"])[2]
 
     def test_readme_commands_load_no_argparse(self, tmp_path):

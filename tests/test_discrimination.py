@@ -14,29 +14,32 @@ from hypothesis import strategies as st
 import esdsim
 import esdsim.discrimination as discrimination
 import esdsim.protocols as protocols
+import esdsim.sampling as sampling
 from esdsim import cli
 from esdsim.discrimination import (
     INCONCLUSIVE_CODE,
     POSTSELECT_FAIL_CODE,
     Measurement,
-    _binomial,
-    _philox_head,
-    _philox_uniforms,
     click_codes,
     click_order,
     conclusive_probabilities,
-    derive_rng,
-    draw_codes,
-    draw_counts,
     measure,
     outcome_name,
     outcome_probabilities,
     outcome_table,
-    uniform_chunks,
 )
 from esdsim.errors import AmbiguousPattern
 from esdsim.optics import build_dft
 from esdsim.protocols import mdi_qkd_expectation, mdi_qkd_run, teleport_run
+from esdsim.sampling import (
+    _binomial,
+    _philox_uniforms,
+    derive_rng,
+    draw_codes,
+    draw_counts,
+    philox_head,
+    uniform_chunks,
+)
 from esdsim.states import phi_amplitudes, psi_amplitudes
 from sparse_reference import (
     DetectionPattern,
@@ -240,14 +243,14 @@ class TestSampling:
 
     def test_seed_range(self, without_numpy_random):
         # a Philox key word holds [0, 2**64); no seed outside it aliases one
-        # inside, on the kernel path, on numpy's and in `_philox_head`.  The
+        # inside, on the kernel path, on numpy's and in `philox_head`.  The
         # call itself raises.
-        for rows in (1, discrimination.KERNEL_BUDGET + 1):
+        for rows in (1, sampling.KERNEL_BUDGET + 1):
             for seed in (-1, -5, 2**64, 2**64 + 5):
                 with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
                     uniform_chunks(seed, rows, 1)
                 with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
-                    _philox_head(seed, 9)
+                    philox_head(seed, 9)
             assert next(uniform_chunks(0, rows, 1))[1][0] != next(uniform_chunks(2**64 - 1, rows, 1))[1][0]
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -263,9 +266,10 @@ class TestSampling:
 @pytest.fixture
 def without_numpy_random(monkeypatch):
     """The sampling state of a fresh process: numpy.random not loaded and
-    none of KERNEL_BUDGET spent, so that runs within it take the kernel."""
+    no `uniform_chunks` run made, so that a first run within KERNEL_BUDGET
+    takes the kernel."""
     monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
-    monkeypatch.setattr(discrimination, "_kernel_spent", 0)
+    monkeypatch.setattr(sampling, "_first_run", True)
 
 
 def philox_reference(seed, n):
@@ -292,9 +296,9 @@ class TestPhiloxKernel:
 
     @pytest.mark.parametrize("seed, offset, length", [
         # the whole budget in one call, over eight scratch blocks and one counter
-        (2**64 - 1, 3, discrimination.KERNEL_BUDGET),
+        (2**64 - 1, 3, sampling.KERNEL_BUDGET),
         # from word 3 of the first counter to one word past the first scratch block
-        (7, 3, 4 * discrimination._PHILOX_BLOCK - 2),
+        (7, 3, 4 * sampling._PHILOX_BLOCK - 2),
     ])
     def test_long_runs_across_scratch_blocks(self, seed, offset, length):
         np.testing.assert_array_equal(_philox_uniforms(seed, offset, length),
@@ -311,91 +315,77 @@ class TestPhiloxKernel:
     def test_head_in_python_ints(self, seed):
         # k = 1..9 crosses from the first counter's four words into the third's
         for k in range(1, 10):
-            assert _philox_head(seed, k) == philox_reference(seed, k).tolist()
+            assert philox_head(seed, k) == philox_reference(seed, k).tolist()
 
 
 class TestUniformChunks:
     """Both sources of `uniform_chunks` give row i of
-    derive_rng(seed).random((n, cols)); the kernel runs within the budget."""
+    derive_rng(seed).random((n, cols)); the kernel serves only a process's
+    first run, and only within the budget."""
 
     @staticmethod
     def draw(rows, cols, monkeypatch):
         """The blocks of one run with seed 9, and the seeds numpy's path drew."""
         numpy_seeds = []
-        monkeypatch.setattr(discrimination, "derive_rng", lambda seed: numpy_seeds.append(seed) or derive_rng(seed))
+        monkeypatch.setattr(sampling, "derive_rng", lambda seed: numpy_seeds.append(seed) or derive_rng(seed))
         chunks = list(uniform_chunks(9, rows, cols))
-        assert [start for start, _ in chunks] == list(range(0, rows, discrimination.CHUNK_ROWS))
+        assert [start for start, _ in chunks] == list(range(0, rows, sampling.CHUNK_ROWS))
         np.testing.assert_array_equal(np.vstack([block for _, block in chunks]), derive_rng(9).random((rows, cols)))
         return numpy_seeds
 
     @pytest.mark.parametrize("cols", [1, 2, 4, 5, 8, 12])
     @pytest.mark.parametrize("chunk_rows, budget", [
-        (discrimination.CHUNK_ROWS, discrimination.KERNEL_BUDGET),
+        (sampling.CHUNK_ROWS, sampling.KERNEL_BUDGET),
         # 7-row chunks start at every word offset mod 4; a smaller budget
         # keeps the number of kernel calls small
         (7, 1000),
     ])
     def test_same_block_on_both_paths(self, cols, chunk_rows, budget, monkeypatch, without_numpy_random):
-        monkeypatch.setattr(discrimination, "CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(discrimination, "KERNEL_BUDGET", budget)
-        monkeypatch.setattr(discrimination, "KERNEL_RUN_FLOOR", 0)  # charged as in test_small_runs_are_charged_the_floor
+        monkeypatch.setattr(sampling, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(sampling, "KERNEL_BUDGET", budget)
         n = budget // cols  # the longest run on the kernel path; one row more is on numpy's
         for rows, seeds in ((n, []), (n + 1, [9])):
-            monkeypatch.setattr(discrimination, "_kernel_spent", 0)
+            monkeypatch.setattr(sampling, "_first_run", True)
             assert self.draw(rows, cols, monkeypatch) == seeds
-
-    def test_a_run_past_what_is_left_draws_and_charges_nothing(self, monkeypatch, without_numpy_random):
-        left = 2 * discrimination.KERNEL_RUN_FLOOR
-        monkeypatch.setattr(discrimination, "_kernel_spent", discrimination.KERNEL_BUDGET - left)
-        assert self.draw(left // 4 + 1, 4, monkeypatch) == [9]
-        assert discrimination._kernel_spent == discrimination.KERNEL_BUDGET - left
-        assert self.draw(left // 4, 4, monkeypatch) == []  # still within what is left
-        assert discrimination._kernel_spent == discrimination.KERNEL_BUDGET
-
-    def test_small_runs_are_charged_the_floor(self, monkeypatch, without_numpy_random):
-        floor = discrimination.KERNEL_RUN_FLOOR
-        monkeypatch.setattr(discrimination, "_kernel_spent", discrimination.KERNEL_BUDGET - floor - 1)
-        assert self.draw(1, 4, monkeypatch) == []
-        assert discrimination._kernel_spent == discrimination.KERNEL_BUDGET - 1
-        assert self.draw(1, 4, monkeypatch) == [9]  # 4 uniforms fit, the floor does not
 
     def test_loaded_numpy_random_draws_every_run(self, monkeypatch, without_numpy_random):
         # once numpy.random is loaded, its C Philox is the faster source at any size
         monkeypatch.setitem(sys.modules, "numpy.random", np.random)
-        monkeypatch.setattr(discrimination, "_philox_uniforms", lambda *args: pytest.fail("kernel ran"))
-        for rows in (1, discrimination.KERNEL_BUDGET // 4):
+        monkeypatch.setattr(sampling, "_philox_uniforms", lambda *args: pytest.fail("kernel ran"))
+        for rows in (1, sampling.KERNEL_BUDGET // 4):
+            monkeypatch.setattr(sampling, "_first_run", True)  # even as a process's first run
             assert self.draw(rows, 4, monkeypatch) == [9]
-        assert discrimination._kernel_spent == 0
 
     @staticmethod
     def fresh_runs(runs):
-        """(charge so far, numpy.random loaded) after each (rows, cols) run
-        of `runs`, all in one fresh process."""
+        """Whether numpy.random is loaded after each (rows, cols) run of
+        `runs`, all in one fresh process."""
         code = (
             "import sys\n"
-            "from esdsim import discrimination as d\n"
+            "from esdsim import sampling\n"
             f"for rows, cols in {runs!r}:\n"
-            "    list(d.uniform_chunks(1, rows, cols))\n"
-            "    print(d._kernel_spent, 'numpy.random' in sys.modules)"
+            "    list(sampling.uniform_chunks(1, rows, cols))\n"
+            "    print('numpy.random' in sys.modules)"
         )
         paths = [str(Path(esdsim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                               timeout=120)
-        return [(int(spent), loaded == "True") for spent, loaded in map(str.split, done.stdout.splitlines())]
+        return [loaded == "True" for loaded in done.stdout.split()]
+
+    def test_a_first_run_past_the_budget_loads_numpy_random(self):
+        assert self.fresh_runs([(sampling.KERNEL_BUDGET + 1, 1)]) == [True]
 
     def test_two_runs_within_the_budget_but_not_together(self):
-        # the first run computes its uniforms, the second no longer fits, so
-        # it loads numpy.random, and every later run uses it
-        rows = discrimination.KERNEL_BUDGET // 2 + 1
-        assert self.fresh_runs([(rows, 1), (rows, 1), (1, 1)]) == [(rows, False), (rows, True), (rows, True)]
+        # the first run computes all of KERNEL_BUDGET; the second, which
+        # alone would fit, loads numpy.random
+        budget = sampling.KERNEL_BUDGET
+        assert self.fresh_runs([(budget, 1), (budget // 4, 4)]) == [False, True]
 
     def test_many_small_runs_load_numpy_random(self):
-        # each one-trial run of 12 uniforms is charged the floor, not its uniforms
-        budget, floor = discrimination.KERNEL_BUDGET, discrimination.KERNEL_RUN_FLOOR
-        kernel_runs = budget // floor
-        assert self.fresh_runs([(1, 12)] * (kernel_runs + 2)) == (
-            [(floor * (i + 1), False) for i in range(kernel_runs)] + [(budget, True)] * 2)
+        # a one-trial first run of 12 uniforms computes them; the second
+        # loads numpy.random, and every later run uses it
+        assert self.fresh_runs([(1, 12)] * 3) == [False, True, True]
 
 
 class TestMcTrial:
@@ -679,7 +669,7 @@ class TestCountSampler:
             m = measure(state[None], d)
             for eta, seed in ((1.0, 11), (0.9, 12), (0.5, 13), (0.0, 14)):
                 probs = outcome_probabilities(m, eta)
-                for code, k in draw_counts(outcome_table(m, eta)[0], n, _philox_head(seed, d + 1)).items():
+                for code, k in draw_counts(outcome_table(m, eta)[0], n, philox_head(seed, d + 1)).items():
                     p = min(probs.get(outcome_name(code), 0.0), 1.0)
                     assert abs(k - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1e-9
 

@@ -8,11 +8,10 @@ import pytest
 
 import esdsim.discrimination as discrimination
 import esdsim.protocols as protocols
+import esdsim.sampling as sampling
 from esdsim.discrimination import (
     POSTSELECT_FAIL_CODE,
     click_codes,
-    derive_rng,
-    draw_codes,
     measure,
     outcome_name,
     outcome_probabilities,
@@ -36,6 +35,7 @@ from esdsim.protocols import (
     teleport_run,
 )
 from esdsim.protocols import _decode_array
+from esdsim.sampling import derive_rng, draw_codes
 from esdsim.states import phi_amplitudes, psi_amplitudes
 from sparse_reference import (
     BOB_PORTS,
@@ -472,7 +472,7 @@ class TestTeleportRun:
 
     def test_prefix_stable_across_chunks(self, monkeypatch):
         long = teleport_run(50, seed=6)
-        monkeypatch.setattr(discrimination, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(sampling, "CHUNK_ROWS", 7)
         short = teleport_run(20, seed=6)
         for whole, prefix in zip(long, short):
             np.testing.assert_array_equal(whole[:20], prefix)
@@ -590,7 +590,7 @@ class TestMdiQkdSampling:
     def test_prefix_stable_across_chunks(self, monkeypatch):
         noise = 0.3
         long = mdi_qkd_run(120, eta=0.9, noise=noise, seed=4)
-        monkeypatch.setattr(discrimination, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(sampling, "CHUNK_ROWS", 7)
         for n in (50, 120):
             short = mdi_qkd_run(n, eta=0.9, noise=noise, seed=4)
             for whole, prefix in zip(qkd_columns(long), qkd_columns(short)):
