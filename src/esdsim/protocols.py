@@ -5,13 +5,13 @@ plus the b/c photons of a shared entangled triple, runs the discrimination
 measurement on those three photons, and announces the conclusive outcome i;
 the other party recovers the input with the diagonal path rotation in row i
 of `CORRECTION_PHASES` (the identity for i = 0).  Outcomes are the integer
-codes of `discrimination`, and the uniforms come from `sampling`.  Each of
-the 18 detection branches is a fixed 3x3 map M from the target's amplitudes
-to the receiver's corrected amplitudes, with M^dagger M = I/54, so a
-branch's probability does not depend on the target: `teleport_run` draws
-each row's branch from one constant table and applies that branch's map
-alone, and `teleport_analysis` applies every map to one target and lists
-the branches as arrays.
+codes of `discrimination`.  Each of the 18 detection branches is a fixed
+3x3 map M from the target's amplitudes to the receiver's corrected
+amplitudes, with M^dagger M = I/54, so a branch's probability does not
+depend on the target: `teleport_run` draws a run's outcome counts with
+`sampling.draw_counts` and computes the Haar-average fidelity exactly, and
+`teleport_analysis` applies every map to one target and lists the branches
+as arrays.
 
 MDI-QKD, encoded once for every d: Bob sends a row of `basis_rows` (the path
 basis or its Fourier MUB), Alice the d-1 photons of `alice_encodings`, an
@@ -39,10 +39,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .discrimination import (
-    DEFAULT_TOLERANCE, POSTSELECT_FAIL_CODE, Measurement, click_codes, conclusive_probabilities, measure, outcome_table,
+    DEFAULT_TOLERANCE, INCONCLUSIVE_CODE, Measurement, click_codes, conclusive_probabilities, measure, outcome_table,
 )
 from .optics import build_dft
-from .sampling import draw_codes, uniform_chunks
+from .sampling import draw_codes, draw_counts, philox_head, uniform_chunks
 from .states import family_index, phi_amplitudes, psi_amplitudes, unit_root
 
 COMPUTATIONAL = "computational"
@@ -94,16 +94,14 @@ def haar_amplitudes(uniforms: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray]:
     """Outcome codes and maps (branch x receiver port x target port) of the
     detection branches: the output ports of the three measured photons, in
     canonical click order.  A map takes the target's amplitudes to the
     receiver's unnormalized amplitudes, the branch's correction applied.
     The receiver keeps psi0's time-bin-a photon, which never enters the
-    DFT, so `measure` gets one row per (receiver port, target port).  The
-    third array is the cumulative table of the branch weights ||M||_F^2 / 3,
-    each 1/54: the weight of every unit target, as M^dagger M = I/54.  All
-    three are cached for the process, so they are read-only.
+    DFT, so `measure` gets one row per (receiver port, target port).  Both
+    are cached for the process, so they are read-only.
     """
     inputs = np.eye(3)[None, :, :, None, None] * psi_amplitudes(0)[:, None, None]  # receiver, target port, a, b, c
     amps = measure(inputs.reshape(9, 3, 3, 3), 3).amplitudes
@@ -111,10 +109,9 @@ def _teleport_branch_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     codes = click_codes(3)[support]
     phases = np.where(codes[:, None] >= 0, CORRECTION_PHASES[np.maximum(codes, 0)], 1)
     matrices = phases[:, :, None] * amps[:, support].T.reshape(-1, 3, 3)
-    cumulative = np.cumsum(np.sum(np.abs(matrices) ** 2, axis=(1, 2)) / 3)
-    for array in (codes, matrices, cumulative):
+    for array in (codes, matrices):
         array.setflags(write=False)
-    return codes, matrices, cumulative
+    return codes, matrices
 
 
 def _fidelity(alphas: np.ndarray, receiver: np.ndarray) -> np.ndarray:
@@ -137,49 +134,31 @@ def teleport_analysis(alphas: Sequence[complex] | np.ndarray) -> TeleportAnalysi
     norm_sq = float(np.sum(np.abs(alphas) ** 2))
     if not abs(norm_sq - 1.0) <= 1e-12:
         raise ValueError(f"target is not normalized (norm^2 = {norm_sq})")
-    codes, matrices, _ = _teleport_branch_maps()
+    codes, matrices = _teleport_branch_maps()
     receivers = matrices @ alphas
     weights = np.sum(np.abs(receivers) ** 2, axis=1)
     pass_prob = float(weights.sum())
     return TeleportAnalysis(pass_prob, codes, weights / pass_prob, receivers, _fidelity(alphas, receivers))
 
 
-def _sample_teleport(uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One run per row of an (n, 8) block of uniforms, by the constant
-    branch table C of `_teleport_branch_maps` with total W = C[-1]: column
-    6 passes the parity projection iff u < W, and column 7 picks the first
-    branch with C > u * W, else the last; a pick within an ulp of an edge
-    of C follows C, whatever the target.  Returns int8 outcome codes and,
-    on conclusive rows, the fidelity of the chosen branch's corrected
-    receiver amplitudes with the target of columns 0-5
-    (`haar_amplitudes`), NaN elsewhere.  Only conclusive rows form their
-    target, receiver and fidelity."""
-    branch_codes, matrices, cumulative = _teleport_branch_maps()
-    total = cumulative[-1]
-    passed = np.flatnonzero(uniforms[:, 6] < total)
-    pick = np.minimum(np.searchsorted(cumulative, uniforms[passed, 7] * total, side="right"), len(cumulative) - 1)
-    codes = np.full(len(uniforms), POSTSELECT_FAIL_CODE, dtype=np.int8)
-    codes[passed] = branch_codes[pick]
-    conclusive = branch_codes[pick] >= 0
-    rows, pick = passed[conclusive], pick[conclusive]
-    alphas = haar_amplitudes(uniforms[rows, :6])
-    fidelities = np.full(len(uniforms), np.nan)
-    fidelities[rows] = _fidelity(alphas, np.einsum("nij,nj->ni", matrices[pick], alphas))
-    return codes, fidelities
-
-
-def teleport_run(n_trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome codes and fidelities (see `_sample_teleport`) of n teleported
-    Haar-random targets, from one block of uniforms derive_rng(seed).random((n,
-    8)) drawn in fixed-size chunks; row i is trial i, so a run is a prefix of
-    any longer run.  Columns: 0-5 the target (`haar_amplitudes`), 6 the
-    parity projection (passed iff u < W) and 7 the branch (the first whose
-    running weight exceeds u * W, else the last), both from one constant
-    branch table of total W; a pick within an ulp of an edge follows it."""
-    chunks, codes, fidelities = uniform_chunks(seed, n_trials, 8), np.empty(n_trials, dtype=np.int8), np.empty(n_trials)
-    for start, u in chunks:
-        codes[start : start + len(u)], fidelities[start : start + len(u)] = _sample_teleport(u)
-    return codes, fidelities
+def teleport_run(n_trials: int, seed: int = 0) -> tuple[dict[int, int], float]:
+    """The outcome counts of n teleported Haar-random targets, {code: count}
+    as `draw_counts` gives them from the first four uniforms of
+    derive_rng(seed), and the mean fidelity of a conclusive trial's corrected
+    receiver with its target, computed exactly.  Every branch map M has
+    M^dagger M proportional to I, so branch M weighs ||M||_F^2 / 3 for every
+    unit target, and its Haar-average fidelity is (|Tr M|^2 / ||M||_F^2 + 1)
+    / 4 (Horodecki, Horodecki & Horodecki, PRA 60, 1888 (1999); Nielsen,
+    Phys. Lett. A 303, 249 (2002)); the run's fidelity is their mean over the
+    conclusive branches, weighted by those weights."""
+    uniforms = philox_head(seed, 4)
+    codes, matrices = _teleport_branch_maps()
+    norms = np.sum(np.abs(matrices) ** 2, axis=(1, 2))
+    weights, conclusive = norms / 3, codes >= 0
+    row = np.cumsum(weights @ (codes[:, None] == np.arange(INCONCLUSIVE_CODE, 3)))
+    fidelities = (np.abs(np.trace(matrices, axis1=1, axis2=2)) ** 2 / norms + 1) / 4
+    fidelity = float(weights[conclusive] @ fidelities[conclusive] / weights[conclusive].sum())
+    return draw_counts(row, n_trials, uniforms), fidelity
 
 
 # -- EDP security picture ------------------------------------------------------

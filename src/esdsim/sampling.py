@@ -1,9 +1,10 @@
 """Trial sampling from one Philox4x64-10 stream per seed.
 
-`uniform_chunks` yields the per-trial uniforms of a `teleport` or `mdiqkd`
-run in blocks of CHUNK_ROWS rows, and `draw_codes` turns a trial's uniform
-into its outcome code on a row of an `outcome_table`.  `draw_counts` draws a
-`discriminate` run's outcome counts from the d + 1 uniforms of `philox_head`.
+`uniform_chunks` yields the per-trial uniforms of an `mdiqkd` run in blocks
+of CHUNK_ROWS rows, and `draw_codes` turns a trial's uniform into its
+outcome code on a row of an `outcome_table`.  `draw_counts` draws a
+`discriminate` or `teleport` run's outcome counts from the d + 1 uniforms of
+`philox_head`.
 Every source gives the bits of derive_rng(seed).random(): a process's first
 `uniform_chunks` run computes them with the numpy kernel `_philox_uniforms`
 while numpy.random is unloaded and the run draws at most KERNEL_BUDGET; every

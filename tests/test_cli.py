@@ -282,8 +282,8 @@ def on_both_uniform_sources(monkeypatch):
 class TestGoldenOutputs:
     """sha256 digests of discrete outputs, pinned so that rewrites of the
     samplers or the CSV writer stay byte-exact.  Every sampling command runs
-    on both sources of uniforms (discriminate draws its d + 1 with
-    `philox_head` on either)."""
+    on both sources of uniforms (discriminate draws its d + 1 and teleport
+    its 4 with `philox_head` on either)."""
 
     def test_digests(self, tmp_path, capsys, monkeypatch):
         for _ in on_both_uniform_sources(monkeypatch):
@@ -305,7 +305,7 @@ class TestGoldenOutputs:
             digests[argv[0]] = hashlib.sha256(counts.encode()).hexdigest()
         assert digests == {
             "discriminate": "808a80eaa8a9738df9ba8511ceac7517e4aedd45bd75e28a1f6c4603a892ebd9",
-            "teleport": "581777da018d3270e0917133580bf6ad423c4aeefbeb175d8c5f91b7071e00fc",
+            "teleport": "7cd0af5b812532e85a4197cde8f6cd8fa951ec6be5ac864fbd7d504f47353268",
         }
 
     def test_keyrate_tables(self, capsys):
@@ -347,8 +347,8 @@ class TestGoldenOutputs:
                 assert run(["teleport", "--trials", "2000", "--seed", str(seed), "--out", str(report)]) == 0
                 digests[seed] = hashlib.sha256(report.read_bytes()).hexdigest()
             assert digests == {
-                3: "4fc465d0ddb9f02d3dbe41bb299b7b87ee96d1dcc9d3247d3c45ca0f0a585bc6",
-                7: "8908ee18529f1db751b15070f4083ed78a62c7dc9b3354025ecd7ceb15c0871e",
+                3: "e6bd54a8bc7baf891e4e09ee4f54eedef543a69a80761307bcd58f38480c2167",
+                7: "43f31450b8b43eda88ce52d273baaa8bf140f86c0c5858d65f0d4a92629d5a82",
             }
 
     def test_describe_tritter(self, capsys):
@@ -421,6 +421,19 @@ class TestCapContracts:
         assert exit_code == 0
         assert peak_mb <= 64
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc/self/status")
+    def test_teleport(self):
+        # measured 30.4 MB and 0.19 s with interpreter start, the same as at
+        # 10^3 trials (medians of 11, Python 3.11, numpy 2.4, BENCH_31.json
+        # `caps`): the counts are one draw, so nothing grows with --trials.
+        # The memory bound leaves a third of headroom for other builds and
+        # fails the 49 MB that per-trial sampling took; the 60 s timeout
+        # only catches a hang
+        assert cli.MAX_TRIALS == 10**6
+        exit_code, peak_mb = self.capped_run(["teleport", "--trials", "1000000"])
+        assert exit_code == 0
+        assert peak_mb <= 40
+
 
 class TestRunMemory:
     def test_mdiqkd_columns_and_csv_stay_small(self):
@@ -482,26 +495,11 @@ class TestRunMemory:
         assert read(out).count("\n") == 1 + n
         assert peak <= 6 * n
 
-    def test_teleport_working_set(self):
-        # a chunk forms only the chosen branch's receiver per row: about
-        # 35 B per trial at 2 * 10^5 trials, with the 9 B per trial of the
-        # codes and fidelities.  Every branch's receiver per row, an
-        # (n, 18, 3) complex array per chunk, took about 136 B
-        n = 2 * 10**5
-        protocols.teleport_run(10)  # builds the cached branch maps
-        tracemalloc.start()
-        try:
-            protocols.teleport_run(n, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 48 * n
-
     def test_outcome_codes_are_int8(self):
         m = discrimination.measure(states.psi_amplitudes(1)[None], 3)
         table = discrimination.outcome_table(m, 0.9)
         codes = sampling.draw_codes(table, 0, sampling.derive_rng(1).random(50))
-        assert discrimination.click_codes(3).dtype == codes.dtype == protocols.teleport_run(50)[0].dtype == np.int8
+        assert discrimination.click_codes(3).dtype == codes.dtype == np.int8
 
 
 class TestErrorPaths:
@@ -945,10 +943,10 @@ class TestRuntimePaths:
     # A fresh interpreter per subcommand: the esdsim modules it loads, and
     # whether it loads numpy.  Only the sampling commands load `sampling`.
     # None of these runs loads numpy.random: discriminate draws d + 1 = 4
-    # uniforms with `philox_head`, and every other run is its process's
-    # first and draws less than KERNEL_BUDGET uniforms, which the kernel
-    # computes (500 teleport trials 4000, 2000 mdiqkd trials 4000 and 5000,
-    # perfbench's qkd-mc size, 10000).  Each argv is well formed, so none
+    # uniforms and teleport 4 with `philox_head`, and every mdiqkd run is
+    # its process's first and draws less than KERNEL_BUDGET uniforms, which
+    # the kernel computes (2000 trials 4000 and 5000, perfbench's qkd-mc
+    # size, 10000).  Each argv is well formed, so none
     # loads argparse.
     @pytest.mark.parametrize("argv, layers, numpy_loaded", [
         (None, [], False),
@@ -968,18 +966,22 @@ class TestRuntimePaths:
         assert self.fresh_run(*argvs) == (modules, numpy_loaded, False, False)
 
     def test_discriminate_draws_outside_the_kernel(self):
-        # d + 1 uniforms from `philox_head` whatever --trials is: 10^6 trials
-        # make no `uniform_chunks` run and load no numpy.random
-        code = (
-            "import os, sys\n"
-            "import esdsim.cli as cli, esdsim.sampling as sampling\n"
-            "sys.stdout = open(os.devnull, 'w')\n"
-            "assert cli.run(['discriminate', '--d', '6', '--state', 'phi1', '--trials', '1000000']) == 0\n"
-            "print(sampling._first_run, 'numpy.random' in sys.modules, file=sys.__stdout__)"
-        )
-        done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True,
-                              timeout=120)
-        assert done.stdout.split() == ["True", "False"]
+        # discriminate's d + 1 uniforms and teleport's 4 come from
+        # `philox_head` whatever --trials is: 10^6 trials make no
+        # `uniform_chunks` run and load no numpy.random, each command in a
+        # fresh process
+        for argv in (["discriminate", "--d", "6", "--state", "phi1", "--trials", "1000000"],
+                     ["teleport", "--trials", "1000000"]):
+            code = (
+                "import os, sys\n"
+                "import esdsim.cli as cli, esdsim.sampling as sampling\n"
+                "sys.stdout = open(os.devnull, 'w')\n"
+                f"assert cli.run({argv!r}) == 0\n"
+                "print(sampling._first_run, 'numpy.random' in sys.modules, file=sys.__stdout__)"
+            )
+            done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True,
+                                  check=True, timeout=120)
+            assert done.stdout.split() == ["True", "False"], argv
 
     def test_measurement_loads_no_sampling(self):
         # the dependency runs one way: `sampling` reads the outcome codes of

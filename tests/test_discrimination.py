@@ -255,8 +255,10 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_protocols_check_the_seed_on_the_kernel_path(self, seed, monkeypatch, without_numpy_random):
-        # before any other work: mdi_qkd_run never reaches its measurement table
+        # before any other work: mdi_qkd_run never reaches its measurement
+        # table, nor teleport_run, whose `philox_head` checks, its branch maps
         monkeypatch.setattr(protocols, "_noiseless_measurement", lambda d: pytest.fail("measurement table reached"))
+        monkeypatch.setattr(protocols, "_teleport_branch_maps", lambda: pytest.fail("branch maps reached"))
         with pytest.raises(ValueError, match="seed must lie"):
             teleport_run(10, seed=seed)
         with pytest.raises(ValueError, match="seed must lie"):

@@ -10,6 +10,7 @@ import esdsim.discrimination as discrimination
 import esdsim.protocols as protocols
 import esdsim.sampling as sampling
 from esdsim.discrimination import (
+    INCONCLUSIVE_CODE,
     POSTSELECT_FAIL_CODE,
     click_codes,
     measure,
@@ -407,7 +408,7 @@ class TestTeleportBranchMaps:
         # every map has M^dagger M = I/54, so for any normalized target each
         # of the 18 branches has weight 1/54: probability 1/18 given a pass,
         # and the pass probability is 18/54 = 1/3
-        _, matrices, _ = protocols._teleport_branch_maps()
+        _, matrices = protocols._teleport_branch_maps()
         assert len(matrices) == 18
         gram = np.swapaxes(matrices.conj(), 1, 2) @ matrices
         assert np.abs(gram - np.eye(3) / 54).max() <= 1e-15
@@ -438,8 +439,7 @@ class TestReadOnlyCaches:
         for array in (analysis.codes, *protocols._teleport_branch_maps()):
             with pytest.raises(ValueError):
                 array[...] = 0
-        for column, again in zip(before, teleport_run(2000, seed=3)):
-            np.testing.assert_array_equal(column, again)
+        assert teleport_run(2000, seed=3) == before
 
     def test_mdi_outcomes(self):
         before, exact = mdi_qkd_run(2000, eta=0.9, noise=0.1, seed=3), mdi_qkd_expectation(0.9, 0.1)
@@ -454,49 +454,51 @@ class TestReadOnlyCaches:
 
 
 class TestTeleportRun:
-    def test_one_row_calls_match_the_block(self):
-        # each row's code and fidelity is a branch of its own target's analysis
-        codes, fidelities = teleport_run(40, seed=8)
-        alphas = haar_amplitudes(derive_rng(8).random((40, 8))[:, :6])
-        for code, fidelity, target in zip(codes.tolist(), fidelities.tolist(), alphas.tolist()):
-            analysis = teleport_analysis(target)
-            if code == POSTSELECT_FAIL_CODE:
-                assert math.isnan(fidelity) and analysis.pass_prob < 1
-                continue
-            branches = analysis.codes == code
-            assert np.any(np.abs(analysis.fidelities[branches] - fidelity) < 1e-12)
-            bobs = [path_state(receiver.tolist(), BOB_PORTS).normalize() for receiver in analysis.receivers[branches]]
-            overlaps = [abs(inner_product(target_state(target, BOB_PORTS), bob)) ** 2 for bob in bobs]
-            assert any(abs(overlap - fidelity) < 1e-12 for overlap in overlaps)
-        assert (codes >= 0).any() and (codes < 0).any()
-
-    def test_prefix_stable_across_chunks(self, monkeypatch):
-        long = teleport_run(50, seed=6)
-        monkeypatch.setattr(sampling, "CHUNK_ROWS", 7)
-        short = teleport_run(20, seed=6)
-        for whole, prefix in zip(long, short):
-            np.testing.assert_array_equal(whole[:20], prefix)
-
     def test_conclusive_rows(self):
         n = 3000
-        codes, fidelities = teleport_run(n, seed=13)
-        conclusive = codes >= 0
-        assert set(codes.tolist()) == {POSTSELECT_FAIL_CODE, 0, 1, 2}
-        assert np.all(np.abs(fidelities[conclusive] - 1) < 1e-12)
-        assert np.all(np.isnan(fidelities[~conclusive]))
+        counts, fidelity = teleport_run(n, seed=13)
+        assert sum(counts.values()) == n and counts[INCONCLUSIVE_CODE] == 0
+        assert {code for code, k in counts.items() if k} == {POSTSELECT_FAIL_CODE, 0, 1, 2}
+        assert abs(fidelity - 1) < 1e-12
         sigma = math.sqrt((1 / 3) * (2 / 3) / n)
-        assert abs(conclusive.mean() - 1 / 3) < 3 * sigma
+        assert abs((counts[0] + counts[1] + counts[2]) / n - 1 / 3) < 3 * sigma
 
     def test_fidelity_follows_the_receiver_state(self, monkeypatch):
-        # without the announced rotations, outcomes 1 and 2 leave the target rotated
+        # without the announced rotations, outcomes 1 and 2 leave the target
+        # rotated by a diagonal of trace 0: fidelity 1/4 for them, 1 for
+        # outcome 0, and every outcome weighs 1/9
         monkeypatch.setattr(protocols, "CORRECTION_PHASES", np.ones((3, 3), dtype=complex))
         protocols._teleport_branch_maps.cache_clear()
         try:
-            codes, fidelities = teleport_run(300, seed=2)
+            counts, fidelity = teleport_run(300, seed=2)
         finally:
             protocols._teleport_branch_maps.cache_clear()
-        assert np.all(np.abs(fidelities[codes == 0] - 1) < 1e-12)
-        assert (codes > 0).any() and np.all(fidelities[codes > 0] < 1 - 1e-6)
+        assert counts[1] + counts[2] > 0
+        assert abs(fidelity - 0.5) < 1e-12
+
+    def test_exact_fidelity_matches_haar_targets(self, monkeypatch):
+        # a correction 0.7 rad off on receiver port 0: the exact fidelity,
+        # (2 + cos 0.7) / 3 in closed form, against `_fidelity` averaged over
+        # Haar-random targets, each branch weighted by its own |M alpha|^2
+        n = 10**5
+        monkeypatch.setattr(protocols, "CORRECTION_PHASES", CORRECTION_PHASES * np.array([np.exp(0.7j), 1, 1]))
+        protocols._teleport_branch_maps.cache_clear()
+        try:
+            exact = teleport_run(1)[1]
+            codes, matrices = protocols._teleport_branch_maps()
+        finally:
+            protocols._teleport_branch_maps.cache_clear()
+        alphas = haar_amplitudes(derive_rng(21).random((n, 6)))
+        weighted, total = np.zeros(n), np.zeros(n)
+        for m in matrices[codes >= 0]:
+            receivers = alphas @ m.T
+            weights = np.sum(np.abs(receivers) ** 2, axis=1)
+            weighted += weights * protocols._fidelity(alphas, receivers)
+            total += weights
+        sampled = weighted / total.mean()
+        assert abs(exact - (2 + math.cos(0.7)) / 3) < 1e-12
+        assert abs(sampled.mean() - exact) < 4 * sampled.std() / math.sqrt(n)
+        assert exact < 0.93
 
     def test_haar_amplitudes(self):
         # for a Haar-random qutrit P(|a_m|^2 > x) = (1 - x)^2
@@ -508,63 +510,20 @@ class TestTeleportRun:
             assert abs(tail - 1 / 4) < 4 * sigma
 
 
-def per_target_sample(alphas, uniforms):
-    """Reference: the per-target teleport sampler that the constant branch
-    table replaced.  Every branch's receiver for every row, the running sum
-    of the row's own branch weights, the count of sums at or below u times
-    the row's total, clamped to the last branch."""
-    branch_codes, matrices, _ = protocols._teleport_branch_maps()
-    receivers = (alphas @ matrices.reshape(-1, 3).T).reshape(len(alphas), len(branch_codes), 3)
-    cumulative = np.cumsum(np.sum(np.abs(receivers) ** 2, axis=2), axis=1)
-    pick = np.minimum(np.sum(cumulative <= uniforms[:, 1:] * cumulative[:, -1:], axis=1), len(branch_codes) - 1)
-    codes = np.where(uniforms[:, 0] < cumulative[:, -1], branch_codes[pick], POSTSELECT_FAIL_CODE)
-    chosen = receivers[np.arange(len(alphas)), pick]
-    return codes, np.where(codes >= 0, protocols._fidelity(alphas, chosen), np.nan)
-
-
 class TestConstantBranchTable:
-    def test_table(self):
-        # each branch weighs 1/54 for every unit target, so the table is
-        # the running sum of 18 equal weights and its total is 1/3
-        _, matrices, table = protocols._teleport_branch_maps()
-        assert np.abs(table - np.arange(1, 19) / 54).max() <= 1e-15
+    def test_table(self, monkeypatch):
+        # each branch weighs ||M||_F^2 / 3 = 1/54 for every unit target, so
+        # the running weights rise by 1/54 to 1/3, and `teleport_run` draws
+        # from the row 0, 1/9, 2/9, 1/3 over inconclusive, 0, 1, 2
+        codes, matrices = protocols._teleport_branch_maps()
         gram = np.swapaxes(matrices.conj(), 1, 2) @ matrices
-        assert np.abs(np.trace(gram, axis1=1, axis2=2) / 3 - np.diff(table, prepend=0.0)).max() <= 1e-15
-
-    def test_matches_per_target_reference(self):
-        n = 25_000
-        for seed in (0, 1, 3, 7):
-            codes, fidelities = teleport_run(n, seed=seed)
-            u = derive_rng(seed).random((n, 8))
-            ref_codes, ref_fidelities = per_target_sample(haar_amplitudes(u[:, :6]), u[:, 6:])
-            np.testing.assert_array_equal(codes, ref_codes)
-            conclusive = codes >= 0
-            assert np.abs(fidelities[conclusive] - ref_fidelities[conclusive]).max() <= 1e-15
-            assert np.isnan(fidelities[~conclusive]).all()
-
-    def test_edge_uniforms_follow_the_table(self):
-        # column 6 at 0, at the table's total W and an ulp either side of
-        # it; column 7 at 0, an ulp either side of each table edge (as a
-        # fraction of W) and on it, and at the largest uniform 1 - 2^-53,
-        # where u * W is one ulp below W.  No uniform reaches W, so 1.0,
-        # outside their range, shows the clamp to the last branch
-        branch_codes, _, table = protocols._teleport_branch_maps()
-        total = table[-1]
-        passes = [0.0, np.nextafter(total, 0.0), total, np.nextafter(total, 1.0)]
-        near_edges = [x for e in table / total for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)) if x < 1]
-        picks = [0.0, 1 - 2**-53, 1.0] + near_edges
-        uniforms = np.array([(p, q) for p in passes for q in picks])
-        # each target's columns 0-5: basis target k has only the radius
-        # column 2k nonzero, then five Haar-random targets
-        targets = np.vstack([np.eye(6)[0::2] / 2, derive_rng(11).random((5, 6))])
-        for target in targets:
-            block = np.hstack([np.repeat(target[None], len(uniforms), axis=0), uniforms])
-            codes, fidelities = protocols._sample_teleport(block)
-            for (p, q), code in zip(uniforms.tolist(), codes.tolist()):
-                branch = min(bisect.bisect_right(table.tolist(), q * total), len(table) - 1)
-                assert code == (branch_codes[branch] if p < total else POSTSELECT_FAIL_CODE), (p, q)
-            assert (codes[uniforms[:, 0] < total] >= 0).all() and (codes[uniforms[:, 0] >= total] < 0).all()
-            assert np.all(np.abs(fidelities[codes >= 0] - 1) < 1e-12)
+        weights = np.trace(gram, axis1=1, axis2=2).real / 3
+        assert np.abs(np.cumsum(weights) - np.arange(1, 19) / 54).max() <= 1e-15
+        rows = []
+        monkeypatch.setattr(protocols, "draw_counts", lambda row, n, uniforms: rows.append(row) or {})
+        teleport_run(10)
+        assert np.abs(rows[0] - np.array([0, 1, 2, 3]) / 9).max() <= 1e-15
+        assert np.abs(rows[0] - np.cumsum([weights[codes == code].sum() for code in range(-1, 3)])).max() <= 1e-15
 
 
 class TestMdiQkdSampling:
